@@ -12,13 +12,11 @@ one Jacobi identity per remaining special pair.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .matrices import Matrix
 from .rings import RingSpec, Scalar, ZZ
@@ -27,6 +25,10 @@ from .roots import DynkinType, InvalidRank, RootSystem, build_root_system
 
 class NotClassical(Exception):
     pass
+
+
+class JacobiFailure(AssertionError):
+    """A bracket table that breaks the Jacobi identity; names a failing pair."""
 
 
 def _vadd(a, b):
@@ -60,24 +62,6 @@ class ChevalleyPresentation:
         if i < j:
             return self.table.get((i, j), ())
         return tuple((k, -c) for k, c in self.table.get((j, i), ()))
-
-    def ad_sparse(self) -> list:
-        """ad(b_i) for every i, as int64 csr matrices."""
-        cols = [[] for _ in range(self.dim)]  # per i: list of (row, col, val)
-        for (i, j), terms in self.table.items():
-            for k, c in terms:
-                cols[i].append((k, j, c))
-                cols[j].append((k, i, -c))
-        out = []
-        for entries in cols:
-            if entries:
-                r, c, v = zip(*entries)
-            else:
-                r = c = v = ()
-            out.append(sp.csr_matrix(
-                (np.array(v, dtype=np.int64), (np.array(r), np.array(c))),
-                shape=(self.dim, self.dim)))
-        return out
 
     def to_lie_algebra(self, ring: RingSpec):
         from .liealg import LieAlgebra
@@ -199,51 +183,75 @@ def chevalley_presentation(t: DynkinType) -> ChevalleyPresentation:
     return pres
 
 
-def verify_jacobi(pres: ChevalleyPresentation, mode="auto", seed: int = 0) -> int:
-    """Check ad([b_i,b_j]) = [ad b_i, ad b_j]; returns pairs verified.
+def _join(ptr: np.ndarray, idx: np.ndarray) -> tuple:
+    """All index pairs (q, t) with ptr[idx[q]] <= t < ptr[idx[q] + 1]."""
+    lo = ptr[idx]
+    cnt = ptr[idx + 1] - lo
+    q = np.repeat(np.arange(len(idx)), cnt)
+    return q, np.arange(len(q)) - np.repeat(np.cumsum(cnt) - cnt, cnt) + lo[q]
 
-    One pair (i, j) certifies the Jacobi identity for all dim triples
-    (i, j, k), so "full" mode is the complete triple loop.  "generators"
-    checks the simple root vectors against the whole basis, which is
-    still a complete proof: the set V of elements v with
-    ad([v,w]) = [ad v, ad w] for all w is a submodule, saturated (the
-    defect is linear in v over a torsion-free ring), and closed under
-    bracket (expand [[ad y, ad z], ad w] by the operator Jacobi identity;
-    every term reduces to ad of the defect of (y, z), which is zero for
-    y, z in V).  V contains the simple root vectors, whose iterated
-    brackets span a finite-index subalgebra, hence V is everything.
-    An integer mode checks that many seeded random pairs.  "auto" is
-    full at rank <= 4 and generators plus 200 seeded pairs above.
+
+def verify_jacobi(pres: ChevalleyPresentation, mode: str = "auto") -> int:
+    """Check ad([b_i, b_g]) = [ad b_i, ad b_g] exactly over the integers;
+    returns the number of unordered pairs {i, g} verified.
+
+    One pair certifies the Jacobi identity for all dim triples (i, g, k).
+    "auto" and "full" check all dim*(dim-1)/2 pairs, which is the complete
+    triple loop; "generators" checks only the pairs that contain one of
+    the 2*rank simple root vectors.  The check is batched over i: every
+    ad map is one COO list ad_i[r, c] = v, and for each g the three terms
+    ad_i ad_g, ad_g ad_i and sum_k c_(igk) ad_k are joins of that list on
+    their shared index, summed per (i, r, c).  A nonzero sum raises
+    JacobiFailure naming the pair and the entry (r, c) of the defect.
     """
     dim, rank = pres.dim, pres.rank
-    ads = pres.ad_sparse()
-    rs = pres.root_system
-    if mode == "auto":
-        mode = "full" if rank <= 4 else "generators"
-    if mode == "full":
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    if mode in ("auto", "full"):
+        factors = range(dim)
     elif mode == "generators":
-        gens = []
-        for i in range(rank):
-            simple = tuple(1 if j == i else 0 for j in range(rank))
-            gens.append(pres.root_basis_index(simple))
-            gens.append(pres.root_basis_index(_vneg(simple)))
-        pairs = sorted({(min(g, j), max(g, j))
-                        for g in gens for j in range(dim) if j != g})
-        rng = random.Random(seed)
-        extra = {tuple(sorted(rng.sample(range(dim), 2))) for _ in range(200)}
-        pairs = sorted(set(pairs) | extra)
+        units = [tuple(int(j == a) for j in range(rank)) for a in range(rank)]
+        factors = sorted(pres.root_basis_index(s) for u in units for s in (u, _vneg(u)))
     else:
-        rng = random.Random(seed)
-        pairs = sorted({tuple(sorted(rng.sample(range(dim), 2)))
-                        for _ in range(int(mode))})
-    for i, j in pairs:
-        diff = ads[i] @ ads[j] - ads[j] @ ads[i]
-        for k, c in pres.bracket(i, j):
-            diff = diff - c * ads[k]
-        if diff.nnz:
-            raise AssertionError("Jacobi fails at pair (%d, %d)" % (i, j))
-    return len(pairs)
+        raise ValueError("unknown Jacobi mode %r" % (mode,))
+    i, j, k, c = np.array([(i, j, k, c) for (i, j), terms in pres.table.items()
+                           for k, c in terms], dtype=np.int64).reshape(-1, 4).T
+    coo = np.stack((np.r_[i, j], np.r_[k, k], np.r_[j, i], np.r_[c, -c]))
+    # keys (i*dim + r)*dim + c are below dim^3; a key sums at most 3*dim
+    # products of two constants, and |c| <= 6 up to rank 8
+    cmax = int(np.abs(c).max(initial=0))
+    if dim ** 3 >= 2 ** 63 or 3 * dim * cmax * cmax >= 2 ** 63:
+        raise OverflowError("Jacobi check of %s exceeds int64" % (pres.dynkin.name,))
+    ai, ar, ac, av = coo[:, np.lexsort(coo[2::-1])]         # by (i, r, c)
+    bi, br, bc, bv = coo[:, np.argsort(coo[1], kind="stable")]  # by r
+    span = np.arange(dim + 1)
+    ptr, rowptr = np.searchsorted(ai, span), np.searchsorted(br, span)
+    for g in factors:
+        gr, gc, gv = (x[ptr[g]:ptr[g + 1]] for x in (ar, ac, av))
+        q1, t1 = _join(np.searchsorted(gr, span), ac)        # ad_i[r, m] ad_g[m, c]
+        q2, t2 = _join(rowptr, gc)                           # ad_g[r, m] ad_i[m, c]
+        q3, t3 = _join(ptr, gr)                              # ad_g[k, i] ad_k[r, c]
+        keys = np.concatenate(((ai[q1] * dim + ar[q1]) * dim + gc[t1],
+                               (bi[t2] * dim + gr[q2]) * dim + bc[t2],
+                               (gc[q3] * dim + ar[t3]) * dim + ac[t3]))
+        vals = np.concatenate((av[q1] * gv[t1], -gv[q2] * bv[t2], gv[q3] * av[t3]))
+        if mode != "generators":                             # pairs i < g only
+            keep = keys < g * dim * dim
+            keys, vals = keys[keep], vals[keep]
+        keys, inv = np.unique(keys, return_inverse=True)
+        sums = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(sums, inv, vals)
+        bad = np.flatnonzero(sums)
+        if bad.size:
+            key, val = int(keys[bad[0]]), int(sums[bad[0]])
+            i, r, c = key // (dim * dim), key // dim % dim, key % dim
+            a, b, val = (i, g, val) if i < g else (g, i, -val)
+            x, y = pres.labels[a], pres.labels[b]
+            raise JacobiFailure(
+                "Jacobi fails at pair (%s, %s) of %s: entry (%s, %s) of "
+                "[ad %s, ad %s] - ad[%s, %s] is %d" % (
+                    x, y, pres.dynkin.name, pres.labels[r], pres.labels[c],
+                    x, y, x, y, val))
+    free = dim - len(factors)
+    return dim * (dim - 1) // 2 - free * (free - 1) // 2
 
 
 # ---------------------------------------------------------------------------

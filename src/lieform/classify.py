@@ -11,9 +11,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .chevalley import chevalley_presentation, matrix_realization
 from .liealg import killing_form, trace_form
-from .matrices import Matrix, rank
+from .matrices import Matrix, rank_mod_p
 from .rings import PrimeField, ZZ
 from .roots import DynkinType, InvalidRank
 
@@ -68,6 +70,14 @@ def integral_killing_gram(t: DynkinType) -> Matrix:
     return killing_form(g).gram
 
 
+@lru_cache(maxsize=None)
+def integral_killing_array(t: DynkinType) -> np.ndarray:
+    """integral_killing_gram(t) as a read-only int64 array."""
+    a = integral_killing_gram(t).to_numpy()
+    a.flags.writeable = False
+    return a
+
+
 def oracle_perfect(t: DynkinType, p: int) -> bool:
     """Full-rank test of the Killing Gram over the prime field.
 
@@ -76,8 +86,8 @@ def oracle_perfect(t: DynkinType, p: int) -> bool:
     """
     if t.rank > 8:
         raise InvalidRank("oracle capped at rank 8, got %s" % (t,))
-    gram = integral_killing_gram(t).map_to_ring(PrimeField(p))
-    return rank(gram) == gram.nrows
+    gram = integral_killing_array(t)
+    return rank_mod_p(gram, p) == len(gram)
 
 
 def verdict_with_oracle(t: DynkinType, p: int) -> PerfectnessVerdict:

@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .chevalley import (NotClassical, chevalley_presentation, chevalley_involution,
@@ -122,17 +121,15 @@ def _table_types(max_rank: int, dedup: bool) -> list:
     return out
 
 
-def _worker_count(ncells: int) -> int:
+def _check_threads_env() -> None:
+    """Validate LIEFORM_THREADS; the table runs in one thread whatever it says."""
     env = os.environ.get("LIEFORM_THREADS")
-    if env is not None:
-        try:
-            v = int(env)
-        except ValueError:
-            raise CliError("LIEFORM_THREADS must be a positive integer")
-        if v < 1:
-            raise CliError("LIEFORM_THREADS must be a positive integer")
-        return max(1, min(v, ncells))
-    return max(1, min(8, os.cpu_count() or 1, ncells))
+    try:
+        ok = env is None or int(env) >= 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise CliError("LIEFORM_THREADS must be a positive integer")
 
 
 def _fmt_matrix_rational(mat: Matrix) -> list:
@@ -171,26 +168,17 @@ def cmd_classify(args) -> int:
 # table
 
 def _table_rows(types, primes, with_oracle):
-    cells = [(t, p) for t in types for p in primes]
-    nworkers = _worker_count(len(cells))
-
-    def compute(cell):
-        t, p = cell
-        return verdict_with_oracle(t, p) if with_oracle else predict_perfect(t, p)
-
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            verdicts = list(pool.map(compute, cells))
-    else:
-        verdicts = [compute(c) for c in cells]
+    _check_threads_env()
     rows = []
-    for (t, p), v in zip(cells, verdicts):
-        row = {"series": t.series, "rank": t.rank, "p": p,
-               "predicted": v.predicted, "reason": v.reason}
-        if with_oracle:
-            row["oracle"] = v.oracle
-            row["agree"] = v.agree
-        rows.append(row)
+    for t in types:
+        for p in primes:
+            v = verdict_with_oracle(t, p) if with_oracle else predict_perfect(t, p)
+            row = {"series": t.series, "rank": t.rank, "p": p,
+                   "predicted": v.predicted, "reason": v.reason}
+            if with_oracle:
+                row["oracle"] = v.oracle
+                row["agree"] = v.agree
+            rows.append(row)
     rows.sort(key=lambda r: (r["series"], r["rank"], r["p"]))
     return rows
 

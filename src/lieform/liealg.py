@@ -304,7 +304,8 @@ def casimir_operator(ct: CasimirTensor) -> Matrix:
     if ring.kind == "prime_field" and ring.p < (1 << 21):
         a = g.ad_stack()
         c = ct.coefficients.to_numpy()
-        m = np.tensordot(c, a, axes=([0], [0]))
+        # reduce between the contractions: entries stay below dim^2 * p^2
+        m = np.tensordot(c, a, axes=([0], [0])) % ring.p
         op = np.einsum('jab,jbc->ac', m, a) % ring.p
         return Matrix.from_numpy(ring, op)
     op = Matrix.zeros(ring, g.dim, g.dim)
@@ -355,7 +356,7 @@ def is_lie_automorphism(g: LieAlgebra, s: Matrix) -> bool:
         sm = s.to_numpy()
         p = ring.p
         lhs = np.tensordot(t, sm, axes=([2], [1])) % p     # [i,j,m]
-        r1 = np.tensordot(sm, t, axes=([0], [0]))          # [i,b,k]
+        r1 = np.tensordot(sm, t, axes=([0], [0])) % p      # [i,b,k]
         rhs = np.tensordot(sm, r1, axes=([0], [1])) % p    # [j,i,k]
         return bool(np.array_equal(lhs, rhs.transpose(1, 0, 2) % p))
     cols = [s.col(j) for j in range(g.dim)]

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .rings import (
     NonIntegralDenominator,
     NotAUnit,
+    PrimeField,
     QQ,
     RingMismatch,
     RingSpec,
@@ -179,11 +180,6 @@ class Matrix:
         return Matrix(self.ring, self.nrows, self.ncols + other.ncols,
                       tuple(v for row in rows for v in row))
 
-    def submatrix_cols(self, cols: Iterable[int]) -> "Matrix":
-        cols = list(cols)
-        return Matrix(self.ring, self.nrows, len(cols),
-                      tuple(self.raw(i, j) for i in range(self.nrows) for j in cols))
-
     def is_zero(self) -> bool:
         z = self.ring.zero()
         return all(v == z for v in self.data)
@@ -280,6 +276,14 @@ def rank(m: Matrix) -> int:
         return len(pivots)
     _, pivots = _generic_echelon(m, reduce_up=False)
     return len(pivots)
+
+
+def rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank over F_p of an integer array, reduced with one `% p`."""
+    if p < _NP_PRIME_LIMIT:
+        return len(_modp_echelon(a, p, reduce_up=False)[1])
+    return rank(Matrix(PrimeField(p), a.shape[0], a.shape[1],
+                       tuple(int(v) % p for v in a.reshape(-1))))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:

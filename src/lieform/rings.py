@@ -473,17 +473,6 @@ class Scalar:
         return self.ring.fmt(self.value)
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Combine two same-ring scalars; op is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op %r" % op)
-
-
 def is_unit(s: Scalar) -> bool:
     return s.is_unit
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from lieform import (DynkinType, Matrix, NotClassical, PrimeField, QQ, ZZ,
                      chevalley_involution, chevalley_presentation,
                      is_lie_automorphism, kernel, matrix_realization,
                      torus_automorphism, triple_flip, verify_jacobi)
+from lieform.chevalley import JacobiFailure
 
 F5 = PrimeField(5)
 
@@ -71,6 +73,37 @@ def test_jacobi_generator_mode_counts():
     full = verify_jacobi(pres, mode="full")
     gen = verify_jacobi(pres, mode="generators")
     assert 0 < gen < full
+    # pairs that contain one of the 6 simple root vectors X_(+-alpha_i)
+    assert gen == full - (15 - 6) * (15 - 7) // 2
+
+
+def test_jacobi_default_checks_all_pairs_at_every_rank():
+    types = [DynkinType(s, r) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+             for r in range(lo, 9)]
+    types += [DynkinType("E", 6), DynkinType("E", 7), DynkinType("E", 8),
+              DynkinType("F", 4), DynkinType("G", 2)]
+    assert len(types) == 33
+    for t in types:
+        n = chevalley_presentation(t).dim
+        assert verify_jacobi(chevalley_presentation(t)) == n * (n - 1) // 2
+
+
+def test_jacobi_failure_names_its_witness():
+    pres = chevalley_presentation(DynkinType("B", 3))
+    # the two lowest root vectors in basis order: both modes meet their
+    # pair first, since every pair with a Cartan element still holds
+    i, j = pres.root_basis_index((0, 0, 1)), pres.root_basis_index((0, 1, 0))
+    assert (i, j) == (3, 4)
+    (k, c), = pres.table[(i, j)]
+    table = dict(pres.table)
+    table[(i, j)] = ((k, c + 1),)
+    bad = dataclasses.replace(pres, table=table)
+    for mode in ("full", "generators"):
+        with pytest.raises(JacobiFailure) as err:
+            verify_jacobi(bad, mode=mode)
+        msg = str(err.value)
+        assert "pair (X[0,0,1], X[0,1,0]) of B3" in msg
+        assert "entry (H2, X[0,-1,-1])" in msg
 
 
 @pytest.mark.parametrize("t,mrank", [

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lieform
 from lieform import chain_from_highest, counterexample_module, module_to_json
+from lieform.classify import integral_killing_array, integral_killing_gram
 from lieform.cli import main
 
 
@@ -141,6 +146,35 @@ def test_table_thread_env(capsys, monkeypatch):
     code, doc, _ = run_json(capsys, ["table", "--max-rank", "2",
                                      "--primes", "2,3"])
     assert code == 1 and doc["status"] == "ERROR"
+
+
+def test_table_builds_each_killing_gram_once(capsys, monkeypatch):
+    monkeypatch.setenv("LIEFORM_THREADS", "4")
+    integral_killing_gram.cache_clear()
+    integral_killing_array.cache_clear()
+    code, doc, _ = run_json(capsys, ["table", "--max-rank", "3", "--oracle"])
+    assert code == 0 and doc["results"]["all_agree"] is True
+    ntypes = len({(r["series"], r["rank"]) for r in doc["results"]["rows"]})
+    assert ntypes == 9
+    assert integral_killing_gram.cache_info().misses == ntypes
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, lieform.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_verify_casimir_near_int64_limit(capsys):
+    code, doc, _ = run_json(capsys, ["verify", "--suite", "casimir",
+                                     "--type", "A3", "--prime", "2097143"])
+    assert code == 0
+    assert doc["status"] == "OK"
 
 
 def test_verify_casimir_ok(capsys):

@@ -172,3 +172,28 @@ def test_killing_rank_drops_at_bad_primes():
     assert rank(killing_form(g3).gram) < 8   # p = 3 divides n + 1
     g5 = chevalley_presentation(DynkinType("A", 2)).to_lie_algebra(F5)
     assert rank(killing_form(g5).gram) == 8
+
+
+# the largest prime below 2^21: int64 products of residues sit near 2^42
+P21 = 2097143
+
+
+def test_casimir_operator_identity_a3_near_int64_limit():
+    fp = PrimeField(P21)
+    g = chevalley_presentation(DynkinType("A", 3)).to_lie_algebra(fp)
+    assert casimir_operator(casimir(g)) == Matrix.identity(fp, g.dim)
+
+
+def test_is_lie_automorphism_dense_near_int64_limit():
+    fp = PrimeField(P21)
+    pres = chevalley_presentation(DynkinType("A", 3))
+    g = pres.to_lie_algebra(fp)
+    half = fp.inv(2)
+    s = torus_automorphism(pres, fp, P21 - 3, lam=(1, 2, 5))
+    for root in ((1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, -1, -1), (0, 1, 1)):
+        ad = g.ad_matrix(g.basis_vector(pres.root_basis_index(root)))
+        assert (ad @ ad @ ad).is_zero()
+        s = s @ (Matrix.identity(fp, g.dim) + ad + (ad @ ad).scale(half))
+    assert sum(v != 0 for v in s.data) > g.dim * g.dim // 3
+    assert is_lie_automorphism(g, s)
+    assert not is_lie_automorphism(g, s.scale(2))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from lieform import (DimensionMismatch, DualNumbers, IntegersModPk,
                      LocalizedAtP, Matrix, NotASubspace, PrimeField, QQ,
                      Singular, ZZ, det, inverse, kernel, rank, saturate,
                      solve_linear)
+from lieform.matrices import rank_mod_p
 
 F5 = PrimeField(5)
 F2 = PrimeField(2)
@@ -167,3 +169,16 @@ def test_kernel_times_matrix_is_zero(seed):
     assert k.ncols == 4 - rank(a)
     if k.ncols:
         assert (a @ k).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_rank_mod_p_of_integer_array_matches_rank(seed):
+    import random
+    rng = random.Random(seed)
+    # 2097169 is the first prime past the int64 elimination limit 2^21
+    for p in (2, 3, 5, 2097143, 2097169):
+        rows = [[rng.choice((0, 1, -1, p, 2 * p + 1, rng.randint(-10 ** 6, 10 ** 6)))
+                 for _ in range(5)] for _ in range(4)]
+        want = rank(M(ZZ, rows).map_to_ring(PrimeField(p)))
+        assert rank_mod_p(np.array(rows, dtype=np.int64), p) == want
