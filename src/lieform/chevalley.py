@@ -65,12 +65,9 @@ class ChevalleyPresentation:
 
     def to_lie_algebra(self, ring: RingSpec):
         from .liealg import LieAlgebra
-        table = {}
-        for key, terms in self.table.items():
-            mapped = tuple((k, ring.coerce(c)) for k, c in terms
-                           if not ring.is_zero(ring.coerce(c)))
-            if mapped:
-                table[key] = mapped
+        # the constructor drops the constants that vanish in ring
+        table = {key: tuple((k, ring.coerce(c)) for k, c in terms)
+                 for key, terms in self.table.items()}
         return LieAlgebra(ring, self.dim, table, dynkin=self.dynkin)
 
 
@@ -191,27 +188,19 @@ def _join(ptr: np.ndarray, idx: np.ndarray) -> tuple:
     return q, np.arange(len(q)) - np.repeat(np.cumsum(cnt) - cnt, cnt) + lo[q]
 
 
-def verify_jacobi(pres: ChevalleyPresentation, mode: str = "auto") -> int:
-    """Check ad([b_i, b_g]) = [ad b_i, ad b_g] exactly over the integers;
-    returns the number of unordered pairs {i, g} verified.
+def verify_jacobi(pres: ChevalleyPresentation) -> int:
+    """Check ad([b_i, b_g]) = [ad b_i, ad b_g] exactly over the integers
+    for all dim*(dim-1)/2 unordered pairs {i, g}; returns that count.
 
-    One pair certifies the Jacobi identity for all dim triples (i, g, k).
-    "auto" and "full" check all dim*(dim-1)/2 pairs, which is the complete
-    triple loop; "generators" checks only the pairs that contain one of
-    the 2*rank simple root vectors.  The check is batched over i: every
-    ad map is one COO list ad_i[r, c] = v, and for each g the three terms
-    ad_i ad_g, ad_g ad_i and sum_k c_(igk) ad_k are joins of that list on
-    their shared index, summed per (i, r, c).  A nonzero sum raises
-    JacobiFailure naming the pair and the entry (r, c) of the defect.
+    One pair certifies the Jacobi identity for all dim triples (i, g, k),
+    so the pairs cover the complete triple loop.  The check is batched
+    over i: every ad map is one COO list ad_i[r, c] = v, and for each g the
+    three terms ad_i ad_g, ad_g ad_i and sum_k c_(igk) ad_k are joins of
+    that list on their shared index, summed per (i, r, c) with i < g.  A
+    nonzero sum raises JacobiFailure naming the pair and the entry (r, c)
+    of the defect.
     """
-    dim, rank = pres.dim, pres.rank
-    if mode in ("auto", "full"):
-        factors = range(dim)
-    elif mode == "generators":
-        units = [tuple(int(j == a) for j in range(rank)) for a in range(rank)]
-        factors = sorted(pres.root_basis_index(s) for u in units for s in (u, _vneg(u)))
-    else:
-        raise ValueError("unknown Jacobi mode %r" % (mode,))
+    dim = pres.dim
     i, j, k, c = np.array([(i, j, k, c) for (i, j), terms in pres.table.items()
                            for k, c in terms], dtype=np.int64).reshape(-1, 4).T
     coo = np.stack((np.r_[i, j], np.r_[k, k], np.r_[j, i], np.r_[c, -c]))
@@ -224,7 +213,7 @@ def verify_jacobi(pres: ChevalleyPresentation, mode: str = "auto") -> int:
     bi, br, bc, bv = coo[:, np.argsort(coo[1], kind="stable")]  # by r
     span = np.arange(dim + 1)
     ptr, rowptr = np.searchsorted(ai, span), np.searchsorted(br, span)
-    for g in factors:
+    for g in range(dim):
         gr, gc, gv = (x[ptr[g]:ptr[g + 1]] for x in (ar, ac, av))
         q1, t1 = _join(np.searchsorted(gr, span), ac)        # ad_i[r, m] ad_g[m, c]
         q2, t2 = _join(rowptr, gc)                           # ad_g[r, m] ad_i[m, c]
@@ -233,9 +222,8 @@ def verify_jacobi(pres: ChevalleyPresentation, mode: str = "auto") -> int:
                                (bi[t2] * dim + gr[q2]) * dim + bc[t2],
                                (gc[q3] * dim + ar[t3]) * dim + ac[t3]))
         vals = np.concatenate((av[q1] * gv[t1], -gv[q2] * bv[t2], gv[q3] * av[t3]))
-        if mode != "generators":                             # pairs i < g only
-            keep = keys < g * dim * dim
-            keys, vals = keys[keep], vals[keep]
+        keep = keys < g * dim * dim                          # pairs i < g only
+        keys, vals = keys[keep], vals[keep]
         keys, inv = np.unique(keys, return_inverse=True)
         sums = np.zeros(len(keys), dtype=np.int64)
         np.add.at(sums, inv, vals)
@@ -243,15 +231,13 @@ def verify_jacobi(pres: ChevalleyPresentation, mode: str = "auto") -> int:
         if bad.size:
             key, val = int(keys[bad[0]]), int(sums[bad[0]])
             i, r, c = key // (dim * dim), key // dim % dim, key % dim
-            a, b, val = (i, g, val) if i < g else (g, i, -val)
-            x, y = pres.labels[a], pres.labels[b]
+            x, y = pres.labels[i], pres.labels[g]
             raise JacobiFailure(
                 "Jacobi fails at pair (%s, %s) of %s: entry (%s, %s) of "
                 "[ad %s, ad %s] - ad[%s, %s] is %d" % (
                     x, y, pres.dynkin.name, pres.labels[r], pres.labels[c],
                     x, y, x, y, val))
-    free = dim - len(factors)
-    return dim * (dim - 1) // 2 - free * (free - 1) // 2
+    return dim * (dim - 1) // 2
 
 
 # ---------------------------------------------------------------------------

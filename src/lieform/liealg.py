@@ -6,6 +6,7 @@ the Casimir tensor and operator, base change, automorphism checks.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from .matrices import (
     inverse,
     kernel,
     rank,
-    solve_linear,
 )
 from .rings import RingMismatch, RingSpec, Scalar, UnsupportedRing, ZZ, convert_raw
 
@@ -34,6 +34,10 @@ class LieAlgebra:
     [b_i, b_j] = sum_k c * b_k; antisymmetry is implicit in the storage.
     Jacobi is re-verified on construction for dim <= 20 unless the table
     comes from an already-verified source (check=False).
+
+    Every invariant (Killing form, derivations, Casimir operator,
+    automorphism check) is computed from this sparse table with the
+    ring's own arithmetic, by one code path for every ring.
     """
 
     def __init__(self, ring: RingSpec, dim: int, table: dict,
@@ -48,7 +52,6 @@ class LieAlgebra:
             if kept:
                 self.table[(i, j)] = kept
         self.dynkin = dynkin
-        self._tensor = None
         if check is None:
             check = dim <= 20
         if check:
@@ -100,24 +103,6 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> tuple:
         z, o = self.ring.zero(), self.ring.one()
         return tuple(o if j == i else z for j in range(self.dim))
-
-    # -- integer carriers --------------------------------------------------
-    def dense_tensor(self) -> np.ndarray:
-        """T[i,j,k] with [b_i,b_j] = sum T[i,j,k] b_k, int64 residues."""
-        if self._tensor is None:
-            if self.ring.kind not in ("integers", "prime_field"):
-                raise UnsupportedRing("dense tensor needs integer-like entries")
-            t = np.zeros((self.dim,) * 3, dtype=np.int64)
-            for (i, j), terms in self.table.items():
-                for k, c in terms:
-                    t[i, j, k] = int(c)
-                    t[j, i, k] = -int(c)
-            self._tensor = t
-        return self._tensor
-
-    def ad_stack(self) -> np.ndarray:
-        """A[i] = matrix of ad(b_i) (int64); A[i][m,k] = T[i,k,m]."""
-        return self.dense_tensor().transpose(0, 2, 1)
 
     # -- validation --------------------------------------------------------
     def _bracket_dictvec(self, i: int, vec: dict) -> dict:
@@ -173,40 +158,32 @@ class CasimirTensor:
     coefficients: Matrix
 
 
+def _ad_entries(g: LieAlgebra) -> list:
+    """Every nonzero entry ad(b_i)[a, b] = v of the adjoint maps, as
+    (i, a, b, v), read off the bracket table."""
+    neg = g.ring.neg
+    out = []
+    for (i, j), terms in g.table.items():
+        for k, c in terms:
+            out.append((i, k, j, c))
+            out.append((j, k, i, neg(c)))
+    return out
+
+
 def killing_form(g: LieAlgebra) -> BilinearForm:
-    """Gram[i][j] = trace(ad(b_i) ad(b_j)), by sparse index contraction."""
+    """Gram[i][j] = trace(ad(b_i) ad(b_j)), by sparse index contraction:
+    each entry ad(b_i)[a, b] meets the entries ad(b_j)[b, a]."""
     ring = g.ring
-    dim = g.dim
-    if ring.kind in ("integers", "prime_field"):
-        entries = []
-        for (i, j), terms in g.table.items():
-            for k, c in terms:
-                entries.append((i, j, k, int(c)))
-                entries.append((j, i, k, -int(c)))
-        paired: dict = {}
-        for a, b, kk, c in entries:
-            paired.setdefault((b, kk), []).append((a, c))
-        gram = [[0] * dim for _ in range(dim)]
-        for a, b, kk, c in entries:
-            for j, c2 in paired.get((kk, b), ()):
-                gram[a][j] += c * c2
-        if ring.kind == "prime_field":
-            p = ring.p
-            gram = [[v % p for v in row] for row in gram]
-        return BilinearForm(g, Matrix.from_rows(ring, gram))
-    ads = [g.ad_matrix(g.basis_vector(i)) for i in range(dim)]
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = ring.zero()
-            for a in range(dim):
-                for b in range(dim):
-                    acc = ring.add(acc, ring.mul(ads[i].raw(a, b),
-                                                 ads[j].raw(b, a)))
-            row.append(acc)
-        rows.append(row)
-    return BilinearForm(g, Matrix.from_rows(ring, rows))
+    add, mul, n = ring.add, ring.mul, g.dim
+    entries = _ad_entries(g)
+    at: dict = {}
+    for j, a, b, w in entries:
+        at.setdefault((a, b), []).append((j, w))
+    gram = [ring.zero()] * (n * n)
+    for i, a, b, v in entries:
+        for j, w in at.get((b, a), ()):
+            gram[i * n + j] = add(gram[i * n + j], mul(v, w))
+    return BilinearForm(g, Matrix(ring, n, n, tuple(gram)))
 
 
 def trace_form(realization, ring: RingSpec) -> BilinearForm:
@@ -234,60 +211,47 @@ def form_kernel(f: BilinearForm) -> Matrix:
 
 
 def center_basis(g: LieAlgebra) -> Matrix:
-    """Kernel of v -> ad(v), as columns."""
-    if not g.ring.is_field:
+    """Kernel of v -> ad(v), as columns: row a*dim + b of the stacked
+    system holds the entries ad(b_i)[a, b]."""
+    ring = g.ring
+    if not ring.is_field:
         raise UnsupportedRing("center computation needs a field-kind ring")
-    cols = []
-    for i in range(g.dim):
-        cols.append(g.ad_matrix(g.basis_vector(i)).data)
-    stacked = Matrix(g.ring, g.dim * g.dim, g.dim,
-                     tuple(cols[i][r] for r in range(g.dim * g.dim)
-                           for i in range(g.dim)))
-    return kernel(stacked)
+    n = g.dim
+    stacked = [ring.zero()] * (n ** 3)
+    for i, a, b, v in _ad_entries(g):
+        stacked[(a * n + b) * n + i] = ring.add(stacked[(a * n + b) * n + i], v)
+    return kernel(Matrix(ring, n * n, n, tuple(stacked)))
 
 
 def derivation_algebra(g: LieAlgebra) -> Matrix:
     """Basis of {D : D[x,y] = [Dx,y] + [x,Dy]} as columns in dim^2-space.
 
     Unknown D is flattened row-major: slot m*dim + k is the (m, k) entry
-    (m the output coordinate).
+    (m the output coordinate).  Equation (i, j, m), i < j, is coordinate m
+    of D[b_i, b_j] - [Db_i, b_j] - [b_i, Db_j] = 0; only equations with a
+    nonzero coefficient become rows, which leaves the kernel unchanged.
     """
     ring = g.ring
     if not ring.is_field:
         raise UnsupportedRing("derivations need a field-kind ring")
-    dim = g.dim
-    n2 = dim * dim
-    if ring.kind == "prime_field" and ring.p < (1 << 21):
-        t = g.dense_tensor()
-        idx = np.arange(dim)
-        blocks = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                eq = np.zeros((dim, dim, dim), dtype=np.int64)
-                eq[idx, idx, :] = np.broadcast_to(t[i, j], (dim, dim))
-                eq[:, :, i] -= t[:, j, :].T
-                eq[:, :, j] -= t[i, :, :].T
-                blocks.append(eq.reshape(dim, n2))
-        m = Matrix.from_numpy(ring, np.vstack(blocks) % ring.p)
-        return kernel(m)
-    rows = []
+    n = g.dim
     zero = ring.zero()
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            tij = dict(g.bracket_basis(i, j))
-            for m in range(dim):
-                row = [zero] * n2
-                for k, c in tij.items():
-                    row[m * dim + k] = ring.add(row[m * dim + k], c)
-                for l in range(dim):
-                    for k, c in g.bracket_basis(l, j):
-                        if k == m:
-                            row[l * dim + i] = ring.sub(row[l * dim + i], c)
-                    for k, c in g.bracket_basis(i, l):
-                        if k == m:
-                            row[l * dim + j] = ring.sub(row[l * dim + j], c)
-                rows.append(row)
-    return kernel(Matrix.from_rows(ring, rows))
+    eqs: dict = defaultdict(lambda: [zero] * (n * n))
+
+    def put(key, slot, v):
+        eqs[key][slot] = ring.add(eqs[key][slot], v)
+
+    for (i, j), terms in g.table.items():
+        for k, c in terms:                   # D[b_i, b_j]
+            for m in range(n):
+                put((i, j, m), m * n + k, c)
+    for i, m, l, v in _ad_entries(g):
+        for x in range(i):                   # -[D b_x, b_i], x < i
+            put((x, i, m), l * n + x, v)
+        for y in range(i + 1, n):            # -[b_i, D b_y], i < y
+            put((i, y, m), l * n + y, ring.neg(v))
+    flat = tuple(v for row in eqs.values() for v in row)
+    return kernel(Matrix(ring, len(eqs), n * n, flat))
 
 
 def casimir(g: LieAlgebra) -> CasimirTensor:
@@ -298,24 +262,27 @@ def casimir(g: LieAlgebra) -> CasimirTensor:
 
 
 def casimir_operator(ct: CasimirTensor) -> Matrix:
-    """sum C[i,j] ad(b_i) ad(b_j); the identity when the form is perfect."""
+    """sum C[i,j] ad(b_i) ad(b_j); the identity when the form is perfect.
+
+    One join on the shared index: each entry ad(b_i)[a, b] meets the
+    entries ad(b_j)[b, c] of row b, for every j with C[i, j] nonzero.
+    """
     g = ct.algebra
     ring = g.ring
-    if ring.kind == "prime_field" and ring.p < (1 << 21):
-        a = g.ad_stack()
-        c = ct.coefficients.to_numpy()
-        # reduce between the contractions: entries stay below dim^2 * p^2
-        m = np.tensordot(c, a, axes=([0], [0])) % ring.p
-        op = np.einsum('jab,jbc->ac', m, a) % ring.p
-        return Matrix.from_numpy(ring, op)
-    op = Matrix.zeros(ring, g.dim, g.dim)
-    ads = [g.ad_matrix(g.basis_vector(i)) for i in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(g.dim):
-            cij = ct.coefficients.raw(i, j)
-            if not ring.is_zero(cij):
-                op = op + (ads[i] @ ads[j]).scale(cij)
-    return op
+    add, mul, n = ring.add, ring.mul, g.dim
+    entries = _ad_entries(g)
+    rows: dict = {}
+    for j, b, c, w in entries:
+        rows.setdefault((j, b), []).append((c, w))
+    partners = [[(j, cij) for j, cij in enumerate(ct.coefficients.row(i))
+                 if not ring.is_zero(cij)] for i in range(n)]
+    op = [ring.zero()] * (n * n)
+    for i, a, b, v in entries:
+        for j, cij in partners[i]:
+            cv = mul(cij, v)
+            for c, w in rows.get((j, b), ()):
+                op[a * n + c] = add(op[a * n + c], mul(cv, w))
+    return Matrix(ring, n, n, tuple(op))
 
 
 def apply_endo_to_casimir(ct: CasimirTensor, s: Matrix) -> Matrix:
@@ -339,7 +306,14 @@ def base_change(g: LieAlgebra, target: RingSpec) -> LieAlgebra:
 
 
 def is_lie_automorphism(g: LieAlgebra, s: Matrix) -> bool:
-    """Invertible and bracket-preserving on all basis pairs."""
+    """Invertible and bracket-preserving on all basis pairs.
+
+    For each pair i < j, s([b_i, b_j]) = sum_k c_ij^k s[:, k] is compared
+    with [s b_i, s b_j] = sum s[a, i] s[b, j] [b_a, b_b], summed over the
+    supports of columns i and j of s.  The cost grows with those supports:
+    a monomial s (torus elements, triple flips) is cheap, a dense s costs
+    about dim^4 ring operations.
+    """
     ring = g.ring
     if s.ring != ring:
         raise RingMismatch("%r vs %r" % (s.ring, ring))
@@ -351,21 +325,21 @@ def is_lie_automorphism(g: LieAlgebra, s: Matrix) -> bool:
             return False
     elif not ring.is_unit(det(s)):
         return False
-    if ring.kind == "prime_field" and ring.p < (1 << 21):
-        t = g.dense_tensor()
-        sm = s.to_numpy()
-        p = ring.p
-        lhs = np.tensordot(t, sm, axes=([2], [1])) % p     # [i,j,m]
-        r1 = np.tensordot(sm, t, axes=([0], [0])) % p      # [i,b,k]
-        rhs = np.tensordot(sm, r1, axes=([0], [1])) % p    # [j,i,k]
-        return bool(np.array_equal(lhs, rhs.transpose(1, 0, 2) % p))
-    cols = [s.col(j) for j in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            image = [ring.zero()] * g.dim
-            for k, c in g.bracket_basis(i, j):
-                for a in range(g.dim):
-                    image[a] = ring.add(image[a], ring.mul(c, cols[k][a]))
-            if tuple(image) != g.bracket_vectors(cols[i], cols[j]):
+    add, sub, mul, n = ring.add, ring.sub, ring.mul, g.dim
+    zero = ring.zero()
+    cols = [[(a, v) for a, v in enumerate(s.col(j)) if not ring.is_zero(v)]
+            for j in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff: dict = {}                  # s([b_i, b_j]) - [s b_i, s b_j]
+            for k, c in g.table.get((i, j), ()):
+                for a, v in cols[k]:
+                    diff[a] = add(diff.get(a, zero), mul(c, v))
+            for a, x in cols[i]:
+                for b, y in cols[j]:
+                    xy = mul(x, y)
+                    for k, c in g.bracket_basis(a, b):
+                        diff[k] = sub(diff.get(k, zero), mul(xy, c))
+            if not all(ring.is_zero(v) for v in diff.values()):
                 return False
     return True

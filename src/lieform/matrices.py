@@ -485,7 +485,7 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
     # repeatedly divide p out of dependent combinations until the rows are
     # independent mod p; each step enlarges the span inside the saturation
     while True:
-        red = Matrix.from_rows(PrimeFieldCache.get(p),
+        red = Matrix.from_rows(PrimeField(p),
                                [[_fp_residue(x, p) for x in r] for r in rows])
         if rank(red) == len(rows):
             break
@@ -500,17 +500,6 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
         rows[idx] = normalize([x / p for x in w])
     basis_cols = Matrix.from_rows(QQ, rows).transpose()
     return lattice_basis @ basis_cols
-
-
-class PrimeFieldCache:
-    _cache: dict = {}
-
-    @classmethod
-    def get(cls, p: int):
-        from .rings import PrimeField
-        if p not in cls._cache:
-            cls._cache[p] = PrimeField(p)
-        return cls._cache[p]
 
 
 def _fp_residue(q: Fraction, p: int) -> int:

@@ -473,10 +473,6 @@ class Scalar:
         return self.ring.fmt(self.value)
 
 
-def is_unit(s: Scalar) -> bool:
-    return s.is_unit
-
-
 def convert_raw(v, src: RingSpec, dst: RingSpec):
     """Move a raw value along the canonical map src -> dst, if one exists.
 

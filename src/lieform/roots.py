@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 from .matrices import _bareiss_det_int
@@ -113,18 +114,12 @@ def _symmetrizer(cartan: tuple) -> tuple:
     assert all(v is not None for v in d)
     denom = 1
     for v in d:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+        denom = denom * v.denominator // gcd(denom, v.denominator)
     ints = [int(v * denom) for v in d]
     g = 0
     for v in ints:
-        g = _gcd(g, v)
+        g = gcd(g, v)
     return tuple(v // g for v in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,9 @@ from math import factorial
 from typing import Optional
 
 from .matrices import Matrix, inverse, rank, saturate, solve_linear
-from .rings import (LocalizedAtP, QQ, RingSpec, format_rational, is_prime,
-                    parse_rational, pvaluation)
+from .rings import (LocalizedAtP, PrimeField, QQ, RingSpec, format_rational,
+                    is_prime, parse_rational, pvaluation)
 from .roots import PTypeReport, classify_p_type
-from .matrices import PrimeFieldCache
 
 
 class OutOfRange(Exception):
@@ -305,7 +304,7 @@ def _grading_operator(m: WeightedModule) -> Matrix:
 
 
 def _mod_p(mat: Matrix, p: int) -> Matrix:
-    return mat.map_to_ring(PrimeFieldCache.get(p))
+    return mat.map_to_ring(PrimeField(p))
 
 
 def _span_check_mod_p(coords: Matrix, p: int):

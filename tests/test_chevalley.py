@@ -57,7 +57,7 @@ def test_structure_constant_bounds(t, bound):
                                DynkinType("F", 4), DynkinType("G", 2)], ids=str)
 def test_jacobi_full_small(t):
     pres = chevalley_presentation(t)
-    assert verify_jacobi(pres, mode="full") > 0
+    assert verify_jacobi(pres) > 0
 
 
 @pytest.mark.parametrize("t", [DynkinType("E", 6), DynkinType("E", 7),
@@ -65,16 +65,7 @@ def test_jacobi_full_small(t):
 def test_jacobi_full_exceptional(t):
     pres = chevalley_presentation(t)
     n = pres.dim
-    assert verify_jacobi(pres, mode="full") == n * (n - 1) // 2
-
-
-def test_jacobi_generator_mode_counts():
-    pres = chevalley_presentation(DynkinType("A", 3))
-    full = verify_jacobi(pres, mode="full")
-    gen = verify_jacobi(pres, mode="generators")
-    assert 0 < gen < full
-    # pairs that contain one of the 6 simple root vectors X_(+-alpha_i)
-    assert gen == full - (15 - 6) * (15 - 7) // 2
+    assert verify_jacobi(pres) == n * (n - 1) // 2
 
 
 def test_jacobi_default_checks_all_pairs_at_every_rank():
@@ -90,7 +81,7 @@ def test_jacobi_default_checks_all_pairs_at_every_rank():
 
 def test_jacobi_failure_names_its_witness():
     pres = chevalley_presentation(DynkinType("B", 3))
-    # the two lowest root vectors in basis order: both modes meet their
+    # the two lowest root vectors in basis order: the check meets their
     # pair first, since every pair with a Cartan element still holds
     i, j = pres.root_basis_index((0, 0, 1)), pres.root_basis_index((0, 1, 0))
     assert (i, j) == (3, 4)
@@ -98,12 +89,11 @@ def test_jacobi_failure_names_its_witness():
     table = dict(pres.table)
     table[(i, j)] = ((k, c + 1),)
     bad = dataclasses.replace(pres, table=table)
-    for mode in ("full", "generators"):
-        with pytest.raises(JacobiFailure) as err:
-            verify_jacobi(bad, mode=mode)
-        msg = str(err.value)
-        assert "pair (X[0,0,1], X[0,1,0]) of B3" in msg
-        assert "entry (H2, X[0,-1,-1])" in msg
+    with pytest.raises(JacobiFailure) as err:
+        verify_jacobi(bad)
+    msg = str(err.value)
+    assert "pair (X[0,0,1], X[0,1,0]) of B3" in msg
+    assert "entry (H2, X[0,-1,-1])" in msg
 
 
 @pytest.mark.parametrize("t,mrank", [

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from lieform import (DynkinType, LieAlgebra, Matrix, NotPerfect, PrimeField,
-                     QQ, ZZ, apply_endo_to_casimir, base_change, casimir,
+from lieform import (DualNumbers, DynkinType, IntegersModPk, LieAlgebra,
+                     LocalizedAtP, Matrix, NotPerfect, PrimeField, QQ, Singular,
+                     ZZ, apply_endo_to_casimir, base_change, casimir,
                      casimir_operator, center_basis, chevalley_involution,
-                     chevalley_presentation, derivation_algebra, det,
+                     chevalley_presentation, derivation_algebra, det, inverse,
                      is_lie_automorphism, is_perfect, killing_form,
                      matrix_realization, rank, solve_linear, torus_automorphism,
-                     trace_form)
+                     trace_form, triple_flip)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -197,3 +198,109 @@ def test_is_lie_automorphism_dense_near_int64_limit():
     assert sum(v != 0 for v in s.data) > g.dim * g.dim // 3
     assert is_lie_automorphism(g, s)
     assert not is_lie_automorphism(g, s.scale(2))
+
+
+def test_e8_casimir_operator_and_triple_flip_f7():
+    pres = chevalley_presentation(DynkinType("E", 8))
+    g = pres.to_lie_algebra(F7)
+    assert casimir_operator(casimir(g)) == Matrix.identity(F7, 248)
+    s = triple_flip(pres, F7, pres.root_system.positive_roots[-1])
+    assert is_lie_automorphism(g, s)
+    assert not is_lie_automorphism(g, s.scale(2))
+
+
+# -- differential tests: each invariant against its definition in Matrix ops
+
+DIFF_RINGS = {"QQ": QQ, "F7": F7, "F2097143": PrimeField(P21),
+              "F2097169": PrimeField(2097169), "Z25": IntegersModPk(5, 2),
+              "Z(5)": LocalizedAtP(5), "F5[eps]": DualNumbers(F5)}
+DIFF_TYPES = {"A2": DynkinType("A", 2), "B2": DynkinType("B", 2),
+              "G2": DynkinType("G", 2)}
+
+
+def _trace(m):
+    acc = m.ring.zero()
+    for i in range(m.nrows):
+        acc = m.ring.add(acc, m.raw(i, i))
+    return acc
+
+
+def _exp_ad(g, i):
+    """exp(ad b_i) for a nilpotent ad b_i, with k! a unit at every step."""
+    ring = g.ring
+    ad = g.ad_matrix(g.basis_vector(i))
+    out = term = Matrix.identity(ring, g.dim)
+    k = 1
+    while True:
+        term = (term @ ad).scale(ring.inv(ring.from_int(k)))
+        if term.is_zero():
+            return out
+        out, k = out + term, k + 1
+
+
+def _is_automorphism_by_definition(g, s):
+    try:
+        inverse(s)
+    except Singular:
+        return False
+    ring = g.ring
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            image = s @ Matrix.column(
+                ring, g.bracket_vectors(g.basis_vector(i), g.basis_vector(j)))
+            if image.data != g.bracket_vectors(s.col(i), s.col(j)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("tname", DIFF_TYPES)
+@pytest.mark.parametrize("rname", DIFF_RINGS)
+def test_invariants_match_their_definitions(rname, tname):
+    ring, pres = DIFF_RINGS[rname], chevalley_presentation(DIFF_TYPES[tname])
+    g = pres.to_lie_algebra(ring)
+    ads = [g.ad_matrix(g.basis_vector(i)) for i in range(g.dim)]
+    gram = killing_form(g).gram
+    assert gram == Matrix.from_rows(ring, [[_trace(a @ b) for b in ads] for a in ads])
+    ct = casimir(g)
+    want = Matrix.zeros(ring, g.dim, g.dim)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            if not ring.is_zero(ct.coefficients.raw(i, j)):
+                want = want + (ads[i] @ ads[j]).scale(ct.coefficients[i, j])
+    assert casimir_operator(ct) == want == Matrix.identity(ring, g.dim)
+    rank_ = pres.rank
+    monomial = (torus_automorphism(pres, ring, 2, lam=tuple(range(1, rank_ + 1)))
+                @ triple_flip(pres, ring, pres.root_system.positive_roots[-1]))
+    dense = chevalley_involution(pres, ring)
+    for root in pres.root_system.roots[:3] + pres.root_system.roots[-3:]:
+        dense = dense @ _exp_ad(g, pres.root_basis_index(root))
+    assert sum(not ring.is_zero(v) for v in dense.data) > g.dim * g.dim // 3
+    shear = Matrix.identity(ring, g.dim) + Matrix.from_rows(
+        ring, [[int((r, c) == (0, rank_)) for c in range(g.dim)]
+               for r in range(g.dim)])
+    singular = Matrix.from_rows(
+        ring, [[v if c else 0 for c, v in enumerate(row)] for row in dense.rows()])
+    for s, expected in ((monomial, True), (dense, True), (shear, False),
+                        (monomial.scale(2), False), (dense.scale(2), False),
+                        (singular, False)):
+        assert _is_automorphism_by_definition(g, s) is expected
+        assert is_lie_automorphism(g, s) is expected
+
+
+@pytest.mark.parametrize("tname", DIFF_TYPES)
+@pytest.mark.parametrize("rname", [r for r in DIFF_RINGS if DIFF_RINGS[r].is_field])
+def test_derivations_match_their_definition(rname, tname):
+    ring = DIFF_RINGS[rname]
+    g = chevalley_presentation(DIFF_TYPES[tname]).to_lie_algebra(ring)
+    n = g.dim
+    der = derivation_algebra(g)
+    assert der.ncols == n
+    basis = [g.basis_vector(i) for i in range(n)]
+    for c in range(der.ncols):
+        d = Matrix(ring, n, n, der.col(c))
+        for i in range(n):
+            for j in range(i + 1, n):
+                lhs = d @ Matrix.column(ring, g.bracket_vectors(basis[i], basis[j]))
+                di = g.bracket_vectors(d.col(i), basis[j])
+                dj = g.bracket_vectors(basis[i], d.col(j))
+                assert lhs.data == tuple(ring.add(a, b) for a, b in zip(di, dj))
