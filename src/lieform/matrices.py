@@ -253,12 +253,14 @@ def _generic_echelon(m: Matrix, reduce_up: bool) -> tuple[list[list], list[int]]
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = ring.inv(rows[r][c])
         rows[r] = [ring.mul(inv, v) for v in rows[r]]
+        # a target row changes only where the pivot row is nonzero
+        support = [(j, w) for j, w in enumerate(rows[r]) if not ring.is_zero(w)]
         targets = range(nrows) if reduce_up else range(r + 1, nrows)
         for i in targets:
             if i != r and not ring.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [ring.sub(v, ring.mul(f, w))
-                           for v, w in zip(rows[i], rows[r])]
+                row, f = rows[i], rows[i][c]
+                for j, w in support:
+                    row[j] = ring.sub(row[j], ring.mul(f, w))
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -271,11 +273,7 @@ def rank(m: Matrix) -> int:
         raise UnsupportedRing("rank needs a field-kind ring, got %r" % (ring,))
     if m.nrows == 0 or m.ncols == 0:
         return 0
-    if _np_ok(ring):
-        _, pivots = _modp_echelon(m.to_numpy(), ring.p, reduce_up=False)
-        return len(pivots)
-    _, pivots = _generic_echelon(m, reduce_up=False)
-    return len(pivots)
+    return len(pivots(m))
 
 
 def rank_mod_p(a: np.ndarray, p: int) -> int:
@@ -368,17 +366,18 @@ def inverse(m: Matrix) -> Matrix:
     if sol is None:
         raise Singular("matrix is not invertible")
     # unit-pivot elimination can silently drop rank over a local ring
-    if len(_pivots_of(m)) < m.nrows:
+    if len(pivots(m)) < m.nrows:
         raise Singular("matrix is not invertible")
     return sol
 
 
-def _pivots_of(m: Matrix) -> list[int]:
+def pivots(m: Matrix) -> list[int]:
+    """Pivot columns of the row echelon form, in increasing order.  Over a
+    field, column c is a pivot iff it is not in the span of the columns
+    before it."""
     if _np_ok(m.ring):
-        _, pivots = _modp_echelon(m.to_numpy(), m.ring.p, reduce_up=False)
-        return pivots
-    _, pivots = _generic_echelon(m, reduce_up=False)
-    return pivots
+        return _modp_echelon(m.to_numpy(), m.ring.p, reduce_up=False)[1]
+    return _generic_echelon(m, reduce_up=False)[1]
 
 
 def _bareiss_det_int(rows: list[list[int]]) -> int:

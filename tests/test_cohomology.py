@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+import lieform.cohomology as cohomology
 from lieform import (DimensionTooLarge, DualNumbers, DynkinType,
                      IntegersModPk, LieAlgebra, Matrix, NotACocycle,
-                     NotAutomorphism, NotPerfect, PrimeField, ZZ, ce_complex,
-                     chevalley_involution, chevalley_presentation,
-                     cohomology_dim, is_lie_automorphism, lift_automorphism,
-                     solve_coboundary, square_zero_extension,
-                     torus_automorphism, triple_flip)
+                     NotAutomorphism, NotPerfect, PrimeField, ZZ, base_change,
+                     ce_complex, chevalley_involution, chevalley_presentation,
+                     cohomology_dim, inverse, is_lie_automorphism,
+                     lift_automorphism, solve_coboundary, solve_linear,
+                     square_zero_extension, torus_automorphism, triple_flip)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -197,3 +198,145 @@ def test_lift_needs_perfect_killing_form():
     sigma_bar = Matrix.identity(PrimeField(2), 3)
     with pytest.raises(NotPerfect):
         lift_automorphism(g, ext, sigma_bar)
+
+
+# ---------------------------------------------------------------------------
+# the twisted complex as a conjugate, and the lift against the cached
+# untwisted complex
+
+def _seeded_automorphism(pres, fp, rng):
+    """A torus element and two triple flips, multiplied in seeded order."""
+    lam = (0,) * pres.rank
+    while not any(lam):
+        lam = tuple(rng.randint(-2, 2) for _ in range(pres.rank))
+    factors = [torus_automorphism(pres, fp, rng.randint(2, fp.p - 2), lam=lam)]
+    factors += [triple_flip(pres, fp, rng.choice(pres.root_system.positive_roots))
+                for _ in range(2)]
+    rng.shuffle(factors)
+    s = Matrix.identity(fp, pres.dim)
+    for f in factors:
+        s = s @ f
+    return s
+
+
+def _conjugate(d: Matrix, s: Matrix, s_inv: Matrix) -> Matrix:
+    """(s⊗I)·d·(s⁻¹⊗I) entry by entry, s acting on the coefficient index
+    a of the row index a*m + q and of the column index b*m' + q'."""
+    ring, n = d.ring, s.nrows
+    m_row, m_col = d.nrows // n, d.ncols // n
+    out = [ring.zero()] * (d.nrows * d.ncols)
+    for r in range(d.nrows):
+        a, q = divmod(r, m_row)
+        for c in range(d.ncols):
+            v = d.raw(r, c)
+            if ring.is_zero(v):
+                continue
+            b, q2 = divmod(c, m_col)
+            for a2 in range(n):
+                sv = ring.mul(s.raw(a2, a), v)
+                if ring.is_zero(sv):
+                    continue
+                for b2 in range(n):
+                    w = s_inv.raw(b, b2)
+                    if not ring.is_zero(w):
+                        k = (a2 * m_row + q) * d.ncols + b2 * m_col + q2
+                        out[k] = ring.add(out[k], ring.mul(sv, w))
+    return Matrix(ring, d.nrows, d.ncols, tuple(out))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("p", [5, 7, 2097169])
+def test_twisted_complex_is_conjugate_of_untwisted(name, p):
+    fp = PrimeField(p)
+    pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
+    g = pres.to_lie_algebra(fp)
+    plain = ce_complex(g)
+    rng = random.Random(p + pres.dim)
+    twists = [chevalley_involution(pres, fp)]
+    twists += [_seeded_automorphism(pres, fp, rng) for _ in range(2)]
+    for s in twists:
+        s_inv = inverse(s)
+        cx = ce_complex(g, twist=s)
+        # 0-cochains are coefficient vectors, so s⁻¹ acts on d0's columns
+        for d, d_plain in ((cx.d0, plain.d0), (cx.d1, plain.d1), (cx.d2, plain.d2)):
+            assert d == _conjugate(d_plain, s, s_inv)
+
+
+def _lift_by_twisted_solve(g, ext, sigma_bar):
+    """σ₀ − j(solve_linear(d1_σ, θ)), with θ the bracket defect of the
+    entrywise lift σ₀, on the dense twisted complex."""
+    quot, total, n = ext.quotient_ring, ext.total_ring, g.dim
+    gt = base_change(g, total)
+    s0 = Matrix(total, n, n, tuple(ext.lift_raw(v) for v in sigma_bar.data))
+    cx = ce_complex(base_change(g, quot), twist=sigma_bar)
+    np_ = len(cx.pairs)
+    theta = [quot.zero()] * (n * np_)
+    for q, (i, j) in enumerate(cx.pairs):
+        lhs = gt.bracket_vectors(s0.col(i), s0.col(j))
+        rhs = s0 @ Matrix.column(total, list(gt.bracket_vectors(
+            gt.basis_vector(i), gt.basis_vector(j))))
+        for a in range(n):
+            theta[a * np_ + q] = ext.j_extract(total.sub(lhs[a], rhs.raw(a, 0)))
+    delta = solve_linear(cx.d1, Matrix.column(quot, theta))
+    return Matrix(total, n, n, tuple(
+        total.sub(s0.raw(a, b), ext.j_embed(delta.raw(a * n + b, 0)))
+        for a in range(n) for b in range(n)))
+
+
+@pytest.mark.parametrize("total", [IntegersModPk(5, 2), IntegersModPk(7, 2),
+                                   DualNumbers(F5), IntegersModPk(2097143, 2)],
+                         ids=["Z25", "Z49", "F5eps", "Zp2-2097143"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2"])
+def test_lift_equals_twisted_solve(total, name):
+    ext = square_zero_extension(total)
+    fp = ext.quotient_ring
+    pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
+    g = pres.to_lie_algebra(ZZ)
+    rng = random.Random(fp.p)
+    sigmas = [Matrix.identity(fp, pres.dim), chevalley_involution(pres, fp)]
+    sigmas += [_seeded_automorphism(pres, fp, rng) for _ in range(2)]
+    for s in sigmas:
+        assert lift_automorphism(g, ext, s) == _lift_by_twisted_solve(g, ext, s)
+
+
+def test_lifts_share_one_untwisted_complex(monkeypatch):
+    def no_twisted_complex(*args, **kwargs):
+        raise RuntimeError("lift_automorphism built a cochain complex")
+
+    monkeypatch.setattr(cohomology, "ce_complex", no_twisted_complex)
+    pres = chevalley_presentation(DynkinType("B", 2))
+    g = pres.to_lie_algebra(ZZ)
+    ext = square_zero_extension(IntegersModPk(5, 2))
+    rng = random.Random(10)
+    cohomology._untwisted_complex.cache_clear()
+    for _ in range(10):
+        lift_automorphism(g, ext, _seeded_automorphism(pres, F5, rng))
+    info = cohomology._untwisted_complex.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
+
+
+def test_lift_keeps_the_dimension_bound():
+    pres = chevalley_presentation(DynkinType("B", 3))
+    ext = square_zero_extension(IntegersModPk(7, 2))
+    with pytest.raises(DimensionTooLarge):
+        lift_automorphism(pres.to_lie_algebra(ZZ), ext, Matrix.identity(F7, 21))
+
+
+def test_corrupted_d2_fails_the_cocycle_check(monkeypatch):
+    # a unit added at (c, c) of d2 for every column c puts theta itself
+    # into d2·theta, and theta is nonzero: the naive lift of t = 2 is not
+    # an automorphism over Z/25
+    real = cohomology._untwisted_complex
+
+    def corrupted(ring, dim, table):
+        d1, ker, d2 = real(ring, dim, table)
+        entries = dict(d2)
+        for c in range(d1.nrows):
+            entries[(c, c)] = ring.add(entries.get((c, c), ring.zero()), 1)
+        return d1, ker, tuple(entries.items())
+
+    monkeypatch.setattr(cohomology, "_untwisted_complex", corrupted)
+    g = SL3.to_lie_algebra(ZZ)
+    ext = square_zero_extension(IntegersModPk(5, 2))
+    with pytest.raises(AssertionError, match="cocycle identity"):
+        lift_automorphism(g, ext, torus_automorphism(SL3, F5, 2))
