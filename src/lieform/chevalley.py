@@ -8,12 +8,22 @@ N = +(p+1) where p is the length of the alpha-string through beta; every
 other constant follows from antisymmetry, the negation rule
 N(-a,-b) = -N(a,b), the norm-ratio rotation rule for zero-sum triples, and
 one Jacobi identity per remaining special pair.
+
+Roots are named by their index in `RootSystem.roots`.  The root system
+gives the index arrays: `root_matrix`, `neg_index` and `sum_index` (a + b,
+or -1), the last from one searchsorted over the integer keys
+sum_j coords_j * base**j of all sums.  `_root_data` derives norms, string
+lengths, Cartan pairings and coroots as whole arrays; the sign recursion
+runs on index pairs and raises on any inexact division; `_check_constants`
+compares whole arrays (N != 0 exactly where a + b is a root, |N| = p + 1,
+antisymmetry, negation rule); `verify_jacobi` then certifies every pair of
+the table.  All checks raise AssertionError (or its subclass
+JacobiFailure), so `python -O` keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -29,14 +39,6 @@ class NotClassical(Exception):
 
 class JacobiFailure(AssertionError):
     """A bracket table that breaks the Jacobi identity; names a failing pair."""
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vneg(a):
-    return tuple(-x for x in a)
 
 
 @dataclass
@@ -71,41 +73,53 @@ class ChevalleyPresentation:
         return LieAlgebra(ring, self.dim, table, dynkin=self.dynkin)
 
 
-def _special_pairs(rs: RootSystem):
-    """Per non-simple positive root: pairs (a, b), a+b = root, a before b."""
-    pos = rs.positive_roots
-    idx = {r: i for i, r in enumerate(pos)}
-    out = {}
-    for g in pos:
-        if sum(g) == 1:
-            continue
-        pairs = []
-        for i, a in enumerate(pos):
-            b = tuple(x - y for x, y in zip(g, a))
-            j = idx.get(b)
-            if j is not None and j > i:
-                pairs.append((a, b))
-        out[g] = pairs  # already sorted by index of a
+def _special_pairs(rs: RootSystem) -> dict:
+    """Per non-simple positive root index g, in increasing g: the index
+    pairs (a, b) of positive roots with a + b = g and a < b, by a."""
+    npos = len(rs.positive_roots)
+    s = rs.sum_index[:npos, :npos]
+    a, b = np.nonzero(np.triu(s >= 0, 1))
+    out: dict = {}
+    for g, x, y in sorted(zip(s[a, b].tolist(), a.tolist(), b.tolist())):
+        out.setdefault(g, []).append((x, y))
     return out
 
 
-@lru_cache(maxsize=None)
-def chevalley_presentation(t: DynkinType) -> ChevalleyPresentation:
-    if t.rank > 8:
-        raise InvalidRank("structure constants capped at rank 8, got %s" % (t,))
-    rs = build_root_system(t)
-    pos = rs.positive_roots
-    specials = _special_pairs(rs)
-    n_table: dict = {}
+def _root_data(rs: RootSystem) -> tuple:
+    """Norms, string lengths p(a, b) (largest q with b - q a a root),
+    Cartan pairings <root k, alpha_i^vee> and coroot coordinates."""
+    r, s, neg = rs.root_matrix, rs.sum_index, rs.neg_index
+    cartan = np.array(rs.cartan, dtype=np.int64)
+    d = np.array(rs.symmetrizer, dtype=np.int64)
+    norms = np.einsum("ki,ij,kj->k", r, d[:, None] * cartan, r)
+    strings = np.zeros(s.shape, dtype=np.int64)
+    cur = np.broadcast_to(np.arange(len(s)), s.shape)  # b - q a, or -1
+    for _ in range(3):  # root strings have at most 4 roots
+        cur = np.where(cur >= 0, s[neg[:, None], cur], -1)
+        strings += cur >= 0
+    coroots, rem = np.divmod(2 * d * r, norms[:, None])
+    if rem.any():
+        raise AssertionError("coroots of %s are not integral" % (rs.dynkin,))
+    return norms, strings, r @ cartan.T, coroots
+
+
+def _exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError("structure constant %d/%d is not integral" % (num, den))
+    return q
+
+
+def _sign_constants(rs: RootSystem, norms, strings) -> dict:
+    """N(a, b) for all root index pairs with a + b a root, by the
+    extraspecial-pair recursion; keys in the order they are set."""
+    s, neg, nrm = rs.sum_index.tolist(), rs.neg_index.tolist(), norms.tolist()
+    nab: dict = {}
 
     def set_orbit(a, b, val):
-        g = _vadd(a, b)
-        na, nb, ng = _vneg(a), _vneg(b), _vneg(g)
-        qa = Fraction(rs.norm2(a))
-        qb = Fraction(rs.norm2(b))
-        qg = Fraction(rs.norm2(g))
-        ra = val * qa / qg
-        rb = val * qb / qg
+        g = s[a][b]
+        na, nb, ng = neg[a], neg[b], neg[g]
+        ra, rb = _exact(val * nrm[a], nrm[g]), _exact(val * nrm[b], nrm[g])
         for key, v in (
             ((a, b), val), ((b, a), -val),
             ((na, nb), -val), ((nb, na), val),
@@ -114,68 +128,73 @@ def chevalley_presentation(t: DynkinType) -> ChevalleyPresentation:
             ((ng, a), rb), ((a, ng), -rb),
             ((g, na), -rb), ((na, g), rb),
         ):
-            frac = Fraction(v)
-            assert frac.denominator == 1, (t, key, v)
-            assert key not in n_table
-            n_table[key] = int(frac)
+            if key in nab:
+                raise AssertionError("N%s of %s set twice" % (key, rs.dynkin))
+            nab[key] = v
 
-    for g in pos:  # canonical order is height-increasing
-        pairs = specials.get(g)
-        if not pairs:
-            continue
+    for g, pairs in _special_pairs(rs).items():  # height-increasing
         a0, b0 = pairs[0]  # extraspecial
-        set_orbit(a0, b0, rs.string_p(a0, b0) + 1)
-        na0 = _vneg(a0)
+        set_orbit(a0, b0, int(strings[a0, b0]) + 1)
+        na0 = neg[a0]
         for xi, eta in pairs[1:]:
             # Jacobi on (X_{-a0}, X_xi, X_eta); every term lands in the
             # root space of b0 and every referenced constant is already known
             acc = 0
-            d1 = tuple(x - y for x, y in zip(xi, a0))
-            if rs.is_root(d1):
-                acc += n_table[(na0, xi)] * n_table[(d1, eta)]
-            d2 = tuple(x - y for x, y in zip(eta, a0))
-            if rs.is_root(d2):
-                acc += n_table[(eta, na0)] * n_table[(d2, xi)]
-            val = Fraction(-acc, n_table[(g, na0)])
-            set_orbit(xi, eta, val)
+            d1, d2 = s[na0][xi], s[na0][eta]
+            if d1 >= 0:
+                acc += nab[(na0, xi)] * nab[(d1, eta)]
+            if d2 >= 0:
+                acc += nab[(eta, na0)] * nab[(d2, xi)]
+            set_orbit(xi, eta, _exact(-acc, nab[(g, na0)]))
+    return nab
 
-    # every constant must exhibit the root-string magnitude
-    for (a, b), v in n_table.items():
-        assert abs(v) == rs.string_p(a, b) + 1, (t, a, b, v)
-        assert n_table[(b, a)] == -v
-        assert n_table[(_vneg(a), _vneg(b))] == -v
-    for a in rs.roots:
-        for b in rs.roots:
-            if rs.is_root(_vadd(a, b)):
-                assert (a, b) in n_table
 
-    # assemble the full bracket table
-    rank = t.rank
-    dim = rank + len(rs.roots)
+def _check_constants(rs: RootSystem, n: np.ndarray, strings: np.ndarray) -> None:
+    """Whole-array checks of the constant matrix n[a, b] = N(a, b); each
+    failure names the first failing pair of roots."""
+    s, neg = rs.sum_index, rs.neg_index
+    for bad, rule in (
+        ((n != 0) != (s >= 0), "N != 0 exactly where a + b is a root"),
+        ((np.abs(n) != strings + 1) & (s >= 0), "|N(a, b)| = p + 1"),
+        (n != -n.T, "N(b, a) = -N(a, b)"),
+        (n[np.ix_(neg, neg)] != -n, "N(-a, -b) = -N(a, b)"),
+    ):
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            raise AssertionError("%s fails for %s at (%s, %s)" % (
+                rule, rs.dynkin, rs.roots[a], rs.roots[b]))
+
+
+@lru_cache(maxsize=None)
+def chevalley_presentation(t: DynkinType) -> ChevalleyPresentation:
+    if t.rank > 8:
+        raise InvalidRank("structure constants capped at rank 8, got %s" % (t,))
+    rs = build_root_system(t)
+    rank, nroots, roots = t.rank, len(rs.roots), rs.roots
+    norms, strings, pairings, coroots = _root_data(rs)
+    nab = _sign_constants(rs, norms, strings)
+    n = np.zeros((nroots, nroots), dtype=np.int64)
+    ka, kb = np.array(list(nab), dtype=np.int64).reshape(-1, 2).T
+    n[ka, kb] = list(nab.values())
+    _check_constants(rs, n, strings)
+
+    # assemble the full bracket table: [H_i, X_k], then [X_k1, X_k2], k1 < k2
     table: dict = {}
-    for i in range(rank):
-        for k, rho in enumerate(rs.roots):
-            c = rs.pairing(rho, i)
-            if c:
-                table[(i, rank + k)] = ((rank + k, c),)
-    nroots = len(rs.roots)
-    npos = nroots // 2
-    for k1 in range(nroots):
-        rho = rs.roots[k1]
-        for k2 in range(k1 + 1, nroots):
-            sig = rs.roots[k2]
-            s = _vadd(rho, sig)
-            if all(v == 0 for v in s):
-                # k1 indexes the positive root of the pair
-                cor = rs.coroot_coords(rho)
-                terms = tuple((m, cor[m]) for m in range(rank) if cor[m])
-                table[(rank + k1, rank + k2)] = terms
-            elif rs.is_root(s):
-                table[(rank + k1, rank + k2)] = (
-                    (rank + rs.root_index(s), n_table[(rho, sig)]),)
+    hi, hk = np.nonzero(pairings.T)
+    for i, k, c in zip(hi.tolist(), (hk + rank).tolist(), pairings[hk, hi].tolist()):
+        table[(i, k)] = ((k, c),)
+    cor = [tuple((m, c) for m, c in enumerate(row) if c) for row in coroots.tolist()]
+    s = rs.sum_index
+    zero_sum = rs.neg_index == np.arange(nroots)[:, None]
+    k1, k2 = np.nonzero(np.triu((s >= 0) | zero_sum, 1))
+    for a, b, g, v in zip(k1.tolist(), k2.tolist(), s[k1, k2].tolist(),
+                          n[k1, k2].tolist()):
+        # g < 0 is the zero sum, and a indexes the positive root of it
+        table[(rank + a, rank + b)] = ((rank + g, v),) if g >= 0 else cor[a]
     labels = tuple("H%d" % (i + 1) for i in range(rank)) + tuple(
-        "X[%s]" % ",".join(str(c) for c in rho) for rho in rs.roots)
-    pres = ChevalleyPresentation(t, rs, dim, labels, table, n_table)
+        "X[%s]" % ",".join(str(c) for c in rho) for rho in roots)
+    nconstants = {(roots[a], roots[b]): v for (a, b), v in nab.items()}
+    pres = ChevalleyPresentation(t, rs, rank + nroots, labels, table, nconstants)
     verify_jacobi(pres)
     return pres
 
@@ -244,47 +263,31 @@ def verify_jacobi(pres: ChevalleyPresentation) -> int:
 # classical matrix realizations
 # ---------------------------------------------------------------------------
 
-def _dmul(x: dict, y: dict, yrows=None) -> dict:
-    if yrows is None:
-        yrows = {}
-        for (r, c), v in y.items():
-            yrows.setdefault(r, []).append((c, v))
+def _dlin(x: dict, y: dict, c: int = -1) -> dict:
+    """x + c*y for dict-matrices {(row, col): int}, without zero entries."""
+    out = dict(x)
+    for k, v in y.items():
+        nv = out.get(k, 0) + c * v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _dmul(x: dict, y: dict) -> dict:
+    yrows: dict = {}
+    for (r, c), v in y.items():
+        yrows.setdefault(r, []).append((c, v))
     out: dict = {}
     for (r, c), v in x.items():
         for c2, v2 in yrows.get(c, ()):
-            k = (r, c2)
-            nv = out.get(k, 0) + v * v2
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
+            out[(r, c2)] = out.get((r, c2), 0) + v * v2
     return out
 
 
 def _dcomm(x: dict, y: dict) -> dict:
-    out = dict(_dmul(x, y))
-    for k, v in _dmul(y, x).items():
-        nv = out.get(k, 0) - v
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _dsub(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        nv = out.get(k, 0) - v
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _dscale(x: dict, c: int) -> dict:
-    return {k: c * v for k, v in x.items()} if c else {}
+    return {k: v for k, v in _dlin(_dmul(x, y), _dmul(y, x)).items() if v}
 
 
 def _simple_triples(t: DynkinType):
@@ -361,46 +364,36 @@ def matrix_realization(t: DynkinType) -> MatrixRealization:
         raise NotClassical("no defining realization for series %s" % t.series)
     pres = chevalley_presentation(t)
     rs = pres.root_system
+    roots, neg = rs.roots, rs.neg_index.tolist()
     trip, m = _simple_triples(t)
     rank = t.rank
-    nroots = len(rs.roots)
-    imgs = [None] * nroots
+    imgs = [None] * len(roots)
     for i, (x, y, _) in enumerate(trip):
-        simple = tuple(1 if j == i else 0 for j in range(rank))
-        imgs[rs.root_index(simple)] = x
-        imgs[rs.root_index(_vneg(simple))] = y
-    specials = _special_pairs(rs)
-    for g in rs.positive_roots:
-        pairs = specials.get(g)
-        if not pairs:
-            continue
+        k = rs.root_index(tuple(int(j == i) for j in range(rank)))
+        imgs[k], imgs[neg[k]] = x, y
+    for g, pairs in _special_pairs(rs).items():
         a, b = pairs[0]
-        nval = pres.nconstants[(a, b)]
-        prod = _dcomm(imgs[rs.root_index(a)], imgs[rs.root_index(b)])
-        assert all(v % nval == 0 for v in prod.values()), (t, g)
-        imgs[rs.root_index(g)] = {k: v // nval for k, v in prod.items()}
-        nprod = _dcomm(imgs[rs.root_index(_vneg(a))],
-                       imgs[rs.root_index(_vneg(b))])
-        assert all(v % nval == 0 for v in nprod.values()), (t, g)
-        imgs[rs.root_index(_vneg(g))] = {k: -v // nval for k, v in nprod.items()}
+        nval = pres.nconstants[(roots[a], roots[b])]
+        # X_g = [X_a, X_b] / N(a, b) and X_-g = -[X_-a, X_-b] / N(a, b)
+        for x, y, z, sign in ((a, b, g, 1), (neg[a], neg[b], neg[g], -1)):
+            prod = _dcomm(imgs[x], imgs[y])
+            if any(v % nval for v in prod.values()):
+                raise AssertionError("realization of %s: [X_a, X_b] is not "
+                                     "divisible by N(a, b) at %s" % (t, roots[z]))
+            imgs[z] = {k: sign * v // nval for k, v in prod.items()}
     mats = [trip[i][2] for i in range(rank)] + imgs
     # full bracket-compatibility check against the abstract constants
     for i in range(pres.dim):
         for j in range(i + 1, pres.dim):
             expect: dict = {}
             for k, c in pres.bracket(i, j):
-                expect = _dsub(expect, _dscale(mats[k], -c))
-            if _dsub(_dcomm(mats[i], mats[j]), expect):
+                expect = _dlin(expect, mats[k], c)
+            if _dlin(_dcomm(mats[i], mats[j]), expect):
                 raise AssertionError("realization bracket mismatch at (%d,%d)"
                                      % (i, j))
-
-    def to_matrix(d: dict) -> Matrix:
-        rows = [[0] * m for _ in range(m)]
-        for (r, c), v in d.items():
-            rows[r][c] = v
-        return Matrix.from_rows(ZZ, rows)
-
-    return MatrixRealization(pres, m, tuple(to_matrix(d) for d in mats))
+    return MatrixRealization(pres, m, tuple(
+        Matrix(ZZ, m, m, tuple(d.get((r, c), 0) for r in range(m) for c in range(m)))
+        for d in mats))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +407,8 @@ def chevalley_involution(pres: ChevalleyPresentation, ring: RingSpec) -> Matrix:
     mone = ring.coerce(-1)
     for i in range(rank):
         rows[i][i] = mone
-    for k, rho in enumerate(pres.root_system.roots):
-        rows[pres.root_basis_index(_vneg(rho))][rank + k] = mone
+    for k, nk in enumerate(pres.root_system.neg_index.tolist()):
+        rows[rank + nk][rank + k] = mone
     return Matrix.from_rows(ring, rows)
 
 
@@ -451,14 +444,15 @@ def triple_flip(pres: ChevalleyPresentation, ring: RingSpec,
     alpha: X_b -> -(-1)^(lam . b) X_{-b}.
     """
     odd = next((i for i, c in enumerate(alpha) if c % 2), None)
-    assert odd is not None, "root has no odd coordinate"
+    if odd is None:
+        raise ValueError("%s has no odd coordinate, so it is not a root" % (alpha,))
     rank, dim = pres.rank, pres.dim
     rows = [[ring.zero()] * dim for _ in range(dim)]
     mone = ring.coerce(-1)
     one = ring.one()
     for i in range(rank):
         rows[i][i] = mone
-    for k, rho in enumerate(pres.root_system.roots):
-        sign = one if rho[odd] % 2 else mone
-        rows[pres.root_basis_index(_vneg(rho))][rank + k] = sign
+    rs = pres.root_system
+    for k, (rho, nk) in enumerate(zip(rs.roots, rs.neg_index.tolist())):
+        rows[rank + nk][rank + k] = one if rho[odd] % 2 else mone
     return Matrix.from_rows(ring, rows)

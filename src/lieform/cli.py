@@ -17,12 +17,12 @@ import os
 import sys
 
 from . import __version__
-from .chevalley import (NotClassical, chevalley_presentation, chevalley_involution,
-                        torus_automorphism, triple_flip)
+from .chevalley import (JacobiFailure, NotClassical, chevalley_presentation,
+                        chevalley_involution, torus_automorphism, triple_flip)
 from .classify import (EXPECTED_RATIO, NoConstantRatio, b_series_kernel_witness,
                        predict_perfect, ratio_check, verdict_with_oracle)
-from .cohomology import (NotAutomorphism, ce_complex, cohomology_dim,
-                         lift_automorphism, square_zero_extension)
+from .cohomology import (DimensionTooLarge, NotAutomorphism, ce_complex,
+                         cohomology_dim, lift_automorphism, square_zero_extension)
 from .liealg import (NotPerfect, apply_endo_to_casimir, base_change, casimir,
                      casimir_operator, derivation_algebra, is_lie_automorphism,
                      is_perfect, killing_form)
@@ -506,7 +506,7 @@ _KNOWN_ERRORS = (InvalidRank, NotPerfect, NotAutomorphism, SchemaError,
                  HypothesisNotMet, ActionMissing, OutOfRange,
                  NotNilpotentEnough, NotClassical, NoConstantRatio,
                  UnsupportedRing, NonIntegralDenominator, NotASubspace,
-                 Singular, CliError)
+                 Singular, DimensionTooLarge, JacobiFailure, CliError)
 
 
 def main(argv=None) -> int:

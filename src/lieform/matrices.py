@@ -176,9 +176,12 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows or self.ring != other.ring:
             raise DimensionMismatch("hstack shape mismatch")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.nrows)]
-        return Matrix(self.ring, self.nrows, self.ncols + other.ncols,
-                      tuple(v for row in rows for v in row))
+        a, b, m, k = self.data, other.data, self.ncols, other.ncols
+        data: list = []
+        for i in range(self.nrows):
+            data += a[i * m:(i + 1) * m]
+            data += b[i * k:(i + 1) * k]
+        return Matrix(self.ring, self.nrows, m + k, tuple(data))
 
     def is_zero(self) -> bool:
         z = self.ring.zero()

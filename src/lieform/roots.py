@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable
+
+import numpy as np
 
 from .matrices import _bareiss_det_int
 
@@ -111,7 +113,8 @@ def _symmetrizer(cartan: tuple) -> tuple:
                 if i != j and cartan[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * cartan[i][j] / cartan[j][i]
                     changed = True
-    assert all(v is not None for v in d)
+    if any(v is None for v in d):
+        raise AssertionError("Cartan matrix %s is not connected" % (cartan,))
     denom = 1
     for v in d:
         denom = denom * v.denominator // gcd(denom, v.denominator)
@@ -168,9 +171,10 @@ class RootSystem:
         nrm = self.norm2(coords)
         out = []
         for j in range(self.rank):
-            m = Fraction(2 * self.symmetrizer[j] * coords[j], nrm)
-            assert m.denominator == 1
-            out.append(int(m))
+            m, r = divmod(2 * self.symmetrizer[j] * coords[j], nrm)
+            if r:
+                raise AssertionError("coroot of %s is not integral" % (coords,))
+            out.append(m)
         return tuple(out)
 
     def string_p(self, alpha: tuple, beta: tuple) -> int:
@@ -181,6 +185,45 @@ class RootSystem:
             q += 1
             cur = tuple(c - a for a, c in zip(alpha, cur))
         return q
+
+    # -- index data: roots as rows of read-only int64 arrays, in `roots` order
+
+    @cached_property
+    def root_matrix(self) -> np.ndarray:
+        """Row k holds the coordinates of roots[k]."""
+        return _frozen(np.array(self.roots, dtype=np.int64).reshape(-1, self.rank))
+
+    @cached_property
+    def neg_index(self) -> np.ndarray:
+        """neg_index[k] is the index of -roots[k]."""
+        n = len(self.roots)
+        return _frozen((np.arange(n) + n // 2) % n)
+
+    @cached_property
+    def sum_index(self) -> np.ndarray:
+        """sum_index[a, b] is the index of roots[a] + roots[b], or -1 when
+        that sum is not a root (zero included).
+
+        Each vector is keyed by sum_j coords_j * base**j.  With base =
+        4*c + 1, c the largest root coordinate (6, in E8), the key is
+        one-to-one on vectors with coordinates in [-2c, 2c], so on all
+        sums of two roots; one searchsorted over the sorted root keys then
+        finds every sum at once.
+        """
+        r = self.root_matrix
+        base = 4 * int(np.abs(r).max()) + 1
+        if base ** self.rank >= 2 ** 63:
+            raise OverflowError("root keys of %s exceed int64" % (self.dynkin,))
+        key = r @ base ** np.arange(self.rank, dtype=np.int64)
+        order = np.argsort(key)
+        sums = key[:, None] + key[None, :]
+        at = np.searchsorted(key[order], sums).clip(max=len(key) - 1)
+        return _frozen(np.where(key[order][at] == sums, order[at], -1))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _reflect(cartan: tuple, i: int, coords: tuple) -> tuple:
@@ -208,11 +251,13 @@ def build_root_system(t: DynkinType) -> RootSystem:
                     nxt.append(r)
         frontier = nxt
     expected = _ROOT_COUNT[t.series](n)
-    assert len(seen) == expected, (t, len(seen), expected)
     positives = sorted((r for r in seen if sum(r) > 0),
                        key=lambda r: (sum(r), r))
-    assert 2 * len(positives) == expected
-    assert all(tuple(-c for c in r) in seen for r in seen)
+    if not len(seen) == 2 * len(positives) == expected:
+        raise AssertionError("%s has %d roots, %d positive; expected %d"
+                             % (t, len(seen), len(positives), expected))
+    if any(tuple(-c for c in r) not in seen for r in seen):
+        raise AssertionError("roots of %s are not closed under negation" % (t,))
     roots = tuple(positives) + tuple(tuple(-c for c in r) for r in positives)
     index = {r: k for k, r in enumerate(roots)}
     return RootSystem(t, cartan, tuple(positives), roots,

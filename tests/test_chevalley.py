@@ -1,14 +1,19 @@
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import lieform
 from lieform import (DynkinType, Matrix, NotClassical, PrimeField, QQ, ZZ,
                      chevalley_involution, chevalley_presentation,
                      is_lie_automorphism, kernel, matrix_realization,
                      torus_automorphism, triple_flip, verify_jacobi)
-from lieform.chevalley import JacobiFailure
+from lieform.chevalley import JacobiFailure, _root_data
 
 F5 = PrimeField(5)
 
@@ -226,3 +231,125 @@ def test_triple_flip_every_positive_root_b2():
     g = pres.to_lie_algebra(F5)
     for alpha in pres.root_system.positive_roots:
         assert is_lie_automorphism(g, triple_flip(pres, F5, alpha))
+
+
+# sha256 of repr((labels, sorted(table.items()), sorted(nconstants.items())))
+# per table type, taken from the tuple-loop construction this one replaced
+PRESENTATION_DIGESTS = {
+    "A1": "7b20b1d8db8496445871e88dcfbb21b41c409dfec50b0fd27942a4471741ac1c",
+    "A2": "470800d93df86d2c1e6fa65c44eed0a61368be414b22f3d21e16bac188ca86f7",
+    "A3": "3fa4751cae87b014c7e5f390579d01e58793291c24e39dce34f6960f9b4e0ad9",
+    "A4": "12cb1c76ed418f0173322773a3e8a2fc4fc2d0e0ac53bde78d778063ea05a9b4",
+    "A5": "00bd53e2b182a4739fdb81a527f43f122c372e99e7d169f08e49ef768743c64e",
+    "A6": "46bf9322298b74dba3cfc3aaef144fb226b30739111318e1b0fa1525def5ae37",
+    "A7": "3c938fb92560dc34f96014367dfa1f2b2b8ed2451b0d8682f67de8f3a42e1b4b",
+    "A8": "66f27d82752ccb12fdd3c2ef6650c45f9599bb36e5785fe43bc04604f6430e7f",
+    "B2": "cd06009851e8e1ae6407482567958a1cd7e31eafb4c121b0213788a5a980d55c",
+    "B3": "6ac51e908ea6d531793cfa4b8e165a391ef541cafdf4421e011557cbef001774",
+    "B4": "989a028a93a90949c747cfa17b83ae1479e9d8a5022be4a9181245875cd20d6c",
+    "B5": "72129d72763186a66615114281210e1242b7e8847255cbb0c331b0a95576e65a",
+    "B6": "f9c8e4a9f315d696aa6b2eae394394650fe12cbdda0ef3c815269f063d9c29b9",
+    "B7": "79d47364cec02ce405dd6c64a6ec48aab10d8c82f663a357c11d0047d99bdff7",
+    "B8": "7099f21edb8876b29871b6d292bc6edd5c367271ea4b72fb2b3e1c377d23d598",
+    "C2": "b86a9c747bf05f3bec050e47c06ff4d838dbd1a3359600b1d83db14ce2f32378",
+    "C3": "0ae9eb7f98f7c8254a73eeebd05314c83e415615397b115d81cbbaece9b24ba3",
+    "C4": "1f349206b872c60575b506c052a09e8663e2cd38a37084fb342f75bf0b9da602",
+    "C5": "f693b88edec4071ebcfbddcb233a256e64694f823a277a9b8a97f5ea36eeab53",
+    "C6": "6e0c8566d38a51da27b2ac2757029a65acb40b2eacd28936ee989250e4fe9681",
+    "C7": "0684053aa227ee3f60b2b437a0f7b29ae2c4d44009cb9fd508c03b66ba6af941",
+    "C8": "a3c9c4d9135969c7ad0a366205ce82e6e5e8bfd2d853b837af0c8ff7e1496523",
+    "D3": "d79ded00a8b2ab4f388be2cd44afbf55fc091dae40ccaa562659900d9de15235",
+    "D4": "a7ce724bfa80a8a17f7909e90e5fc352ee21bc6f02eacfb5ad74951d0cb25766",
+    "D5": "95a4e486a1c0d22ef7afc331b3a1109f8e32ea1d2e11ff694a31da6443e8b0a2",
+    "D6": "8818e3f9ba0cbc5dd15395be117578a0d4c053efdc822afd6abb35e332799c76",
+    "D7": "b4a22cc73eb3556f0283e63ccabf90180c66cc6d2e84c48ac7ee10f8cf3b44e5",
+    "D8": "325401eab91f383c76fbd8697fac60da489f2802da7d7c33c6428c0130aa9565",
+    "E6": "7922409dbcb2ed8ef02c75ec58c21f6e98c7be5bf4d2a31ce2b0bfd1f5904731",
+    "E7": "a53a8f1fb23699824eac4e598ef67342b1812df9c3ba3c85657dcb5c84d1a51d",
+    "E8": "ffbe80415a39f1ce39e22d7ee947622a9b234d38e7109e533206beef00f7ac10",
+    "F4": "ae74e2c4bd8bae3985ab53552eabdd3166f07a7611d0562e4f4c95c042d269eb",
+    "G2": "61c4b8a87a5b9c102149bcdbad015dc8bf7428da877aa67d2a6f135703e75d9d",
+}
+
+# sha256 of repr((module_rank, tuple(m.rows() for m in matrices))), taken
+# the same way
+REALIZATION_DIGESTS = {
+    "A3": "6d4a8fa3e4a45e86deccdd734934d5333e0f1efc9715d38510e568d98deca8c9",
+    "B3": "954e3336701fabc8eaa368edea3134b0bd975cfcac9dfaa852333233c8e6d3aa",
+    "C3": "9444bdda043639895a22999bcb6419c278517ec8d1c0c79c9a225a09ef023bd1",
+    "D4": "72b27593002a710d3c32f8c1738752554dab4a78c301506514f12d9373b8f1cc",
+}
+
+
+def _types33():
+    types = [DynkinType(s, r) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+             for r in range(lo, 9)]
+    return types + [DynkinType(s, r) for s, r in
+                    (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("t", _types33(), ids=str)
+def test_presentation_matches_pinned_digest(t):
+    pres = chevalley_presentation(t)
+    assert _sha((pres.labels, sorted(pres.table.items()),
+                 sorted(pres.nconstants.items()))) == PRESENTATION_DIGESTS[t.name]
+
+
+@pytest.mark.parametrize("name", sorted(REALIZATION_DIGESTS))
+def test_matrix_realization_matches_pinned_digest(name):
+    mr = matrix_realization(DynkinType(name[0], int(name[1:])))
+    got = (mr.module_rank, tuple(m.rows() for m in mr.matrices))
+    assert _sha(got) == REALIZATION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("t", [DynkinType("G", 2), DynkinType("B", 3),
+                               DynkinType("C", 4), DynkinType("F", 4),
+                               DynkinType("E", 6)], ids=str)
+def test_root_data_arrays_match_tuple_definitions(t):
+    rs = chevalley_presentation(t).root_system
+    norms, strings, pairings, coroots = _root_data(rs)
+    for a, alpha in enumerate(rs.roots):
+        assert norms[a] == rs.norm2(alpha)
+        assert tuple(coroots[a]) == rs.coroot_coords(alpha)
+        assert tuple(pairings[a]) == tuple(rs.pairing(alpha, i) for i in range(rs.rank))
+        for b, beta in enumerate(rs.roots):
+            assert strings[a, b] == rs.string_p(alpha, beta)
+
+
+# Fault injection in a `python -O` child: the construction checks are
+# explicit raises, so they hold with assert statements stripped.
+_FAULT = """
+import lieform.chevalley as ch
+from lieform import DynkinType
+assert False  # stripped under -O
+real = ch._sign_constants
+def faulty(rs, norms, strings):
+    nab = real(rs, norms, strings)
+    key = next(iter(nab))
+    {edit}
+    return nab
+ch._sign_constants = faulty
+try:
+    ch.chevalley_presentation(DynkinType("B", 3))
+except AssertionError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("edit,rule", [
+    ("nab[key] *= 2", "|N(a, b)| = p + 1 fails for B3"),
+    ("nab[key] = -nab[key]", "N(b, a) = -N(a, b) fails for B3"),
+    ("del nab[key]", "N != 0 exactly where a + b is a root fails for B3"),
+], ids=["doubled", "sign-flipped", "dropped"])
+def test_constant_checks_survive_python_O(edit, rule):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", _FAULT.format(edit=edit)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.startswith("AssertionError " + rule)

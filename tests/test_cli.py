@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 import lieform
 from lieform import chain_from_highest, counterexample_module, module_to_json
 from lieform.classify import integral_killing_array, integral_killing_gram
+from lieform import cli
 from lieform.cli import main
 
 
@@ -211,6 +213,30 @@ def test_verify_cohomology(capsys):
     by_name = {c["name"]: c for c in doc["results"]["checks"]}
     assert by_name["h0-h1-h2-vanish"]["dims"] == [0, 0, 0]
     assert by_name["differentials-compose-to-zero"]["pass"] is True
+
+
+def test_verify_cohomology_above_the_dimension_bound_is_error(capsys):
+    code, doc, err = run_json(capsys, ["verify", "--suite", "cohomology",
+                                       "--type", "A4", "--prime", "5"])
+    assert code == 1
+    assert doc["status"] == "ERROR"
+    assert doc["results"]["error"] == "DimensionTooLarge"
+    assert "dim 24" in doc["results"]["message"]
+    assert err.startswith("error: ")
+
+
+def test_jacobi_failure_is_an_error_envelope(capsys, monkeypatch):
+    pres = lieform.chevalley_presentation(lieform.DynkinType("B", 3))
+    (k, c), = pres.table[(3, 4)]
+    bad = dataclasses.replace(pres, table={**pres.table, (3, 4): ((k, c + 1),)})
+    monkeypatch.setattr(cli, "chevalley_presentation",
+                        lambda t: lieform.verify_jacobi(bad) and bad)
+    code, doc, _ = run_json(capsys, ["verify", "--suite", "casimir",
+                                     "--type", "B3", "--prime", "7"])
+    assert code == 1
+    assert doc["status"] == "ERROR"
+    assert doc["results"]["error"] == "JacobiFailure"
+    assert "pair (X[0,0,1], X[0,1,0]) of B3" in doc["results"]["message"]
 
 
 def test_verify_ratios(capsys):

@@ -150,3 +150,21 @@ def test_coroot_coords_are_integral_everywhere():
     e8 = build_root_system(DynkinType("E", 8))
     assert max(max(abs(c) for c in e8.coroot_coords(r))
                for r in e8.positive_roots) == 6
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
+def test_index_arrays_match_tuple_arithmetic(t):
+    rs = build_root_system(t)
+    assert [tuple(r) for r in rs.root_matrix.tolist()] == list(rs.roots)
+    for a, alpha in enumerate(rs.roots):
+        assert rs.neg_index[a] == rs.root_index(tuple(-c for c in alpha))
+        for b, beta in enumerate(rs.roots):
+            s = tuple(x + y for x, y in zip(alpha, beta))
+            assert rs.sum_index[a, b] == (rs.root_index(s) if rs.is_root(s) else -1)
+
+
+def test_sum_index_refuses_keys_beyond_int64():
+    # A27 keys fit in base 5 (5**27 < 2**63); A28 keys do not
+    assert build_root_system(DynkinType("A", 27)).sum_index.shape == (756, 756)
+    with pytest.raises(OverflowError):
+        build_root_system(DynkinType("A", 28)).sum_index
