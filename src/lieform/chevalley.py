@@ -67,10 +67,12 @@ class ChevalleyPresentation:
 
     def to_lie_algebra(self, ring: RingSpec):
         from .liealg import LieAlgebra
-        # the constructor drops the constants that vanish in ring
+        # the constructor drops the constants that vanish in ring; the
+        # integral table is certified by verify_jacobi and coercion of an
+        # integer is a ring homomorphism, so Jacobi holds over ring too
         table = {key: tuple((k, ring.coerce(c)) for k, c in terms)
                  for key, terms in self.table.items()}
-        return LieAlgebra(ring, self.dim, table, dynkin=self.dynkin)
+        return LieAlgebra(ring, self.dim, table, dynkin=self.dynkin, check=False)
 
 
 def _special_pairs(rs: RootSystem) -> dict:

@@ -180,8 +180,11 @@ def b_series_kernel_witness(n: int, p: int = 2) -> KernelWitness:
     norms = [rs.norm2(r) for r in rs.roots]
     minn = min(norms)
     short_idx = [k for k, nn in enumerate(norms) if nn == minn]
-    assert len(short_idx) == 2 * n
-    assert all(in_span(mats2[pres.rank + k]) for k in short_idx)
+    if len(short_idx) != 2 * n:
+        raise AssertionError("B%d has %d short roots, expected %d"
+                             % (n, len(short_idx), 2 * n))
+    if not all(in_span(mats2[pres.rank + k]) for k in short_idx):
+        raise AssertionError("a short root of B%d leaves the witness span" % n)
     gram = integral_killing_gram(t)
     in_kernel = all(gram.raw(a, pres.rank + k) % 2 == 0
                     for k in short_idx for a in range(gram.nrows))

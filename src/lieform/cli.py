@@ -121,17 +121,6 @@ def _table_types(max_rank: int, dedup: bool) -> list:
     return out
 
 
-def _check_threads_env() -> None:
-    """Validate LIEFORM_THREADS; the table runs in one thread whatever it says."""
-    env = os.environ.get("LIEFORM_THREADS")
-    try:
-        ok = env is None or int(env) >= 1
-    except ValueError:
-        ok = False
-    if not ok:
-        raise CliError("LIEFORM_THREADS must be a positive integer")
-
-
 def _fmt_matrix_rational(mat: Matrix) -> list:
     return [[format_rational(mat.raw(r, c)) for c in range(mat.ncols)]
             for r in range(mat.nrows)]
@@ -168,7 +157,6 @@ def cmd_classify(args) -> int:
 # table
 
 def _table_rows(types, primes, with_oracle):
-    _check_threads_env()
     rows = []
     for t in types:
         for p in primes:
@@ -275,12 +263,10 @@ def _verify_casimir(t: DynkinType, p: int):
 def _verify_derivations(t: DynkinType, p: int):
     g = chevalley_presentation(t).to_lie_algebra(PrimeField(p))
     ders = derivation_algebra(g)
-    inner = None
-    for i in range(g.dim):
-        colm = Matrix.column(g.ring, [v for row in
-                                      g.ad_matrix(g.basis_vector(i)).rows()
-                                      for v in row])
-        inner = colm if inner is None else inner.hstack(colm)
+    # column i is ad(b_i) flattened row-major
+    ads = [g.ad_matrix(g.basis_vector(i)).data for i in range(g.dim)]
+    inner = Matrix(g.ring, g.dim * g.dim, g.dim,
+                   tuple(v for entries in zip(*ads) for v in entries))
     checks = [
         {"name": "derivation-dimension-equals-dim", "pass": ders.ncols == g.dim,
          "derivation_dim": ders.ncols, "dim": g.dim},

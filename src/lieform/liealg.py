@@ -147,8 +147,10 @@ class BilinearForm:
     gram: Matrix
 
     def __post_init__(self):
-        assert self.gram.nrows == self.gram.ncols == self.algebra.dim
-        assert self.gram.data == self.gram.transpose().data
+        if not self.gram.nrows == self.gram.ncols == self.algebra.dim:
+            raise AssertionError("Gram matrix is not dim x dim")
+        if self.gram.data != self.gram.transpose().data:
+            raise AssertionError("Gram matrix is not symmetric")
 
 
 @dataclass(frozen=True)

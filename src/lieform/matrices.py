@@ -1,9 +1,13 @@
 """Exact matrices over the coefficient rings, with deterministic elimination.
 
+One elimination, `_echelon`, serves rank, pivots, solve_linear, kernel,
+inverse and saturate: each reads its answer off the same echelon form.
 Pivot choice is always "first usable entry in column order, scanning rows
-top to bottom", so identical inputs give bit-identical outputs.  Over a
-prime field the elimination is carried out on int64 arrays for speed; the
-values are still exact residues, never floats.
+top to bottom", so identical inputs give bit-identical outputs.  `_echelon`
+is also the one place that picks the carrier: over a prime field with
+p < 2^21 it eliminates on int64 arrays (exact residues, never floats),
+over every other ring on the raw ring values.  Matrix products over such
+fields and `rank_mod_p` use int64 arrays too.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rings import (
-    NonIntegralDenominator,
-    NotAUnit,
     PrimeField,
     QQ,
     RingMismatch,
@@ -173,15 +175,16 @@ class Matrix:
                             for j in range(self.ncols)
                             for i in range(self.nrows)))
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows or self.ring != other.ring:
+    def hstack(self, *others: "Matrix") -> "Matrix":
+        """self and the others side by side, built in one pass."""
+        mats = (self,) + others
+        if any(o.nrows != self.nrows or o.ring != self.ring for o in others):
             raise DimensionMismatch("hstack shape mismatch")
-        a, b, m, k = self.data, other.data, self.ncols, other.ncols
         data: list = []
         for i in range(self.nrows):
-            data += a[i * m:(i + 1) * m]
-            data += b[i * k:(i + 1) * k]
-        return Matrix(self.ring, self.nrows, m + k, tuple(data))
+            for mt in mats:
+                data += mt.row(i)
+        return Matrix(self.ring, self.nrows, sum(mt.ncols for mt in mats), tuple(data))
 
     def is_zero(self) -> bool:
         z = self.ring.zero()
@@ -194,12 +197,11 @@ class Matrix:
                       tuple(convert_raw(v, src, dst) for v in self.data))
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.rows(), dtype=np.int64).reshape(self.nrows, self.ncols)
+        return np.array(self.data, dtype=np.int64).reshape(self.nrows, self.ncols)
 
     @staticmethod
     def from_numpy(ring: RingSpec, arr: np.ndarray) -> "Matrix":
-        return Matrix(ring, arr.shape[0], arr.shape[1],
-                      tuple(int(v) for v in arr.reshape(-1)))
+        return Matrix(ring, arr.shape[0], arr.shape[1], tuple(arr.reshape(-1).tolist()))
 
     def __str__(self) -> str:
         fmt = self.ring.fmt
@@ -269,13 +271,32 @@ def _generic_echelon(m: Matrix, reduce_up: bool) -> tuple[list[list], list[int]]
     return rows, pivots
 
 
+def _echelon(m: Matrix, reduce_up: bool) -> tuple[list[int], list[int], list[list], bool]:
+    """The one elimination behind rank, solve, kernel, inverse and saturate.
+
+    Returns the pivot columns, the non-pivot columns, the pivot rows
+    restricted to the non-pivot columns (raw ring values), and whether
+    every row below the pivot rows is zero.  Over a prime field with
+    p < 2^21 it runs on int64 arrays; everywhere else on raw ring values.
+    """
+    ring = m.ring
+    if _np_ok(ring):
+        ech, pivots = _modp_echelon(m.to_numpy(), ring.p, reduce_up)
+        free = [c for c in range(m.ncols) if c not in pivots]
+        r = len(pivots)
+        return pivots, free, ech[:r][:, free].tolist(), not ech[r:].any()
+    rows, pivots = _generic_echelon(m, reduce_up)
+    free = [c for c in range(m.ncols) if c not in pivots]
+    r = len(pivots)
+    return (pivots, free, [[row[c] for c in free] for row in rows[:r]],
+            all(ring.is_zero(v) for row in rows[r:] for v in row))
+
+
 def rank(m: Matrix) -> int:
     """Rank over a field-kind ring."""
     ring = m.ring
     if not ring.is_field:
         raise UnsupportedRing("rank needs a field-kind ring, got %r" % (ring,))
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
     return len(pivots(m))
 
 
@@ -302,29 +323,15 @@ def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
         raise DimensionMismatch("lhs has %d rows, rhs %d" % (a.nrows, b.nrows))
     if not (ring.is_field or ring.is_local):
         raise UnsupportedRing("solve needs a field-kind or local ring")
-    aug = a.hstack(b)
-    if _np_ok(ring):
-        ech, pivots = _modp_echelon(aug.to_numpy(), ring.p, reduce_up=True)
-        pivots = [c for c in pivots if c < a.ncols]
-        # consistency: no pivot may fall in the rhs block
-        r = len(pivots)
-        if np.any(ech[r:, a.ncols:]):
-            return None
-        out = np.zeros((a.ncols, b.ncols), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            out[c] = ech[i, a.ncols:]
-        return Matrix.from_numpy(ring, out)
-    rows, pivots = _generic_echelon(aug, reduce_up=True)
-    pivots_lhs = [c for c in pivots if c < a.ncols]
-    r = len(pivots_lhs)
-    z = ring.zero()
-    for i in range(r, aug.nrows):
-        if any(v != z for v in rows[i]):
-            return None
-    out = [[z] * b.ncols for _ in range(a.ncols)]
-    for i, c in enumerate(pivots_lhs):
-        out[c] = list(rows[i][a.ncols:])
-    return Matrix.from_rows(ring, out)
+    pivots, free, rest, below_zero = _echelon(a.hstack(b), reduce_up=True)
+    # inconsistent: a pivot in the rhs block, or a nonzero row below the pivots
+    if not below_zero or (pivots and pivots[-1] >= a.ncols):
+        return None
+    out = [[ring.zero()] * b.ncols for _ in range(a.ncols)]
+    nfree = len(free) - b.ncols
+    for c, row in zip(pivots, rest):
+        out[c] = row[nfree:]
+    return Matrix(ring, a.ncols, b.ncols, tuple(v for row in out for v in row))
 
 
 def kernel(m: Matrix) -> Matrix:
@@ -336,40 +343,24 @@ def kernel(m: Matrix) -> Matrix:
     ring = m.ring
     if not ring.is_field:
         raise UnsupportedRing("kernel needs a field-kind ring")
-    n = m.ncols
-    if _np_ok(ring):
-        ech, pivots = _modp_echelon(m.to_numpy(), ring.p, reduce_up=True)
-        free = [c for c in range(n) if c not in pivots]
-        out = np.zeros((n, len(free)), dtype=np.int64)
-        p = ring.p
-        for jidx, c in enumerate(free):
-            out[c, jidx] = 1
-            for i, pc in enumerate(pivots):
-                out[pc, jidx] = (-int(ech[i, c])) % p
-        return Matrix.from_numpy(ring, out)
-    rows, pivots = _generic_echelon(m, reduce_up=True)
-    free = [c for c in range(n) if c not in pivots]
-    z, o = ring.zero(), ring.one()
-    cols = []
-    for c in free:
-        v = [z] * n
-        v[c] = o
-        for i, pc in enumerate(pivots):
-            v[pc] = ring.neg(rows[i][c])
-        cols.append(v)
-    return Matrix.from_rows(ring, [[cols[j][i] for j in range(len(free))]
-                                   for i in range(n)]) if free else Matrix.zeros(ring, n, 0)
+    pivots, free, rest, _ = _echelon(m, reduce_up=True)
+    out = [[ring.zero()] * len(free) for _ in range(m.ncols)]
+    for j, c in enumerate(free):
+        out[c][j] = ring.one()
+    for pc, row in zip(pivots, rest):
+        out[pc] = [ring.neg(v) for v in row]
+    return Matrix(ring, m.ncols, len(free), tuple(v for row in out for v in row))
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse over a field or local ring (unit-pivot Gauss-Jordan)."""
+    """Exact inverse over a field or local ring (unit-pivot Gauss-Jordan).
+
+    A solution X of m X = I is a two-sided inverse over a commutative ring,
+    so m is singular exactly when that system has none."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("inverse of a %dx%d matrix" % (m.nrows, m.ncols))
     sol = solve_linear(m, Matrix.identity(m.ring, m.nrows))
     if sol is None:
-        raise Singular("matrix is not invertible")
-    # unit-pivot elimination can silently drop rank over a local ring
-    if len(pivots(m)) < m.nrows:
         raise Singular("matrix is not invertible")
     return sol
 
@@ -378,9 +369,7 @@ def pivots(m: Matrix) -> list[int]:
     """Pivot columns of the row echelon form, in increasing order.  Over a
     field, column c is a pivot iff it is not in the span of the columns
     before it."""
-    if _np_ok(m.ring):
-        return _modp_echelon(m.to_numpy(), m.ring.p, reduce_up=False)[1]
-    return _generic_echelon(m, reduce_up=False)[1]
+    return _echelon(m, reduce_up=False)[0]
 
 
 def _bareiss_det_int(rows: list[list[int]]) -> int:
@@ -449,12 +438,6 @@ def det(m: Matrix):
 # lattice saturation at p
 # ---------------------------------------------------------------------------
 
-def _rref_rational_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    m = Matrix.from_rows(QQ, rows)
-    ech, pivots = _generic_echelon(m, reduce_up=True)
-    return [ech[i] for i in range(len(pivots))]
-
-
 def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
     """Basis of {v in lattice : v in span of subspace} as a Z_(p)-module.
 
@@ -473,10 +456,15 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
         raise NotASubspace("subspace is not inside the lattice span")
     if (lattice_basis @ coords) != subspace_basis:
         raise NotASubspace("subspace is not inside the lattice span")
-    # subspace basis in lattice coordinates, one generator per row
-    rows = _rref_rational_rows(coords.transpose().rows())
-    if not rows:
+    # subspace basis in lattice coordinates, one reduced echelon row each
+    pivots, free, rest, _ = _echelon(coords.transpose(), reduce_up=True)
+    if not pivots:
         return Matrix.zeros(QQ, lattice_basis.nrows, 0)
+    rows = [[Fraction(0)] * n for _ in pivots]
+    for row, c, vals in zip(rows, pivots, rest):
+        row[c] = Fraction(1)
+        for f, v in zip(free, vals):
+            row[f] = v
 
     def normalize(row: list[Fraction]) -> list[Fraction]:
         v = min(pvaluation(x, p) for x in row if x != 0)
@@ -484,27 +472,17 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
         return [x * f for x in row]
 
     rows = [normalize(r) for r in rows]
-    # repeatedly divide p out of dependent combinations until the rows are
-    # independent mod p; each step enlarges the span inside the saturation
+    # repeatedly divide p out of a dependency among the rows mod p until
+    # they are independent mod p; each step enlarges the span inside the
+    # saturation
+    fp = PrimeField(p)
     while True:
-        red = Matrix.from_rows(PrimeField(p),
-                               [[_fp_residue(x, p) for x in r] for r in rows])
+        red = Matrix.from_rows(QQ, rows).map_to_ring(fp)
         if rank(red) == len(rows):
             break
-        c = kernel(red).col(0)
-        w = [Fraction(0)] * n
-        idx = None
-        for i, ci in enumerate(c):
-            if ci:
-                idx = i if idx is None else idx
-                for j in range(n):
-                    w[j] += ci * rows[i][j]
+        c = kernel(red.transpose()).col(0)
+        idx = next(i for i, ci in enumerate(c) if ci)
+        w = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(n)]
         rows[idx] = normalize([x / p for x in w])
     basis_cols = Matrix.from_rows(QQ, rows).transpose()
     return lattice_basis @ basis_cols
-
-
-def _fp_residue(q: Fraction, p: int) -> int:
-    if q.denominator % p == 0:
-        raise NonIntegralDenominator("%s has p in the denominator" % (q,))
-    return (q.numerator * pow(q.denominator, -1, p)) % p

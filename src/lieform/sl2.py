@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .matrices import Matrix, inverse, rank, saturate, solve_linear
+from .matrices import Matrix, inverse, pivots, rank, saturate, solve_linear
 from .rings import (LocalizedAtP, PrimeField, QQ, RingSpec, format_rational,
                     is_prime, parse_rational, pvaluation)
 from .roots import PTypeReport, classify_p_type
@@ -107,10 +107,7 @@ def weighted_module(p: int, lattice: Matrix, weights, pieces: dict,
     if total != n:
         raise ValueError("piece ranks sum to %d, ambient dimension is %d"
                          % (total, n))
-    stacked = None
-    for w in ws:
-        stacked = pieces[w] if stacked is None else stacked.hstack(pieces[w])
-    if rank(stacked) != n:
+    if rank(Matrix.hstack(*[pieces[w] for w in ws])) != n:
         raise ValueError("pieces do not form a direct sum of the ambient space")
 
     if action is not None:
@@ -223,7 +220,8 @@ def counterexample_module(p: int) -> WeightedModule:
     action = {k: Matrix.from_rows(QQ, rows)
               for k, rows in (("h", hrows), ("x", xrows), ("y", yrows))}
     m = weighted_module(p, lattice, pieces.keys(), pieces, action)
-    assert lattice_closed_under_action(m)
+    if not lattice_closed_under_action(m):
+        raise AssertionError("the enlarged lattice is not closed under h, x, y")
     return m
 
 
@@ -291,12 +289,8 @@ class DecompositionResult:
 def _grading_operator(m: WeightedModule) -> Matrix:
     if m.action is not None:
         return m.action["h"]
-    stacked = None
-    diag = []
-    for w in m.weights:
-        pc = m.pieces[w]
-        stacked = pc if stacked is None else stacked.hstack(pc)
-        diag.extend([w] * pc.ncols)
+    stacked = Matrix.hstack(*[m.pieces[w] for w in m.weights])
+    diag = [w for w in m.weights for _ in range(m.pieces[w].ncols)]
     n = m.ambient_dim
     drows = [[Fraction(diag[r]) if r == c else Fraction(0) for c in range(n)]
              for r in range(n)]
@@ -307,19 +301,13 @@ def _mod_p(mat: Matrix, p: int) -> Matrix:
     return mat.map_to_ring(PrimeField(p))
 
 
-def _span_check_mod_p(coords: Matrix, p: int):
-    """First standard basis vector outside the mod-p column span of
-    coords, as (index, rank), or None when coords spans everything."""
+def _span_check_mod_p(coords: Matrix, p: int) -> Optional[int]:
+    """Index of the first standard basis vector outside the mod-p column
+    span of coords, or None when coords spans everything: the first pivot
+    of [coords | I] mod p that falls in the identity block."""
     red = _mod_p(coords, p)
-    r = rank(red)
-    if r == red.nrows:
-        return None
-    for k in range(red.nrows):
-        ek = Matrix.from_rows(red.ring,
-                              [[1 if i == k else 0] for i in range(red.nrows)])
-        if rank(red.hstack(ek)) > r:
-            return k, r
-    raise AssertionError("rank deficit without an unreachable coordinate")
+    aug = red.hstack(Matrix.identity(red.ring, red.nrows))
+    return next((c - red.ncols for c in pivots(aug) if c >= red.ncols), None)
 
 
 def _saturations(m: WeightedModule) -> dict:
@@ -332,14 +320,16 @@ def _assert_projector_family(projs: dict, n: int) -> None:
     total = Matrix.zeros(ring, n, n)
     for w, pi in projs.items():
         total = total + pi
-        assert (pi @ pi) == pi, "projector %d not idempotent" % w
-    assert total == ident, "projectors do not sum to the identity"
+        if (pi @ pi) != pi:
+            raise AssertionError("projector %d not idempotent" % w)
+    if total != ident:
+        raise AssertionError("projectors do not sum to the identity")
     items = sorted(projs.items())
     for i in range(len(items)):
         for jj in range(i + 1, len(items)):
-            prod = items[i][1] @ items[jj][1]
-            assert prod.is_zero(), "projectors %d, %d not orthogonal" % (
-                items[i][0], items[jj][0])
+            if not (items[i][1] @ items[jj][1]).is_zero():
+                raise AssertionError("projectors %d, %d not orthogonal" % (
+                    items[i][0], items[jj][0]))
 
 
 def _lagrange_projectors(m: WeightedModule, h_lat: Matrix) -> dict:
@@ -348,7 +338,8 @@ def _lagrange_projectors(m: WeightedModule, h_lat: Matrix) -> dict:
     vrows = [[Fraction(w) ** c for c in range(d)] for w in ws]
     vand = Matrix.from_rows(QQ, vrows)
     coeffs = solve_linear(vand, Matrix.identity(QQ, d))
-    assert coeffs is not None and _p_integral(coeffs, m.p)
+    if coeffs is None or not _p_integral(coeffs, m.p):
+        raise AssertionError("interpolation coefficients are not p-integral")
     n = m.ambient_dim
     ident = Matrix.identity(QQ, n)
     projs = {}
@@ -376,7 +367,8 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
     n = m.ambient_dim
 
     h_lat = solve_linear(m.lattice, _grading_operator(m) @ m.lattice)
-    assert h_lat is not None
+    if h_lat is None:
+        raise AssertionError("the grading operator leaves the lattice span")
     h_ok = _p_integral(h_lat, p)
 
     if report.is_type1 and h_ok:
@@ -386,8 +378,11 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
         for w, pi in projs.items():
             image = m.lattice @ pi
             coords = _column_span_contains(sats[w], image)
-            assert coords is not None and _p_integral(coords, p)
-            assert _span_check_mod_p(coords, p) is None
+            if coords is None or not _p_integral(coords, p):
+                raise AssertionError("projector %d image leaves its saturation" % w)
+            if _span_check_mod_p(coords, p) is not None:
+                raise AssertionError("projector %d image misses its saturation "
+                                     "mod %d" % (w, p))
         return DecompositionResult(
             True, sats, {w: pi.map_to_ring(rp) for w, pi in projs.items()},
             None, report, "polynomial-projectors")
@@ -405,18 +400,16 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
             "weight set fails every p-type and no action is given")
 
     sats = _saturations(m)
-    stacked = None
-    blocks = []
-    for w in m.weights:
-        sw = sats[w]
-        blocks.append((w, sw.ncols))
-        stacked = sw if stacked is None else stacked.hstack(sw)
-    coords = _column_span_contains(m.lattice, stacked)
-    assert coords is not None and _p_integral(coords, p)
+    blocks = [(w, sats[w].ncols) for w in m.weights]
+    coords = _column_span_contains(m.lattice,
+                                   Matrix.hstack(*[sats[w] for w in m.weights]))
+    if coords is None or not _p_integral(coords, p):
+        raise AssertionError("the saturations leave the lattice")
 
     if rank(_mod_p(coords, p)) == n:
         ci = inverse(coords)
-        assert _p_integral(ci, p)
+        if not _p_integral(ci, p):
+            raise AssertionError("the saturation basis is not unimodular at %d" % p)
         projs = {}
         offset = 0
         for w, width in blocks:
@@ -438,22 +431,21 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
         ws = chains[res]
         if len(ws) < 2:
             continue
-        pk = None
-        sk = None
-        for w in ws:
-            pk = m.pieces[w] if pk is None else pk.hstack(m.pieces[w])
-            sk = sats[w] if sk is None else sk.hstack(sats[w])
-        nchain = saturate(m.lattice, pk, p)
-        cc = _column_span_contains(nchain, sk)
-        assert cc is not None and _p_integral(cc, p)
+        nchain = saturate(m.lattice, Matrix.hstack(*[m.pieces[w] for w in ws]), p)
+        cc = _column_span_contains(nchain, Matrix.hstack(*[sats[w] for w in ws]))
+        if cc is None or not _p_integral(cc, p):
+            raise AssertionError("chain %r saturations leave the chain "
+                                 "saturation" % (ws,))
         miss = _span_check_mod_p(cc, p)
         if miss is not None:
-            witness = (tuple(ws), nchain.col(miss[0]))
+            witness = (tuple(ws), nchain.col(miss))
             break
     if witness is None:
         miss = _span_check_mod_p(coords, p)
-        assert miss is not None
-        witness = (m.weights, m.lattice.col(miss[0]))
+        if miss is None:
+            raise AssertionError("rank deficit mod %d without a missing "
+                                 "coordinate" % p)
+        witness = (m.weights, m.lattice.col(miss))
     return DecompositionResult(False, sats, {}, witness, report, "saturation")
 
 
@@ -484,13 +476,8 @@ def exp_nilpotent(u: Matrix, p: int) -> Matrix:
 def weight_scaling(m: WeightedModule, ring: RingSpec, t) -> Matrix:
     """The operator acting on the weight-w piece as t^w, over the given
     ring; t must be a unit there."""
-    stacked = None
-    exps = []
-    for w in m.weights:
-        pc = m.pieces[w]
-        stacked = pc if stacked is None else stacked.hstack(pc)
-        exps.extend([w] * pc.ncols)
-    sr = stacked.map_to_ring(ring)
+    sr = Matrix.hstack(*[m.pieces[w] for w in m.weights]).map_to_ring(ring)
+    exps = [w for w in m.weights for _ in range(m.pieces[w].ncols)]
     tval = ring.coerce(t)
     tinv = ring.inv(tval)
     n = m.ambient_dim

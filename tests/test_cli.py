@@ -144,14 +144,9 @@ def test_table_thread_env(capsys, monkeypatch):
     code, doc, _ = run_json(capsys, ["table", "--max-rank", "2",
                                      "--primes", "2,3"])
     assert code == 0 and len(doc["results"]["rows"]) == 10
-    monkeypatch.setenv("LIEFORM_THREADS", "zero")
-    code, doc, _ = run_json(capsys, ["table", "--max-rank", "2",
-                                     "--primes", "2,3"])
-    assert code == 1 and doc["status"] == "ERROR"
 
 
-def test_table_builds_each_killing_gram_once(capsys, monkeypatch):
-    monkeypatch.setenv("LIEFORM_THREADS", "4")
+def test_table_builds_each_killing_gram_once(capsys):
     integral_killing_gram.cache_clear()
     integral_killing_array.cache_clear()
     code, doc, _ = run_json(capsys, ["table", "--max-rank", "3", "--oracle"])
@@ -355,3 +350,25 @@ def test_envelope_reports_tool_version(capsys):
     from lieform import __version__
     _, doc, _ = run_json(capsys, ["classify", "--type", "A1", "--prime", "3"])
     assert doc["tool_version"] == __version__
+
+
+def test_sl2_decompose_file_with_rows_dependent_mod_p(tmp_path):
+    # the weight-0 piece saturates through a left dependency mod 3; this
+    # once looped forever, so it runs in a child with a timeout
+    doc = {"p": 3, "lattice": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+           "weights": [0, 1],
+           "pieces": {"0": [[1, 0], [0, 1], ["1/3", "1/3"]],
+                      "1": [[1], [0], [0]]}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "lieform", "sl2-decompose",
+                           "--file", str(path)], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["results"]["success"] is True
+    assert out["results"]["pieces"]["0"] == [["2", "0"], ["1", "3"], ["1", "1"]]

@@ -168,6 +168,19 @@ def test_constructor_checks_jacobi():
         LieAlgebra(QQ, 3, bad)
 
 
+def test_presentations_skip_the_second_jacobi_check(monkeypatch):
+    # verify_jacobi certifies the integral table once; base change keeps it
+    def refuse(self):
+        raise AssertionError("Jacobi re-checked for a presentation")
+
+    monkeypatch.setattr(LieAlgebra, "_check_jacobi", refuse)
+    pres = chevalley_presentation(DynkinType("A", 3))
+    for ring in (F7, QQ, DualNumbers(F5)):
+        assert pres.to_lie_algebra(ring).dim == 15
+    with pytest.raises(AssertionError):
+        LieAlgebra(QQ, 3, dict(SL2.table))
+
+
 def test_killing_rank_drops_at_bad_primes():
     g3 = chevalley_presentation(DynkinType("A", 2)).to_lie_algebra(F3)
     assert rank(killing_form(g3).gram) < 8   # p = 3 divides n + 1

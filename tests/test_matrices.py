@@ -1,14 +1,18 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lieform
 from lieform import (DimensionMismatch, DualNumbers, IntegersModPk,
                      LocalizedAtP, Matrix, NotASubspace, PrimeField, QQ,
-                     Singular, ZZ, det, inverse, kernel, rank, saturate,
-                     solve_linear)
-from lieform.matrices import rank_mod_p
+                     Singular, UnsupportedRing, ZZ, det, inverse, kernel,
+                     rank, saturate, solve_linear)
+from lieform.matrices import pivots, rank_mod_p
 
 F5 = PrimeField(5)
 F2 = PrimeField(2)
@@ -128,6 +132,36 @@ def test_saturate_counterexample_lattice():
     assert sol is not None and all(x.denominator % 2 for x in sol.data)
 
 
+_SATURATE_DEPENDENT_MOD_P = """
+from fractions import Fraction
+from lieform import Matrix, QQ, saturate
+sub = Matrix.from_rows(QQ, [[1, 0], [0, 1], [Fraction(1, 3), Fraction(1, 3)]])
+s = saturate(Matrix.identity(QQ, 3), sub, 3)
+print([list(map(str, s.col(j))) for j in range(s.ncols)])
+"""
+
+
+def test_saturate_terminates_when_rows_are_dependent_mod_p():
+    # the subspace rows (3, 0, 1) and (0, 3, 1) agree mod 3; the loop must
+    # divide p out of their left dependency, not chase a right null vector
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", _SATURATE_DEPENDENT_MOD_P],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=30).stdout
+    assert out.strip() == "[['2', '1', '1'], ['0', '3', '1']]"
+
+
+def test_solve_with_no_unknowns_keeps_rhs_width():
+    for ring in (F5, PrimeField(2097169), QQ, IntegersModPk(5, 2)):
+        a = M(ring, [[], [], []])
+        sol = solve_linear(a, Matrix.zeros(ring, 3, 2))
+        assert (sol.nrows, sol.ncols) == (0, 2)
+        assert solve_linear(a, M(ring, [[1], [0], [0]])) is None
+
+
 def test_saturate_rejects_outside_span():
     lat = M(QQ, [[1], [0], [0]])
     w = M(QQ, [[0], [1], [0]])
@@ -182,3 +216,105 @@ def test_rank_mod_p_of_integer_array_matches_rank(seed):
                  for _ in range(5)] for _ in range(4)]
         want = rank(M(ZZ, rows).map_to_ring(PrimeField(p)))
         assert rank_mod_p(np.array(rows, dtype=np.int64), p) == want
+
+
+# ---------------------------------------------------------------------------
+# pinned results of the elimination routines
+#
+# sha256 of repr() of every result below, taken before the elimination was
+# folded into one echelon; the fold must not change a single output.
+
+PINNED_RINGS = {
+    "F3": PrimeField(3), "F7": PrimeField(7), "F65537": PrimeField(65537),
+    "F2097143": PrimeField(2097143), "F2097169": PrimeField(2097169),
+    "QQ": QQ, "Z/25": IntegersModPk(5, 2), "Z_(5)": LocalizedAtP(5),
+    "F5[eps]": DualNumbers(F5),
+}
+
+PINNED_DIGESTS = {
+    "F3": "bb5adc3dab019ef06be65f99e970f5697621a603abce50eafb4eb4aee03968b1",
+    "F7": "fa45e4937fee91ce8da9cc3b56923b1d64ba46ffa75d20d1f991b10367685c0f",
+    "F65537": "aaef123d04b7f8cd5c1dbfac8124b4506f6da28cb2cfa34e8ec2cc7170ddf67d",
+    "F2097143": "ded4c2078d48e3d59c0b321e523e6569051ac1e25edfe9858f6af9d324d28028",
+    "F2097169": "3e782b059b8b69791e73791ae8e171f3126b3b762a996aec308ffef76d1b0b37",
+    "QQ": "fea1e1c53a96534daa8d713ef6de002653a131a09a8de162eb2a1400db56be17",
+    "Z/25": "876844f555b8918cdea5d5f37af2bdc1a870d29a45479830f124811cfa28dd6a",
+    "Z_(5)": "1314d8abd23bb4fb6d44376a40dd2f8fa3079aac67bb107e02026a2119d73258",
+    "F5[eps]": "08efa036b051fc39140c812eb84b425592b8070171508866f0cebfbd996cc154",
+}
+
+
+def _pinned_entry(ring, rng):
+    kind = ring.kind
+    if kind == "prime_field":
+        return rng.choice((0, 0, 1, ring.p - 1, rng.randrange(ring.p)))
+    if kind == "rationals":
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if kind == "integers_mod_pk":
+        return rng.choice((0, 5, 10, 1, rng.randrange(25)))
+    if kind == "localized_at_p":
+        return Fraction(rng.choice((0, 5, 1, -2, rng.randint(-9, 9))), rng.choice((1, 2, 3)))
+    return (rng.choice((0, 1, rng.randrange(5))), rng.choice((0, rng.randrange(5))))
+
+
+def _pinned_cases(ring, rng):
+    """(a, b) pairs: square, tall, wide, singular, inconsistent, empty."""
+    def rand(r, c):
+        return M(ring, [[_pinned_entry(ring, rng) for _ in range(c)] for _ in range(r)])
+
+    cases = [(rand(r, c), rand(r, k))
+             for r, c, k in ((1, 1, 1), (3, 3, 2), (4, 4, 1), (5, 5, 3),
+                             (6, 3, 1), (5, 2, 2), (2, 5, 1), (3, 6, 2))]
+    for n in (3, 5):
+        # last row the sum of the first two: singular, and inconsistent
+        # unless the right-hand side follows the same rule
+        a = rand(n, n).rows()
+        a[-1] = [ring.add(x, y) for x, y in zip(a[0], a[1])]
+        b = rand(n, 2).rows()
+        b[-1] = [ring.add(b[0][0], b[1][0]), ring.add(ring.one(), ring.add(b[0][1], b[1][1]))]
+        cases.append((M(ring, a), M(ring, b)))
+    cases.append((Matrix.zeros(ring, 0, 3), Matrix.zeros(ring, 0, 2)))
+    cases.append((M(ring, [[], [], []]), rand(3, 1)))
+    cases.append((Matrix.zeros(ring, 3, 3), rand(3, 1)))
+    return cases
+
+
+def _pinned_record(ring, a, b):
+    def shape(x):
+        return (x.nrows, x.ncols, x.data)
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except (Singular, UnsupportedRing) as exc:
+            return type(exc).__name__
+
+    sol = solve_linear(a, b)
+    if sol is not None:
+        assert a @ sol == b
+    ker = attempt(kernel, a)
+    if isinstance(ker, Matrix):
+        assert (a @ ker).is_zero()
+    # a @ sol == b fixes the shape of sol, so only its entries are recorded
+    rec = [None if sol is None else sol.data,
+           ker if isinstance(ker, str) else shape(ker),
+           pivots(a), attempt(rank, a)]
+    if a.nrows == a.ncols:
+        inv = attempt(inverse, a)
+        if isinstance(inv, Matrix):
+            assert inv @ a == Matrix.identity(ring, a.nrows) == a @ inv
+            inv = shape(inv)
+        rec.append(inv)
+    return rec
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RINGS))
+def test_elimination_results_match_pinned_digest(name):
+    import hashlib
+    import random
+    ring = PINNED_RINGS[name]
+    rng = random.Random(7)
+    records = [_pinned_record(ring, a, b)
+               for _ in range(6) for a, b in _pinned_cases(ring, rng)]
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == PINNED_DIGESTS[name]

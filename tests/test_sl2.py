@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lieform
 from lieform import (LocalizedAtP, Matrix, NotNilpotentEnough, OutOfRange,
                      PrimeField, QQ, SchemaError, chain_from_highest,
                      conjugate, counterexample_module, direct_sum, det,
@@ -318,3 +322,25 @@ def test_json_semantic_errors_are_value_errors():
     bad["weights"] = [0, 2]        # pieces keys no longer match
     with pytest.raises(ValueError):
         module_from_json(bad)
+
+
+_NOT_IDEMPOTENT = """
+from lieform import Matrix, QQ
+from lieform.sl2 import _assert_projector_family
+assert False  # stripped under -O
+try:
+    _assert_projector_family({0: Matrix.identity(QQ, 2).scale(2),
+                              1: Matrix.identity(QQ, 2).scale(-1)}, 2)
+except AssertionError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_projector_check_survives_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", _NOT_IDEMPOTENT], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "AssertionError projector 0 not idempotent"
