@@ -48,11 +48,20 @@ class ChevalleyPresentation:
     dim: int
     labels: tuple
     table: dict = field(repr=False)        # (i,j) i<j -> tuple of (k, int)
-    nconstants: dict = field(repr=False)   # (alpha, beta) -> int, both roots
 
     @property
     def rank(self) -> int:
         return self.dynkin.rank
+
+    @property
+    def nconstants(self) -> dict:
+        """N(alpha, beta) keyed by both roots, for every pair whose sum is
+        a root, read off the table: [X_a, X_b] = N(a, b) X_(a+b)."""
+        roots, r = self.root_system.roots, self.rank
+        a, b = np.nonzero(self.root_system.sum_index >= 0)
+        return {(roots[x], roots[y]): (self.table[(r + x, r + y)][0][1] if x < y
+                                       else -self.table[(r + y, r + x)][0][1])
+                for x, y in zip(a.tolist(), b.tolist())}
 
     def root_basis_index(self, coords: tuple) -> int:
         return self.rank + self.root_system.root_index(coords)
@@ -195,8 +204,7 @@ def chevalley_presentation(t: DynkinType) -> ChevalleyPresentation:
         table[(rank + a, rank + b)] = ((rank + g, v),) if g >= 0 else cor[a]
     labels = tuple("H%d" % (i + 1) for i in range(rank)) + tuple(
         "X[%s]" % ",".join(str(c) for c in rho) for rho in roots)
-    nconstants = {(roots[a], roots[b]): v for (a, b), v in nab.items()}
-    pres = ChevalleyPresentation(t, rs, rank + nroots, labels, table, nconstants)
+    pres = ChevalleyPresentation(t, rs, rank + nroots, labels, table)
     verify_jacobi(pres)
     return pres
 
@@ -375,7 +383,7 @@ def matrix_realization(t: DynkinType) -> MatrixRealization:
         imgs[k], imgs[neg[k]] = x, y
     for g, pairs in _special_pairs(rs).items():
         a, b = pairs[0]
-        nval = pres.nconstants[(roots[a], roots[b])]
+        nval = pres.table[(rank + a, rank + b)][0][1]
         # X_g = [X_a, X_b] / N(a, b) and X_-g = -[X_-a, X_-b] / N(a, b)
         for x, y, z, sign in ((a, b, g, 1), (neg[a], neg[b], neg[g], -1)):
             prod = _dcomm(imgs[x], imgs[y])

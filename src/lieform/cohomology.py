@@ -5,10 +5,13 @@ Cochain spaces are flattened: a 1-cochain f sits at index a*dim + i for
 the coefficient of basis vector a in f(e_i); 2- and 3-cochains use the
 lexicographic index of the argument pair or triple in the same way.
 
-The differentials are built sparsely, as {(row, col): raw} maps with the
-zeros dropped, from the bracket table and the matrices by which the basis
-acts on the coefficients.  d1∘d0 = 0 and d2∘d1 = 0 are checked on those
-sparse entries; `ce_complex` then densifies each map in one step.
+The differentials are sparse {(row, col): raw} maps with the zeros
+dropped.  d0 and d1 come from `liealg._adjoint_complex`, the one builder
+that also gives the centre and the derivations and checks d1∘d0 = 0 (the
+Jacobi identity, or the twist being an automorphism).  Only d2 is built
+here, for dim <= 20, from the same action entries; d2∘d1 = 0 is checked
+on the sparse entries, and `ce_complex` then densifies each map in one
+step.
 
 The action on coefficients may be twisted through an automorphism σ,
 x·m = [σx, m], which is what the obstruction calculus for lifting needs.
@@ -22,14 +25,14 @@ and kept in an `lru_cache`, and transports its data through σ⊗I.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .liealg import (LieAlgebra, NotPerfect, base_change, is_lie_automorphism,
-                     is_perfect, killing_form)
+from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _adjoint_complex,
+                     _dense, _nonzero_product, _summed, base_change,
+                     is_lie_automorphism, is_perfect, killing_form)
 from .matrices import Matrix, inverse, kernel, pivots, solve_linear
 from .rings import PrimeField, RingSpec, UnsupportedRing
 
@@ -39,10 +42,6 @@ class DimensionTooLarge(Exception):
 
 
 class NotACocycle(Exception):
-    pass
-
-
-class NotAutomorphism(Exception):
     pass
 
 
@@ -61,23 +60,11 @@ class CochainComplex:
         return (n, n * n, n * len(self.pairs), n * len(self.triples))[degree]
 
 
-def _composes_to_zero(ring: RingSpec, left: dict, right: dict) -> bool:
-    """Whether the sparse product left·right vanishes."""
-    add, mul, zero = ring.add, ring.mul, ring.zero()
-    by_row = defaultdict(list)
-    for (m, c), w in right.items():
-        by_row[m].append((c, w))
-    prod: dict = {}
-    for (r, m), v in left.items():
-        for c, w in by_row.get(m, ()):
-            prod[(r, c)] = add(prod.get((r, c), zero), mul(v, w))
-    return all(ring.is_zero(v) for v in prod.values())
-
-
 def _sparse_complex(g: LieAlgebra, twist: Optional[Matrix]):
     """(pairs, triples, d0, d1, d2) with each differential a sparse map
     {(row, col): raw} without zeros; the action of x is bracketing with
-    twist(x).  Raises AssertionError unless d1∘d0 = 0 and d2∘d1 = 0.
+    twist(x).  d0 and d1 come from `liealg._adjoint_complex`, which checks
+    d1∘d0 = 0; raises AssertionError unless d2∘d1 = 0.
     """
     ring = g.ring
     if not ring.is_field:
@@ -85,67 +72,34 @@ def _sparse_complex(g: LieAlgebra, twist: Optional[Matrix]):
     n = g.dim
     if n > 20:
         raise DimensionTooLarge("dim %d exceeds the supported bound 20" % n)
-    if twist is not None and (twist.nrows, twist.ncols) != (n, n):
-        raise ValueError("twist must be a dim x dim matrix")
-
-    pairs = tuple(combinations(range(n), 2))
+    pairs, acts, d0, d1 = _adjoint_complex(g, twist)
     triples = tuple(combinations(range(n), 3))
     pidx = {pr: q for q, pr in enumerate(pairs)}
     np_, nt = len(pairs), len(triples)
-    add, neg, zero = ring.add, ring.neg, ring.zero()
+    neg = ring.neg
 
-    acts = []                       # nonzero entries (a, b, v) of each action
-    for i in range(n):
-        m = g.ad_matrix(twist.col(i) if twist is not None else g.basis_vector(i))
-        acts.append([(a, b, m.raw(a, b)) for a in range(n) for b in range(n)
-                     if not ring.is_zero(m.raw(a, b))])
+    def d2_terms():
+        for tq, (i, j, k) in enumerate(triples):
+            for act, pr, sign in ((acts[i], (j, k), 1), (acts[j], (i, k), -1),
+                                  (acts[k], (i, j), 1)):
+                col = pidx[pr]
+                for a, b, v in act:
+                    yield (a * nt + tq, b * np_ + col), v if sign > 0 else neg(v)
+            for sign, pr, m in ((-1, (i, j), k), (1, (i, k), j), (-1, (j, k), i)):
+                for l, c in g.bracket_basis(*pr):
+                    if l == m:
+                        continue
+                    # f(b_l, b_m) = -f(b_m, b_l): the stored pair is ordered
+                    col = pidx[(l, m)] if l < m else pidx[(m, l)]
+                    v = c if (sign > 0) == (l < m) else neg(c)
+                    for a in range(n):
+                        yield (a * nt + tq, a * np_ + col), v
 
-    def put(d, key, v):
-        d[key] = add(d.get(key, zero), v)
-
-    d0 = {(a * n + i, b): v for i in range(n) for a, b, v in acts[i]}
-
-    d1: dict = {}
-    for q, (i, j) in enumerate(pairs):
-        for a, b, v in acts[i]:
-            put(d1, (a * np_ + q, b * n + j), v)
-        for a, b, v in acts[j]:
-            put(d1, (a * np_ + q, b * n + i), neg(v))
-        for k, c in g.bracket_basis(i, j):
-            for a in range(n):
-                put(d1, (a * np_ + q, a * n + k), neg(c))
-
-    d2: dict = {}
-    for tq, (i, j, k) in enumerate(triples):
-        for act, pr, sign in ((acts[i], (j, k), 1), (acts[j], (i, k), -1),
-                              (acts[k], (i, j), 1)):
-            col = pidx[pr]
-            for a, b, v in act:
-                put(d2, (a * nt + tq, b * np_ + col), v if sign > 0 else neg(v))
-        for sign, pr, m in ((-1, (i, j), k), (1, (i, k), j), (-1, (j, k), i)):
-            for l, c in g.bracket_basis(*pr):
-                if l == m:
-                    continue
-                # f(b_l, b_m) = -f(b_m, b_l): the stored pair is ordered
-                col = pidx[(l, m)] if l < m else pidx[(m, l)]
-                v = c if (sign > 0) == (l < m) else neg(c)
-                for a in range(n):
-                    put(d2, (a * nt + tq, a * np_ + col), v)
-
-    d1 = {key: v for key, v in d1.items() if not ring.is_zero(v)}
-    d2 = {key: v for key, v in d2.items() if not ring.is_zero(v)}
-    if not _composes_to_zero(ring, d1, d0):
-        raise AssertionError("d1∘d0 is nonzero")
-    if not _composes_to_zero(ring, d2, d1):
-        raise AssertionError("d2∘d1 is nonzero")
+    d2 = _summed(ring, d2_terms())
+    bad = _nonzero_product(ring, d2.items(), d1)
+    if bad:
+        raise AssertionError("d2∘d1 is nonzero at %s" % (min(bad),))
     return pairs, triples, d0, d1, d2
-
-
-def _dense(ring: RingSpec, nrows: int, ncols: int, entries: dict) -> Matrix:
-    flat = [ring.zero()] * (nrows * ncols)
-    for (r, c), v in entries.items():
-        flat[r * ncols + c] = v
-    return Matrix(ring, nrows, ncols, tuple(flat))
 
 
 def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
@@ -156,9 +110,9 @@ def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
     pairs, triples, d0, d1, d2 = _sparse_complex(g, twist)
     ring, n = g.ring, g.dim
     return CochainComplex(g, twist, pairs, triples,
-                          _dense(ring, n * n, n, d0),
-                          _dense(ring, n * len(pairs), n * n, d1),
-                          _dense(ring, n * len(triples), n * len(pairs), d2))
+                          _dense(ring, n, d0, n * n),
+                          _dense(ring, n * n, d1, n * len(pairs)),
+                          _dense(ring, n * len(pairs), d2, n * len(triples)))
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +121,7 @@ def _untwisted_complex(ring: RingSpec, dim: int, table: tuple):
     untwisted complex of the algebra with this sorted bracket table."""
     g = LieAlgebra(ring, dim, dict(table), check=False)
     pairs, _, _, d1, d2 = _sparse_complex(g, None)
-    d1 = _dense(ring, dim * len(pairs), dim * dim, d1)
+    d1 = _dense(ring, dim * dim, d1, dim * len(pairs))
     return d1, kernel(d1), tuple(d2.items())
 
 
@@ -319,12 +273,8 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
 
     # d2_σ·theta = (σ⊗I)·d2·theta_u, so the cocycle check runs untwisted
     theta_u = _transport(inverse(sigma_bar), Matrix.column(quot, theta))
-    defect: dict = {}
-    for (r, c), v in d2:
-        t = theta_u.data[c]
-        if not quot.is_zero(t):
-            defect[r] = quot.add(defect.get(r, quot.zero()), quot.mul(v, t))
-    if not all(quot.is_zero(v) for v in defect.values()):
+    column = {(c, 0): t for c, t in enumerate(theta_u.data) if not quot.is_zero(t)}
+    if _nonzero_product(quot, d2, column):
         raise AssertionError("lift defect failed the cocycle identity")
     y = solve_linear(d1, theta_u)
     if y is None:

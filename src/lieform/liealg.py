@@ -2,12 +2,20 @@
 
 Brackets, adjoint maps, Killing and trace forms, perfectness, derivations,
 the Casimir tensor and operator, base change, automorphism checks.
+
+`_adjoint_complex` builds d0 and d1 of the Chevalley–Eilenberg complex of
+g with coefficients in g, once, as sparse maps over any ring and with no
+dimension cap.  The centre is ker d0, the derivations are ker d1, and
+d1∘d0 = 0 is the Jacobi identity that the constructor checks;
+`cohomology` builds d2 on top.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -27,13 +35,19 @@ class NotPerfect(Exception):
     pass
 
 
+class NotAutomorphism(Exception):
+    pass
+
+
 class LieAlgebra:
     """Free module of finite rank with a sparse bracket table.
 
     table maps (i, j) with i < j to ((k, c), ...) meaning
-    [b_i, b_j] = sum_k c * b_k; antisymmetry is implicit in the storage.
-    Jacobi is re-verified on construction for dim <= 20 unless the table
-    comes from an already-verified source (check=False).
+    [b_i, b_j] = sum_k c * b_k (repeated k are summed); antisymmetry is
+    implicit in the storage.  Jacobi is verified on construction for
+    dim <= 20, as d1∘d0 = 0 of the adjoint complex, unless the table comes
+    from an already-verified source (check=False); a failure is a
+    ValueError naming the first failing triple.
 
     Every invariant (Killing form, derivations, Casimir operator,
     automorphism check) is computed from this sparse table with the
@@ -105,40 +119,9 @@ class LieAlgebra:
         return tuple(o if j == i else z for j in range(self.dim))
 
     # -- validation --------------------------------------------------------
-    def _bracket_dictvec(self, i: int, vec: dict) -> dict:
-        ring = self.ring
-        out: dict = {}
-        for j, cj in vec.items():
-            for k, c in self.bracket_basis(i, j):
-                nv = ring.add(out.get(k, ring.zero()), ring.mul(cj, c))
-                if ring.is_zero(nv):
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-        return out
-
     def _check_jacobi(self):
-        ring = self.ring
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = dict(self.bracket_basis(i, j))
-                for k in range(j + 1, self.dim):
-                    acc = self._bracket_dictvec(i, dict(self.bracket_basis(j, k)))
-                    for m, c in self._bracket_dictvec(j, dict(self.bracket_basis(i, k))).items():
-                        nv = ring.sub(acc.get(m, ring.zero()), c)
-                        if ring.is_zero(nv):
-                            acc.pop(m, None)
-                        else:
-                            acc[m] = nv
-                    for m, c in self._bracket_dictvec(k, bij).items():
-                        nv = ring.add(acc.get(m, ring.zero()), c)
-                        if ring.is_zero(nv):
-                            acc.pop(m, None)
-                        else:
-                            acc[m] = nv
-                    if acc:
-                        raise ValueError("Jacobi fails on triple (%d,%d,%d)"
-                                         % (i, j, k))
+        """Raise ValueError naming the first failing triple (i, j, k)."""
+        _adjoint_complex(self)
 
 
 @dataclass(frozen=True)
@@ -170,6 +153,87 @@ def _ad_entries(g: LieAlgebra) -> list:
             out.append((i, k, j, c))
             out.append((j, k, i, neg(c)))
     return out
+
+
+def _summed(ring: RingSpec, terms) -> dict:
+    """{key: sum of its values} over the (key, raw) terms, zeros dropped."""
+    add, zero, out = ring.add, ring.zero(), {}
+    for key, v in terms:
+        out[key] = add(out.get(key, zero), v)
+    return {key: v for key, v in out.items() if not ring.is_zero(v)}
+
+
+def _nonzero_product(ring: RingSpec, left, right: dict) -> dict:
+    """The nonzero entries of the product left·right of two sparse maps,
+    left given by its ((row, col), raw) items, right as {(row, col): raw}."""
+    by_row = defaultdict(list)
+    for (m, c), w in right.items():
+        by_row[m].append((c, w))
+    return _summed(ring, (((r, c), ring.mul(v, w)) for (r, m), v in left
+                          for c, w in by_row.get(m, ())))
+
+
+def _adjoint_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> tuple:
+    """(pairs, acts, d0, d1) of the Chevalley–Eilenberg complex of g with
+    coefficients in g, x acting by bracketing with twist(x), over any ring
+    and in any dimension.  acts[i] lists the nonzero entries (a, b, v) of
+    the action of b_i; d0 and d1 are sparse maps {(row, col): raw}.  A
+    1-cochain f sits at a*dim + i for the coefficient of b_a in f(b_i), a
+    2-cochain at a*len(pairs) + q for the pair q = (i, j), i < j.
+
+    (d1 d0 m)(x, y) = [x,[y,m]] - [y,[x,m]] - [[x,y],m]: a nonzero d1∘d0
+    raises ValueError naming the first triple that breaks Jacobi, or, when
+    twisted, NotAutomorphism naming the first failing (x, y, m), x < y.
+    """
+    ring, n, twisted = g.ring, g.dim, twist is not None
+    mul, neg = ring.mul, ring.neg
+    if twisted and (twist.nrows, twist.ncols) != (n, n):
+        raise ValueError("twist must be a dim x dim matrix")
+    # ad(twist b_i) = sum_k twist[k, i] ad(b_k)
+    weights = [[(i, s) for i, s in enumerate(g._raws(twist.row(k)))
+                if not ring.is_zero(s)] if twisted else [(k, ring.one())]
+               for k in range(n)]
+    entries = _summed(ring, (((i, a, b), mul(s, v))
+                             for k, a, b, v in _ad_entries(g) for i, s in weights[k]))
+    acts: list = [[] for _ in range(n)]
+    for (i, a, b), v in entries.items():
+        acts[i].append((a, b, v))
+    pairs = tuple(combinations(range(n), 2))
+    np_ = len(pairs)
+    d0 = {(a * n + i, b): v for i in range(n) for a, b, v in acts[i]}
+
+    def d1_terms():
+        for q, (i, j) in enumerate(pairs):
+            for a, b, v in acts[i]:
+                yield (a * np_ + q, b * n + j), v
+            for a, b, v in acts[j]:
+                yield (a * np_ + q, b * n + i), neg(v)
+            for k, c in g.table.get((i, j), ()):
+                for a in range(n):
+                    yield (a * np_ + q, a * n + k), neg(c)
+
+    d1 = _summed(ring, d1_terms())
+    bad = _nonzero_product(ring, d1.items(), d0)
+    if bad:
+        witnesses = [pairs[r % np_] + (m,) for r, m in bad]    # (x, y, m)
+        if twisted:
+            raise NotAutomorphism("the twist is not an automorphism: d1∘d0 is "
+                                  "nonzero at (x, y, m) = (%d,%d,%d)" % min(witnesses))
+        # J(x, y, m) is alternating, so the failing triple is sorted(x, y, m)
+        raise ValueError("Jacobi fails on triple (%d,%d,%d)"
+                         % min(tuple(sorted(w)) for w in witnesses))
+    return pairs, acts, d0, d1
+
+
+def _dense(ring: RingSpec, ncols: int, entries: dict, nrows=None) -> Matrix:
+    """A sparse map {(row, col): raw} as a Matrix; without nrows, only its
+    nonempty rows, in order (the kernel is the same)."""
+    rows = range(nrows) if nrows is not None else sorted({r for r, _ in entries})
+    at = {r: t for t, r in enumerate(rows)}
+    flat = [ring.zero()] * (len(rows) * ncols)
+    for (r, c), v in entries.items():
+        flat[at[r] * ncols + c] = v
+    return Matrix(ring, len(rows), ncols, tuple(flat))
 
 
 def killing_form(g: LieAlgebra) -> BilinearForm:
@@ -213,47 +277,18 @@ def form_kernel(f: BilinearForm) -> Matrix:
 
 
 def center_basis(g: LieAlgebra) -> Matrix:
-    """Kernel of v -> ad(v), as columns: row a*dim + b of the stacked
-    system holds the entries ad(b_i)[a, b]."""
-    ring = g.ring
-    if not ring.is_field:
+    """The centre, H^0 = ker d0 of the adjoint complex, as columns."""
+    if not g.ring.is_field:
         raise UnsupportedRing("center computation needs a field-kind ring")
-    n = g.dim
-    stacked = [ring.zero()] * (n ** 3)
-    for i, a, b, v in _ad_entries(g):
-        stacked[(a * n + b) * n + i] = ring.add(stacked[(a * n + b) * n + i], v)
-    return kernel(Matrix(ring, n * n, n, tuple(stacked)))
+    return kernel(_dense(g.ring, g.dim, _adjoint_complex(g)[2]))
 
 
 def derivation_algebra(g: LieAlgebra) -> Matrix:
-    """Basis of {D : D[x,y] = [Dx,y] + [x,Dy]} as columns in dim^2-space.
-
-    Unknown D is flattened row-major: slot m*dim + k is the (m, k) entry
-    (m the output coordinate).  Equation (i, j, m), i < j, is coordinate m
-    of D[b_i, b_j] - [Db_i, b_j] - [b_i, Db_j] = 0; only equations with a
-    nonzero coefficient become rows, which leaves the kernel unchanged.
-    """
-    ring = g.ring
-    if not ring.is_field:
+    """Basis of {D : D[x,y] = [Dx,y] + [x,Dy]} as columns in dim^2-space:
+    Z^1 = ker d1 of the adjoint complex.  Slot m*dim + k holds D[m, k]."""
+    if not g.ring.is_field:
         raise UnsupportedRing("derivations need a field-kind ring")
-    n = g.dim
-    zero = ring.zero()
-    eqs: dict = defaultdict(lambda: [zero] * (n * n))
-
-    def put(key, slot, v):
-        eqs[key][slot] = ring.add(eqs[key][slot], v)
-
-    for (i, j), terms in g.table.items():
-        for k, c in terms:                   # D[b_i, b_j]
-            for m in range(n):
-                put((i, j, m), m * n + k, c)
-    for i, m, l, v in _ad_entries(g):
-        for x in range(i):                   # -[D b_x, b_i], x < i
-            put((x, i, m), l * n + x, v)
-        for y in range(i + 1, n):            # -[b_i, D b_y], i < y
-            put((i, y, m), l * n + y, ring.neg(v))
-    flat = tuple(v for row in eqs.values() for v in row)
-    return kernel(Matrix(ring, len(eqs), n * n, flat))
+    return kernel(_dense(g.ring, g.dim * g.dim, _adjoint_complex(g)[3]))
 
 
 def casimir(g: LieAlgebra) -> CasimirTensor:

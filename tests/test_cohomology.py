@@ -6,8 +6,9 @@ import lieform.cohomology as cohomology
 from lieform import (DimensionTooLarge, DualNumbers, DynkinType,
                      IntegersModPk, LieAlgebra, Matrix, NotACocycle,
                      NotAutomorphism, NotPerfect, PrimeField, ZZ, base_change,
-                     ce_complex, chevalley_involution, chevalley_presentation,
-                     cohomology_dim, inverse, is_lie_automorphism,
+                     ce_complex, center_basis, chevalley_involution,
+                     chevalley_presentation, cohomology_dim,
+                     derivation_algebra, inverse, is_lie_automorphism,
                      lift_automorphism, solve_coboundary, solve_linear,
                      square_zero_extension, torus_automorphism, triple_flip)
 
@@ -340,3 +341,18 @@ def test_corrupted_d2_fails_the_cocycle_check(monkeypatch):
     ext = square_zero_extension(IntegersModPk(5, 2))
     with pytest.raises(AssertionError, match="cocycle identity"):
         lift_automorphism(g, ext, torus_automorphism(SL3, F5, 2))
+
+
+def test_non_automorphism_twist_is_refused():
+    # x·m = [2x, m] is not an action: d1∘d0 picks up 4[[x,y],m] - 2[[x,y],m]
+    g = SL2.to_lie_algebra(F5)
+    with pytest.raises(NotAutomorphism, match=r"d1∘d0 is nonzero at \(x, y, m\) = \(0,1,0\)"):
+        ce_complex(g, twist=Matrix.identity(F5, 3).scale(2))
+
+
+def test_only_d2_has_the_dimension_bound():
+    g = chevalley_presentation(DynkinType("B", 3)).to_lie_algebra(F7)
+    assert derivation_algebra(g).ncols == 21
+    assert center_basis(g).ncols == 0
+    with pytest.raises(DimensionTooLarge):
+        ce_complex(g)

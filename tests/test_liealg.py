@@ -1,7 +1,13 @@
+import hashlib
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lieform.liealg
 from lieform import (DualNumbers, DynkinType, IntegersModPk, LieAlgebra,
                      LocalizedAtP, Matrix, NotPerfect, PrimeField, QQ, Singular,
                      ZZ, apply_endo_to_casimir, base_change, casimir,
@@ -317,3 +323,189 @@ def test_derivations_match_their_definition(rname, tname):
                 di = g.bracket_vectors(d.col(i), basis[j])
                 dj = g.bracket_vectors(basis[i], d.col(j))
                 assert lhs.data == tuple(ring.add(a, b) for a, b in zip(di, dj))
+
+
+# -- pinned answers: sha256 of repr((nrows, ncols, data)) of each kernel
+# basis, taken from the per-equation derivation rows and the dim^3 centre
+# stack that the adjoint complex replaced
+
+PIN_RINGS = {"F2": PrimeField(2), "F3": PrimeField(3), "F7": F7,
+             "F2097169": PrimeField(2097169), "QQ": QQ}
+USER_TABLES = {
+    "abelian": (3, {}),
+    "heisenberg": (3, {(0, 1): ((2, 1),)}),
+    "gl2": (4, {(0, 1): ((2, 1),), (0, 2): ((0, -2),), (1, 2): ((1, 2),)}),
+}
+
+DERIVATION_DIGESTS = {
+    ("A1", "F7"): (3, "2b2d1587efbdc0fea09b4792f60cd2a496879d53acd376efe9b0c747129d9d1c"),
+    ("A2", "F7"): (8, "ea5614f961b0152b54201e1e8225ca1436871b56441ee40fdebba190e7efcdb7"),
+    ("A3", "F7"): (15, "42dcbbb281bf106279769980c63de635d80757d2f609ac8b69a5752e7b1f60ea"),
+    ("B2", "F7"): (10, "05074d92789b711e1c205ada6d00e5b9f1ca3c57449b4077f990b29f24387f24"),
+    ("B3", "F7"): (21, "0e3c464c8793064d35f9fae345fc7acb161c302e027cc5ae85544fec627e2bc4"),
+    ("C3", "F7"): (21, "c958d2084eb060fc763fa07a36d3c0727d784bb4cf591709088e02aeec448381"),
+    ("D4", "F7"): (28, "92f8bd10decb3eab3417ba0c8399f1465e6ed85edb4b0dc1d46e60758711bb40"),
+    ("G2", "F7"): (14, "5b5aacfb5745b4b3fb500dbda7131452f4b04ba5004fa2f87a2d62b65205ba8f"),
+    ("A1", "F2097169"): (3, "7a713889e3046930d6f010080bb2427e90f7c623dc392c75cb41ffbc9412e059"),
+    ("A2", "F2097169"): (8, "218d8aa3bc7be6e1122e1cf8d0d4af7478e44bef74ff655d388c9fc654ad10e0"),
+    ("A3", "F2097169"): (15, "da29a6974b7596fb424b507e38ce4ced6623052ffc816ae9c3b3949190daf29e"),
+    ("B2", "F2097169"): (10, "a2576c05d82fa4e45c7fef36a4674dfc4903ed531a1de9d98e38bdbbb7ef9ace"),
+    ("G2", "F2097169"): (14, "1f2ea2eab526b476d83dc6ad6e690c10b97ada978082c5678846d8b9c991af58"),
+    ("A1", "QQ"): (3, "342c9399669244ef72293be85dfe47632c131595ad9a05875eec673f7966ee7e"),
+    ("A2", "QQ"): (8, "5491ca2db5d58c413448c8b57324e8ddb7ec3eea228d9f887d05d79229103389"),
+    ("A3", "QQ"): (15, "d61eda6fd3615d64b5f67a47d794f4b40994ffeaff1b45d70056dcfb15af63b0"),
+    ("B2", "QQ"): (10, "7c304eb9cbe0e7e5a385c49cfe8cf9b7de347675891e3a0a26c75fe98261ee7d"),
+    ("G2", "QQ"): (14, "3662c55c509d79d11d211f51aebd8979f690450d719631c2a20bd183d3c0703a"),
+    ("abelian", "F2"): (9, "25d24e10735fb329d2cdb31e61161743a9463cec883e6f3c82771d5602e91c5a"),
+    ("abelian", "F7"): (9, "25d24e10735fb329d2cdb31e61161743a9463cec883e6f3c82771d5602e91c5a"),
+    ("abelian", "QQ"): (9, "ad9dc8d0d71de3d341d9749a47b639c2b63dd9d9692c79226ed5b9d49839616e"),
+    ("heisenberg", "F2"): (6, "526a3569cac39ff59e6523c8d03a7836b02d552c7ce5b0c70d9854222d5c1ee2"),
+    ("heisenberg", "F7"): (6, "57dc59fa51a28f0ad4275a93532c58af2b7be14aa6201008c4ff4ebb23d156a9"),
+    ("heisenberg", "QQ"): (6, "3752d6c1d01f362c98ba9e0800c41606120317de2256e678a91a8732729f7006"),
+    ("gl2", "F2"): (10, "4f84c0e43d3658324f06208fe3b56476f842fbd71f79ccb14a4f4b94667d3598"),
+    ("gl2", "F7"): (4, "abf636c8c8910767d561ea0d2cc34dc7159e57e7a2750603f533ec8aeface176"),
+    ("gl2", "QQ"): (4, "a821b1dc2e313287f83fd93e8ced3df19a9192c6c7de37e5d12e7437bc3a8bbe"),
+}
+CENTRE_DIGESTS = {
+    ("A1", "F7"): (0, "d096da3aaa270ac1072a36ccd3eeeac362954f6cdd210be59d09bec1ac0ccc4f"),
+    ("A1", "F2"): (1, "152defa326e94a96655efdcd3f1ef588f9dae027e7448274646ff5d07e09cb1f"),
+    ("A1", "F3"): (0, "d096da3aaa270ac1072a36ccd3eeeac362954f6cdd210be59d09bec1ac0ccc4f"),
+    ("A2", "F7"): (0, "80a0c05ec493f0e29bec1fc2cd1a2232acf53294a1959721380c4b91eaded4c6"),
+    ("A2", "F2"): (0, "80a0c05ec493f0e29bec1fc2cd1a2232acf53294a1959721380c4b91eaded4c6"),
+    ("A2", "F3"): (1, "231cc482a5925d07ab667d4e80bdba16100c780b42a79057234a156e288c4bc9"),
+    ("A3", "F7"): (0, "bd687bd256197d3e0d3542dfcee4bea94852ca1d84aea226fea05582ac1031d1"),
+    ("A3", "F2"): (1, "e30401357a24ac677e662eb75e1acee7226d88e69819c634f25ecd9fe9488fbe"),
+    ("A3", "F3"): (0, "bd687bd256197d3e0d3542dfcee4bea94852ca1d84aea226fea05582ac1031d1"),
+    ("B2", "F7"): (0, "54c2ee88858be94a665d6678ec622ad4bf32dbfe92edd0f2d06f9fd39681649a"),
+    ("B2", "F2"): (1, "cf0723dc87bf3802bc219e5d5be87d5cee3fce84f17c1e0395ffb779b296cd10"),
+    ("B2", "F3"): (0, "54c2ee88858be94a665d6678ec622ad4bf32dbfe92edd0f2d06f9fd39681649a"),
+    ("B3", "F7"): (0, "43e225bfd9b99cf1499c6a5856ec72e26a867159833b8dda99d15036dbdd5318"),
+    ("B3", "F2"): (1, "ea3e284fa2f8df687c17713e3baafc7657b02cb0faa31ee648b66be67b214809"),
+    ("B3", "F3"): (0, "43e225bfd9b99cf1499c6a5856ec72e26a867159833b8dda99d15036dbdd5318"),
+    ("C3", "F7"): (0, "43e225bfd9b99cf1499c6a5856ec72e26a867159833b8dda99d15036dbdd5318"),
+    ("C3", "F2"): (1, "85f831afcd9593b40ddb0ad34baca45dfadebeb32299b81a7bd5b66f08d52428"),
+    ("C3", "F3"): (0, "43e225bfd9b99cf1499c6a5856ec72e26a867159833b8dda99d15036dbdd5318"),
+    ("D4", "F7"): (0, "c076b11ced8025339fb65cdd2074ad591ab03223009e63bfd33c49fbbd14ea8e"),
+    ("D4", "F2"): (2, "9e745f7972f2b36bba2d16aaca4dfce3ee95e0d6ffd1b52951ef86ca77b91fbd"),
+    ("D4", "F3"): (0, "c076b11ced8025339fb65cdd2074ad591ab03223009e63bfd33c49fbbd14ea8e"),
+    ("G2", "F7"): (0, "2a07956909127becc0e506f2f6271b9d03c30dd5c63f63c7e4f0b1c79016c259"),
+    ("G2", "F2"): (0, "2a07956909127becc0e506f2f6271b9d03c30dd5c63f63c7e4f0b1c79016c259"),
+    ("G2", "F3"): (0, "2a07956909127becc0e506f2f6271b9d03c30dd5c63f63c7e4f0b1c79016c259"),
+    ("A1", "F2097169"): (0, "d096da3aaa270ac1072a36ccd3eeeac362954f6cdd210be59d09bec1ac0ccc4f"),
+    ("A2", "F2097169"): (0, "80a0c05ec493f0e29bec1fc2cd1a2232acf53294a1959721380c4b91eaded4c6"),
+    ("A3", "F2097169"): (0, "bd687bd256197d3e0d3542dfcee4bea94852ca1d84aea226fea05582ac1031d1"),
+    ("B2", "F2097169"): (0, "54c2ee88858be94a665d6678ec622ad4bf32dbfe92edd0f2d06f9fd39681649a"),
+    ("G2", "F2097169"): (0, "2a07956909127becc0e506f2f6271b9d03c30dd5c63f63c7e4f0b1c79016c259"),
+    ("A1", "QQ"): (0, "d096da3aaa270ac1072a36ccd3eeeac362954f6cdd210be59d09bec1ac0ccc4f"),
+    ("A2", "QQ"): (0, "80a0c05ec493f0e29bec1fc2cd1a2232acf53294a1959721380c4b91eaded4c6"),
+    ("A3", "QQ"): (0, "bd687bd256197d3e0d3542dfcee4bea94852ca1d84aea226fea05582ac1031d1"),
+    ("B2", "QQ"): (0, "54c2ee88858be94a665d6678ec622ad4bf32dbfe92edd0f2d06f9fd39681649a"),
+    ("G2", "QQ"): (0, "2a07956909127becc0e506f2f6271b9d03c30dd5c63f63c7e4f0b1c79016c259"),
+    ("abelian", "F2"): (3, "bd53cf9ac433cfe1e96a4a634ff61db17cd12cbb92f2bb71c4405588941b81d7"),
+    ("abelian", "F7"): (3, "bd53cf9ac433cfe1e96a4a634ff61db17cd12cbb92f2bb71c4405588941b81d7"),
+    ("abelian", "QQ"): (3, "51962478ee83c4caf5d4574ebba203b9a39efe046d864af9dd4291ab28d912a1"),
+    ("heisenberg", "F2"): (1, "e2651b1fbd2ebb7364891ee96f37bb973aa6125cfba311338b0d1ce851504e10"),
+    ("heisenberg", "F7"): (1, "e2651b1fbd2ebb7364891ee96f37bb973aa6125cfba311338b0d1ce851504e10"),
+    ("heisenberg", "QQ"): (1, "00b176d4488cbb7c0d77f541b6c58197d169eff230678cd8c3a1c34155fa5a0f"),
+    ("gl2", "F2"): (2, "25f7aa0899e0afb4049462a4c7b9d712bd4a0320223aa931c0457d20088c9560"),
+    ("gl2", "F7"): (1, "4192adcae3ffdbf06c7f7c9da40d8cc0e83ea2586adb25c4f34ff6ec5448c12f"),
+    ("gl2", "QQ"): (1, "afb25f9df1665a37ebdf83f52f95f2313c8a4641b3de6e644de372de670e605b"),
+}
+
+
+def _pinned_algebra(tname, rname):
+    ring = PIN_RINGS[rname]
+    if tname in USER_TABLES:
+        dim, table = USER_TABLES[tname]
+        return LieAlgebra(ring, dim, table)
+    return chevalley_presentation(DynkinType(tname[0], int(tname[1:]))).to_lie_algebra(ring)
+
+
+def _kernel_digest(m):
+    return hashlib.sha256(repr((m.nrows, m.ncols, m.data)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("tname, rname", DERIVATION_DIGESTS, ids="-".join)
+def test_derivations_match_pinned_digest(tname, rname):
+    der = derivation_algebra(_pinned_algebra(tname, rname))
+    assert (der.ncols, _kernel_digest(der)) == DERIVATION_DIGESTS[(tname, rname)]
+
+
+@pytest.mark.parametrize("tname, rname", CENTRE_DIGESTS, ids="-".join)
+def test_centres_match_pinned_digest(tname, rname):
+    centre = center_basis(_pinned_algebra(tname, rname))
+    assert (centre.ncols, _kernel_digest(centre)) == CENTRE_DIGESTS[(tname, rname)]
+
+
+# -- the Jacobi check against a brute-force Jacobiator
+
+def _jacobi_holds(g, i, j, k):
+    """[b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] = 0, by
+    bracket_vectors, which sums repeated indices of a term list."""
+    e, br, ring = g.basis_vector, g.bracket_vectors, g.ring
+    terms = (br(e(i), br(e(j), e(k))), br(e(j), br(e(k), e(i))),
+             br(e(k), br(e(i), e(j))))
+    return all(ring.is_zero(ring.add(ring.add(x, y), z)) for x, y, z in zip(*terms))
+
+
+def _first_jacobi_failure(g):
+    n = g.dim
+    return next(((i, j, k) for i in range(n) for j in range(i + 1, n)
+                 for k in range(j + 1, n) if not _jacobi_holds(g, i, j, k)), None)
+
+
+B2 = chevalley_presentation(DynkinType("B", 2))
+
+
+def _shift_b2(ring, i, j, k, delta):
+    """The B2 table over ring with c_ij^k shifted by delta, as an extra
+    term (k, delta) of the pair (i, j)."""
+    table = {key: tuple((m, ring.coerce(c)) for m, c in terms)
+             for key, terms in B2.table.items()}
+    table[(i, j)] = table.get((i, j), ()) + ((k, ring.coerce(delta)),)
+    return table
+
+
+@pytest.mark.parametrize("ring, deltas", [
+    (QQ, (1, 2, Fraction(1, 2), -3)),
+    (IntegersModPk(5, 2), (1, 2, 5, 10)),
+    (DualNumbers(F5), (1, 2, (0, 1), (3, 1))),
+], ids=["QQ", "Z25", "F5[eps]"])
+def test_jacobi_check_agrees_with_the_jacobiator(ring, deltas):
+    rng = random.Random(2)
+    for _ in range(12):
+        i, j = sorted(rng.sample(range(B2.dim), 2))
+        k, delta = rng.randrange(B2.dim), rng.choice(deltas)
+        table = _shift_b2(ring, i, j, k, delta)
+        first = _first_jacobi_failure(LieAlgebra(ring, B2.dim, table, check=False))
+        if first is None:
+            LieAlgebra(ring, B2.dim, table)
+        else:
+            with pytest.raises(ValueError, match="Jacobi fails on triple") as err:
+                LieAlgebra(ring, B2.dim, table)
+            assert str(err.value).endswith("(%d,%d,%d)" % first)
+        # a second term -delta at the same index restores B2
+        table[(i, j)] += ((k, ring.neg(ring.coerce(delta))),)
+        LieAlgebra(ring, B2.dim, table)
+
+
+def test_jacobi_check_survives_python_O():
+    code = ("import lieform\n"
+            "assert False  # stripped under -O\n"
+            "try:\n"
+            "    lieform.LieAlgebra(lieform.QQ, 3, {(0, 1): ((2, 1),), (0, 2): ((0, 1),)})\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "ValueError Jacobi fails on triple (0,1,2)\n"
+
+
+def test_public_names_are_the_liealg_functions():
+    # perfbench's tracer wraps these names in lieform.liealg
+    assert lieform.liealg.derivation_algebra is lieform.derivation_algebra
+    assert lieform.liealg.center_basis is lieform.center_basis
