@@ -31,7 +31,7 @@ from .rings import (IntegersModPk, NonIntegralDenominator, PrimeField,
                     UnsupportedRing, ZZ, format_rational, is_prime)
 from .roots import DynkinType, InvalidRank
 from .sl2 import (ActionMissing, HypothesisNotMet, NotNilpotentEnough,
-                  OutOfRange, SchemaError, chain_from_highest,
+                  OutOfRange, SchemaError, _format_matrix, chain_from_highest,
                   counterexample_module, extend_torus, module_from_json)
 
 DEFAULT_PRIMES = "2,3,5,7,11,13,17,19,23"
@@ -119,11 +119,6 @@ def _table_types(max_rank: int, dedup: bool) -> list:
     if max_rank >= 2:
         out.append(DynkinType("G", 2))
     return out
-
-
-def _fmt_matrix_rational(mat: Matrix) -> list:
-    return [[format_rational(mat.raw(r, c)) for c in range(mat.ncols)]
-            for r in range(mat.nrows)]
 
 
 def _fmt_matrix_int(mat: Matrix) -> list:
@@ -238,8 +233,8 @@ def _verify_casimir(t: DynkinType, p: int):
     op = casimir_operator(ct)
     ident = Matrix.identity(g.ring, g.dim)
     checks = [{"name": "operator-is-identity", "pass": op == ident}]
-    ok = all(g.ad_matrix(g.basis_vector(i)) @ op == op @ g.ad_matrix(g.basis_vector(i))
-             for i in range(g.dim))
+    ads = (g.ad_matrix(g.basis_vector(i)) for i in range(g.dim))
+    ok = all(ad @ op == op @ ad for ad in ads)
     checks.append({"name": "operator-commutes-with-ad", "pass": ok})
     flips_ok = True
     for root in pres.root_system.positive_roots:
@@ -376,11 +371,11 @@ def cmd_sl2_decompose(args) -> int:
         "p_type": {"type1": res.report.is_type1, "type2": res.report.is_type2,
                    "type3": res.report.is_type3},
         "weights": list(m.weights),
-        "pieces": {str(w): _fmt_matrix_rational(res.pieces[w])
+        "pieces": {str(w): _format_matrix(res.pieces[w])
                    for w in sorted(res.pieces)},
     }
     if res.success:
-        results["projectors"] = {str(w): _fmt_matrix_rational(res.projectors[w])
+        results["projectors"] = {str(w): _format_matrix(res.projectors[w])
                                  for w in sorted(res.projectors)}
     else:
         chain, vec = res.failure_witness
@@ -439,7 +434,7 @@ def build_parser() -> _Parser:
                                  "Lie algebras over small coefficient rings")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_type_rank(sp, rank_required=False):
+    def add_type_rank(sp):
         sp.add_argument("--type", required=True,
                         help="series letter (with --rank) or full name like E8")
         sp.add_argument("--rank", type=int, default=None)

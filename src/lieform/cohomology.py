@@ -31,8 +31,8 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _adjoint_complex,
-                     _dense, _nonzero_product, _summed, base_change,
-                     is_lie_automorphism, is_perfect, killing_form)
+                     _bracket_defect, _dense, _nonzero_product, _summed,
+                     base_change, is_lie_automorphism, is_perfect, killing_form)
 from .matrices import Matrix, inverse, kernel, pivots, solve_linear
 from .rings import PrimeField, RingSpec, UnsupportedRing
 
@@ -225,9 +225,9 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
 
     The input algebra must live over the integers; it is reduced to both
     levels of the extension.  The defect theta of the naive entrywise lift
+    (`liealg._bracket_defect`, as in `is_lie_automorphism`) lies in J and
     is a 2-cocycle for the action twisted by sigma_bar; its primitive
-    corrects the lift, and the result is re-verified exactly over the
-    total ring.
+    corrects the lift, and the result is re-verified exactly.
 
     The primitive is the solution delta of d1_σ·delta = theta that is zero
     at the non-pivot columns F of d1_σ, found without building d1_σ: a
@@ -255,17 +255,10 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
     gt = base_change(g, total)
     sigma0 = Matrix(total, n, n, tuple(ext.lift_raw(v) for v in sigma_bar.data))
 
-    pairs = tuple(combinations(range(n), 2))
-    np_ = len(pairs)
+    np_ = n * (n - 1) // 2
     theta = [quot.zero()] * (n * np_)
-    for q, (i, j) in enumerate(pairs):
-        w = gt.bracket_vectors(sigma0.col(i), sigma0.col(j))
-        target = [total.zero()] * n
-        for k, c in gt.bracket_basis(i, j):
-            for a in range(n):
-                target[a] = total.add(target[a], total.mul(sigma0.raw(a, k), c))
-        for a in range(n):
-            d = total.sub(w[a], target[a])
+    for q, defect in _bracket_defect(gt, sigma0):
+        for a, d in defect.items():
             if not quot.is_zero(ext.reduce_raw(d)):
                 raise AssertionError("the naive lift is not an automorphism "
                                      "modulo J")

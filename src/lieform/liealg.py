@@ -7,7 +7,10 @@ the Casimir tensor and operator, base change, automorphism checks.
 g with coefficients in g, once, as sparse maps over any ring and with no
 dimension cap.  The centre is ker d0, the derivations are ker d1, and
 d1∘d0 = 0 is the Jacobi identity that the constructor checks;
-`cohomology` builds d2 on top.
+`cohomology` builds d2 on top.  `ad_matrix` and `casimir_operator` read
+the same sparse ad entries.  `_bracket_defect` is the one bracket defect
+[s x, s y] - s[x, y] on basis pairs: `is_lie_automorphism` tests it for
+zero, and it is the obstruction cocycle of `cohomology.lift_automorphism`.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class LieAlgebra:
 
     table maps (i, j) with i < j to ((k, c), ...) meaning
     [b_i, b_j] = sum_k c * b_k (repeated k are summed); antisymmetry is
-    implicit in the storage.  Jacobi is verified on construction for
-    dim <= 20, as d1∘d0 = 0 of the adjoint complex, unless the table comes
+    implicit in the storage.  Jacobi is verified on construction, in any
+    dimension, as d1∘d0 = 0 of the adjoint complex, unless the table comes
     from an already-verified source (check=False); a failure is a
     ValueError naming the first failing triple.
 
@@ -55,7 +58,7 @@ class LieAlgebra:
     """
 
     def __init__(self, ring: RingSpec, dim: int, table: dict,
-                 dynkin=None, check=None):
+                 dynkin=None, check: bool = True):
         self.ring = ring
         self.dim = dim
         self.table = {}
@@ -66,8 +69,6 @@ class LieAlgebra:
             if kept:
                 self.table[(i, j)] = kept
         self.dynkin = dynkin
-        if check is None:
-            check = dim <= 20
         if check:
             self._check_jacobi()
 
@@ -100,19 +101,11 @@ class LieAlgebra:
         return vals
 
     def ad_matrix(self, v) -> Matrix:
-        ring = self.ring
+        ring, n = self.ring, self.dim
         vals = self._raws(v)
-        rows = [[ring.zero()] * self.dim for _ in range(self.dim)]
-        for (i, j), terms in self.table.items():
-            vi, vj = vals[i], vals[j]
-            if not ring.is_zero(vi):
-                for k, c in terms:
-                    rows[k][j] = ring.add(rows[k][j], ring.mul(vi, c))
-            if not ring.is_zero(vj):
-                for k, c in terms:
-                    rows[k][i] = ring.sub(rows[k][i], ring.mul(vj, c))
-        return Matrix(ring, self.dim, self.dim,
-                      tuple(v for row in rows for v in row))
+        return _dense(ring, n, _summed(ring, (((a, b), ring.mul(vals[i], c))
+                                             for i, a, b, c in _ad_entries(self)
+                                             if not ring.is_zero(vals[i]))), n)
 
     def basis_vector(self, i: int) -> tuple:
         z, o = self.ring.zero(), self.ring.one()
@@ -301,25 +294,18 @@ def casimir(g: LieAlgebra) -> CasimirTensor:
 def casimir_operator(ct: CasimirTensor) -> Matrix:
     """sum C[i,j] ad(b_i) ad(b_j); the identity when the form is perfect.
 
-    One join on the shared index: each entry ad(b_i)[a, b] meets the
-    entries ad(b_j)[b, c] of row b, for every j with C[i, j] nonzero.
+    One sparse product on the shared index (j, b): ad(b_i)[a, b] weighted
+    by each nonzero C[i, j] meets the entries ad(b_j)[b, c].
     """
     g = ct.algebra
-    ring = g.ring
-    add, mul, n = ring.add, ring.mul, g.dim
+    ring, n = g.ring, g.dim
     entries = _ad_entries(g)
-    rows: dict = {}
-    for j, b, c, w in entries:
-        rows.setdefault((j, b), []).append((c, w))
     partners = [[(j, cij) for j, cij in enumerate(ct.coefficients.row(i))
                  if not ring.is_zero(cij)] for i in range(n)]
-    op = [ring.zero()] * (n * n)
-    for i, a, b, v in entries:
-        for j, cij in partners[i]:
-            cv = mul(cij, v)
-            for c, w in rows.get((j, b), ()):
-                op[a * n + c] = add(op[a * n + c], mul(cv, w))
-    return Matrix(ring, n, n, tuple(op))
+    left = (((a, (j, b)), ring.mul(cij, v))
+            for i, a, b, v in entries for j, cij in partners[i])
+    right = _summed(ring, ((((j, b), c), w) for j, b, c, w in entries))
+    return _dense(ring, n, _nonzero_product(ring, left, right), n)
 
 
 def apply_endo_to_casimir(ct: CasimirTensor, s: Matrix) -> Matrix:
@@ -342,15 +328,33 @@ def base_change(g: LieAlgebra, target: RingSpec) -> LieAlgebra:
     return LieAlgebra(target, g.dim, table, dynkin=g.dynkin, check=False)
 
 
-def is_lie_automorphism(g: LieAlgebra, s: Matrix) -> bool:
-    """Invertible and bracket-preserving on all basis pairs.
-
-    For each pair i < j, s([b_i, b_j]) = sum_k c_ij^k s[:, k] is compared
-    with [s b_i, s b_j] = sum s[a, i] s[b, j] [b_a, b_b], summed over the
-    supports of columns i and j of s.  The cost grows with those supports:
-    a monomial s (torus elements, triple flips) is cheap, a dense s costs
-    about dim^4 ring operations.
+def _bracket_defect(g: LieAlgebra, s: Matrix):
+    """Yield q and the nonzero entries {a: raw} of [s b_i, s b_j] - s[b_i, b_j]
+    for each pair q = (i, j), i < j, in `combinations` order.  The bracket
+    is summed over the supports of columns i and j of s: cheap for a
+    monomial s (torus elements, triple flips), about dim^4 ring operations
+    for a dense s.
     """
+    ring = g.ring
+    add, sub, mul, zero = ring.add, ring.sub, ring.mul, ring.zero()
+    cols = [[(a, v) for a, v in enumerate(s.col(j)) if not ring.is_zero(v)]
+            for j in range(g.dim)]
+    for q, (i, j) in enumerate(combinations(range(g.dim), 2)):
+        d: dict = {}
+        for a, x in cols[i]:
+            for b, y in cols[j]:
+                xy = mul(x, y)
+                for k, c in g.bracket_basis(a, b):
+                    d[k] = add(d.get(k, zero), mul(xy, c))
+        for k, c in g.table.get((i, j), ()):
+            for a, v in cols[k]:
+                d[a] = sub(d.get(a, zero), mul(c, v))
+        yield q, {a: v for a, v in d.items() if not ring.is_zero(v)}
+
+
+def is_lie_automorphism(g: LieAlgebra, s: Matrix) -> bool:
+    """Invertible and bracket-preserving on all basis pairs: every
+    `_bracket_defect` is zero.  Stops at the first failing pair."""
     ring = g.ring
     if s.ring != ring:
         raise RingMismatch("%r vs %r" % (s.ring, ring))
@@ -362,21 +366,4 @@ def is_lie_automorphism(g: LieAlgebra, s: Matrix) -> bool:
             return False
     elif not ring.is_unit(det(s)):
         return False
-    add, sub, mul, n = ring.add, ring.sub, ring.mul, g.dim
-    zero = ring.zero()
-    cols = [[(a, v) for a, v in enumerate(s.col(j)) if not ring.is_zero(v)]
-            for j in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff: dict = {}                  # s([b_i, b_j]) - [s b_i, s b_j]
-            for k, c in g.table.get((i, j), ()):
-                for a, v in cols[k]:
-                    diff[a] = add(diff.get(a, zero), mul(c, v))
-            for a, x in cols[i]:
-                for b, y in cols[j]:
-                    xy = mul(x, y)
-                    for k, c in g.bracket_basis(a, b):
-                        diff[k] = sub(diff.get(k, zero), mul(xy, c))
-            if not all(ring.is_zero(v) for v in diff.values()):
-                return False
-    return True
+    return not any(d for _, d in _bracket_defect(g, s))

@@ -139,11 +139,6 @@ class RootSystem:
     def rank(self) -> int:
         return self.dynkin.rank
 
-    @property
-    def simple_roots(self) -> tuple:
-        n = self.rank
-        return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-
     def is_root(self, coords: tuple) -> bool:
         return coords in self._root_set
 

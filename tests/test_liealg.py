@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -174,6 +175,15 @@ def test_constructor_checks_jacobi():
         LieAlgebra(QQ, 3, bad)
 
 
+def test_constructor_checks_jacobi_in_any_dimension():
+    # the same bad table with idle basis vectors: the check has no dimension cap
+    bad = {(0, 1): ((2, 1),), (0, 2): ((0, 1),)}
+    for dim in (20, 21, 40):
+        with pytest.raises(ValueError, match=r"triple \(0,1,2\)$"):
+            LieAlgebra(QQ, dim, bad)
+    assert LieAlgebra(QQ, 21, bad, check=False).dim == 21
+
+
 def test_presentations_skip_the_second_jacobi_check(monkeypatch):
     # verify_jacobi certifies the integral table once; base change keeps it
     def refuse(self):
@@ -287,7 +297,20 @@ def test_invariants_match_their_definitions(rname, tname):
             if not ring.is_zero(ct.coefficients.raw(i, j)):
                 want = want + (ads[i] @ ads[j]).scale(ct.coefficients[i, j])
     assert casimir_operator(ct) == want == Matrix.identity(ring, g.dim)
-    rank_ = pres.rank
+    monomial, dense, shear = _endomorphisms(pres, g)
+    singular = Matrix.from_rows(
+        ring, [[v if c else 0 for c, v in enumerate(row)] for row in dense.rows()])
+    for s, expected in ((monomial, True), (dense, True), (shear, False),
+                        (monomial.scale(2), False), (dense.scale(2), False),
+                        (singular, False)):
+        assert _is_automorphism_by_definition(g, s) is expected
+        assert is_lie_automorphism(g, s) is expected
+
+
+def _endomorphisms(pres, g):
+    """(monomial, dense, shear): a torus element times a triple flip, a
+    dense automorphism, and a shear that is not an automorphism."""
+    ring, rank_ = g.ring, pres.rank
     monomial = (torus_automorphism(pres, ring, 2, lam=tuple(range(1, rank_ + 1)))
                 @ triple_flip(pres, ring, pres.root_system.positive_roots[-1]))
     dense = chevalley_involution(pres, ring)
@@ -297,13 +320,28 @@ def test_invariants_match_their_definitions(rname, tname):
     shear = Matrix.identity(ring, g.dim) + Matrix.from_rows(
         ring, [[int((r, c) == (0, rank_)) for c in range(g.dim)]
                for r in range(g.dim)])
-    singular = Matrix.from_rows(
-        ring, [[v if c else 0 for c, v in enumerate(row)] for row in dense.rows()])
-    for s, expected in ((monomial, True), (dense, True), (shear, False),
-                        (monomial.scale(2), False), (dense.scale(2), False),
-                        (singular, False)):
-        assert _is_automorphism_by_definition(g, s) is expected
-        assert is_lie_automorphism(g, s) is expected
+    return monomial, dense, shear
+
+
+@pytest.mark.parametrize("tname", DIFF_TYPES)
+@pytest.mark.parametrize("rname", ["F7", "Z25", "F5[eps]"])
+def test_bracket_defect_matches_bracket_vectors(rname, tname):
+    ring, pres = DIFF_RINGS[rname], chevalley_presentation(DIFF_TYPES[tname])
+    g = pres.to_lie_algebra(ring)
+    pairs = list(combinations(range(g.dim), 2))
+    for s in _endomorphisms(pres, g):
+        want = {}                  # [s b_i, s b_j] - s[b_i, b_j], brute force
+        for q, (i, j) in enumerate(pairs):
+            image = s @ Matrix.column(
+                ring, g.bracket_vectors(g.basis_vector(i), g.basis_vector(j)))
+            full = g.bracket_vectors(s.col(i), s.col(j))
+            want[q] = {a: ring.sub(x, y) for a, (x, y) in enumerate(zip(full, image.data))
+                       if x != y}
+        got = list(lieform.liealg._bracket_defect(g, s))
+        assert [q for q, _ in got] == list(range(len(pairs)))
+        assert all(not ring.is_zero(v) for _, d in got for v in d.values())
+        assert dict(got) == want
+        assert any(want.values()) is not is_lie_automorphism(g, s)
 
 
 @pytest.mark.parametrize("tname", DIFF_TYPES)
@@ -437,6 +475,46 @@ def test_centres_match_pinned_digest(tname, rname):
     assert (centre.ncols, _kernel_digest(centre)) == CENTRE_DIGESTS[(tname, rname)]
 
 
+# -- pinned ad maps: sha256 of repr([(nrows, ncols, data), ...]) of ad(b_i)
+# for every basis vector, then of ad(v) for a dense v, taken from the
+# per-pair table walk that the sparse ad entries replaced
+
+AD_RINGS = {"F7": F7, "QQ": QQ, "Z25": IntegersModPk(5, 2), "F5[eps]": DualNumbers(F5)}
+AD_DIGESTS = {
+    ("A2", "F7"): "2fb84f8e738b5a75f4b549245e27fe430cd19cd828d6e63a3645a9172090853a",
+    ("A2", "QQ"): "9cbe5e0dbabe53944e75644e611f4a91229201a5849d34c19a5f85fc81bd687d",
+    ("A2", "Z25"): "80aecc5a4218415e3e6e11984e8a3a22651f926a4359dee1bf0268f4018caaaa",
+    ("A2", "F5[eps]"): "1e537b0f9109148d0262f8635cc6c8f2e6d0fae89cbb97d2585d28e6caf7634c",
+    ("B2", "F7"): "a84edd9747a22d43f75e9620260cb482a20601858c3ea694b613d3da9658687d",
+    ("B2", "QQ"): "32da108f0dfec28c64d6339dab55f1ebb796232b2c67d840d203a5345186e17c",
+    ("B2", "Z25"): "3363c9af81691840a4c856948392446e9aafee91416c39fc11bc02f1d6f5d769",
+    ("B2", "F5[eps]"): "0bd28854cb83cb19b621cf22d85ff95fad05cb98884cf6ad8c57c71cf48ac27b",
+    ("G2", "F7"): "d0b327f5f69eb0003adec19e5e4d829e6bb96ca7c658776bc89b5dc346d91a1a",
+    ("G2", "QQ"): "ac8112b11dccca21fd431e768d44ad9f542e10598ce00d16d9606f1fb5b25d90",
+    ("G2", "Z25"): "a81c0f2a08065844519c0bdfbffbb3c1a8d737f128513b311c51a697df4933fd",
+    ("G2", "F5[eps]"): "63ea72fda95f9fc6756ad2c12bac05b2f299612a30cd92d725b5ebd9ba52129a",
+    ("B3", "F7"): "820b7c700e7c4d8e3f5383550dbe6fe80a758dfb4fdabf8b8fb4b8ea328b492f",
+    ("B3", "QQ"): "def0479be5dc70896265be82d0c7634d601a84ae7e566f882c36e14c04562f0a",
+    ("B3", "Z25"): "571f16c3e10ca1603bef37e334aa05be1092845071150412113c8fef0eb22ca7",
+    ("B3", "F5[eps]"): "512f652846581d28bba3dc20ee15f1b3665dd63d211012b05e74e4c0a21e6040",
+}
+
+
+def _dense_vector(ring, n):
+    return tuple(ring.coerce((3 * i - 7, i) if ring.kind == "dual_numbers" else 3 * i - 7)
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("tname, rname", AD_DIGESTS, ids="-".join)
+def test_ad_matrices_match_pinned_digest(tname, rname):
+    ring = AD_RINGS[rname]
+    g = chevalley_presentation(DynkinType(tname[0], int(tname[1:]))).to_lie_algebra(ring)
+    ads = [g.ad_matrix(g.basis_vector(i)) for i in range(g.dim)]
+    ads.append(g.ad_matrix(_dense_vector(ring, g.dim)))
+    digest = hashlib.sha256(repr([(m.nrows, m.ncols, m.data) for m in ads]).encode())
+    assert digest.hexdigest() == AD_DIGESTS[(tname, rname)]
+
+
 # -- the Jacobi check against a brute-force Jacobiator
 
 def _jacobi_holds(g, i, j, k):
@@ -507,5 +585,7 @@ def test_jacobi_check_survives_python_O():
 
 def test_public_names_are_the_liealg_functions():
     # perfbench's tracer wraps these names in lieform.liealg
-    assert lieform.liealg.derivation_algebra is lieform.derivation_algebra
-    assert lieform.liealg.center_basis is lieform.center_basis
+    for name in ("derivation_algebra", "center_basis", "killing_form",
+                 "is_lie_automorphism", "casimir", "casimir_operator",
+                 "base_change"):
+        assert getattr(lieform.liealg, name) is getattr(lieform, name), name

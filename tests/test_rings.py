@@ -125,3 +125,17 @@ def test_field_and_local_flags():
     assert not ZZ.is_field and not Z25.is_field and not L5.is_field
     assert F5.is_local and Z25.is_local and L5.is_local and D5.is_local
     assert not ZZ.is_local and not QQ.is_local
+
+
+@pytest.mark.parametrize("ring", RINGS + [DualNumbers(QQ)], ids=repr)
+def test_is_zero_is_equality_with_zero(ring):
+    values = [ring.from_int(n) for n in (-26, -5, -1, 0, 1, 2, 5, 25, 125)]
+    if ring.kind in ("rationals", "localized_at_p"):
+        values += [Fraction(1, 3), Fraction(-7, 2), Fraction(0, 4)]
+    if ring.kind == "dual_numbers":
+        one, zero = ring.base.one(), ring.base.zero()
+        values += [(zero, zero), (zero, one), (one, zero), (one, one)]
+    assert any(ring.is_zero(v) for v in values)
+    assert not all(ring.is_zero(v) for v in values)
+    for v in values:
+        assert ring.is_zero(v) == (v == ring.zero()), v
