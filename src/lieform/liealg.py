@@ -7,7 +7,12 @@ the Casimir tensor and operator, base change, automorphism checks.
 g with coefficients in g, once, as sparse maps over any ring and with no
 dimension cap.  The centre is ker d0, the derivations are ker d1, and
 d1∘d0 = 0 is the Jacobi identity that the constructor checks;
-`cohomology` builds d2 on top.  `ad_matrix` and `casimir_operator` read
+`cohomology` builds d2 on top.  A Chevalley algebra (one carrying its
+`dynkin` label) is graded by the root lattice: H_i has weight 0 and X_alpha
+weight alpha, so d0 and d1 are block diagonal by degree and
+`_graded_kernel` takes both kernels one degree block at a time.  The
+grading is checked against the bracket table; a table it does not grade
+is one block of degree 0.  `ad_matrix` and `casimir_operator` read
 the same sparse ad entries.  `_bracket_defect` is the one bracket defect
 [s x, s y] - s[x, y] on basis pairs: `is_lie_automorphism` tests it for
 zero, and it is the obstruction cocycle of `cohomology.lift_automorphism`.
@@ -26,12 +31,14 @@ from .matrices import (
     DimensionMismatch,
     Matrix,
     Singular,
+    _echelon,
     det,
     inverse,
     kernel,
     rank,
 )
 from .rings import RingMismatch, RingSpec, Scalar, UnsupportedRing, ZZ, convert_raw
+from .roots import DynkinType, build_root_system
 
 
 class NotPerfect(Exception):
@@ -55,6 +62,12 @@ class LieAlgebra:
     Every invariant (Killing form, derivations, Casimir operator,
     automorphism check) is computed from this sparse table with the
     ring's own arithmetic, by one code path for every ring.
+
+    dynkin, when given, names the Chevalley basis order of
+    `ChevalleyPresentation` ([H_1..H_rank], then X_alpha over the roots).
+    It grades the derivation and centre kernels by the root lattice, and
+    only after the table is checked to respect that grading, so a wrong
+    label never changes an answer.
     """
 
     def __init__(self, ring: RingSpec, dim: int, table: dict,
@@ -269,19 +282,82 @@ def form_kernel(f: BilinearForm) -> Matrix:
     return kernel(f.gram)
 
 
+def _weights(g: LieAlgebra) -> list:
+    """The root-lattice weight of each basis vector, as a tuple: 0 for H_i
+    and alpha for X_alpha when g carries a `dynkin` label whose Chevalley
+    basis order grades its table, [b_i, b_j] ∋ c b_k only if
+    wt(k) = wt(i) + wt(j); otherwise the empty tuple for every vector."""
+    t = g.dynkin
+    if isinstance(t, DynkinType):
+        roots = build_root_system(t).roots
+        if g.dim == t.rank + len(roots):
+            wt = [(0,) * t.rank] * t.rank + list(roots)
+            if all(wt[k] == tuple(x + y for x, y in zip(wt[i], wt[j]))
+                   for (i, j), terms in g.table.items() for k, _ in terms):
+                return wt
+    return [()] * g.dim
+
+
+def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
+    """kernel(_dense(ring, len(degrees), entries)), entry for entry, taken
+    one degree block at a time: column c of the sparse map {(row, col): raw}
+    has degree degrees[c], and every row must lie in one degree.
+
+    Each block (its columns in increasing order, its nonempty rows) is
+    eliminated on its own.  A column is a pivot of the whole map iff it is
+    one of its block, and the reduced-echelon kernel basis is unique, so
+    the free column f gives the same vector: 1 at f, minus the reduced row
+    entries at the block's pivot columns.  Columns are sorted by f.
+    """
+    blocks: dict = defaultdict(list)           # degree -> its columns
+    local = []                                 # column -> its place in its block
+    for c, d in enumerate(degrees):
+        local.append(len(blocks[d]))
+        blocks[d].append(c)
+    row_degree: dict = {}
+    parts: dict = defaultdict(dict)            # degree -> {(row, local col): raw}
+    for (r, c), v in entries.items():
+        d = degrees[c]
+        if row_degree.setdefault(r, d) != d:
+            raise AssertionError("row %d has entries in degrees %r and %r"
+                                 % (r, row_degree[r], d))
+        parts[d][(r, local[c])] = v
+    one, neg = ring.one(), ring.neg
+    vectors = []                               # (free column, {col: raw})
+    for d, cols in blocks.items():
+        pivots, free, rest, _ = _echelon(_dense(ring, len(cols), parts[d]),
+                                         reduce_up=True)
+        for t, f in enumerate(free):
+            vec = {cols[f]: one}
+            for pc, row in zip(pivots, rest):
+                vec[cols[pc]] = neg(row[t])
+            vectors.append((cols[f], vec))
+    vectors.sort(key=lambda fv: fv[0])
+    k = len(vectors)
+    flat = [ring.zero()] * (len(degrees) * k)
+    for j, (_, vec) in enumerate(vectors):
+        for c, v in vec.items():
+            flat[c * k + j] = v
+    return Matrix(ring, len(degrees), k, tuple(flat))
+
+
 def center_basis(g: LieAlgebra) -> Matrix:
-    """The centre, H^0 = ker d0 of the adjoint complex, as columns."""
+    """The centre, H^0 = ker d0 of the adjoint complex, as columns; column
+    b of d0 has degree wt(b)."""
     if not g.ring.is_field:
         raise UnsupportedRing("center computation needs a field-kind ring")
-    return kernel(_dense(g.ring, g.dim, _adjoint_complex(g)[2]))
+    return _graded_kernel(g.ring, _weights(g), _adjoint_complex(g)[2])
 
 
 def derivation_algebra(g: LieAlgebra) -> Matrix:
     """Basis of {D : D[x,y] = [Dx,y] + [x,Dy]} as columns in dim^2-space:
-    Z^1 = ker d1 of the adjoint complex.  Slot m*dim + k holds D[m, k]."""
+    Z^1 = ker d1 of the adjoint complex.  Slot m*dim + k holds D[m, k], of
+    degree wt(m) - wt(k)."""
     if not g.ring.is_field:
         raise UnsupportedRing("derivations need a field-kind ring")
-    return kernel(_dense(g.ring, g.dim * g.dim, _adjoint_complex(g)[3]))
+    wt = _weights(g)
+    degrees = [tuple(x - y for x, y in zip(wm, wk)) for wm in wt for wk in wt]
+    return _graded_kernel(g.ring, degrees, _adjoint_complex(g)[3])
 
 
 def casimir(g: LieAlgebra) -> CasimirTensor:

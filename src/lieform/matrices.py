@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -107,7 +108,7 @@ class Matrix:
         return self.data[i * self.ncols:(i + 1) * self.ncols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.data[i * self.ncols + j] for i in range(self.nrows))
+        return self.data[j::self.ncols]
 
     def rows(self) -> list:
         return [list(self.row(i)) for i in range(self.nrows)]
@@ -171,9 +172,8 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ring, self.ncols, self.nrows,
-                      tuple(self.raw(i, j)
-                            for j in range(self.ncols)
-                            for i in range(self.nrows)))
+                      tuple(chain.from_iterable(self.data[j::self.ncols]
+                                                for j in range(self.ncols))))
 
     def hstack(self, *others: "Matrix") -> "Matrix":
         """self and the others side by side, built in one pass."""

@@ -156,15 +156,68 @@ def test_table_builds_each_killing_gram_once(capsys):
     assert integral_killing_gram.cache_info().misses == ntypes
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, lieform.cli; print('scipy' in sys.modules)"
+def _child_env():
+    """os.environ with this lieform first on PYTHONPATH, for child processes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(lieform.__file__))]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return env
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, lieform.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _numpy_on_openblas():
+    import numpy
+    try:
+        name = numpy.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+    return "openblas" in name
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not _numpy_on_openblas(),
+                    reason="counts OpenBLAS threads in /proc/self/status")
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_import_starts_no_blas_thread_pool(user_value):
+    # one thread unless the caller set a count, and os.environ left as found
+    code = ("import os\n"
+            "before = dict(os.environ)\n"
+            "import lieform\n"
+            "threads = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "               if line.startswith('Threads:'))\n"
+            "want = min(int(os.environ.get('OPENBLAS_NUM_THREADS', '1')),\n"
+            "           len(os.sched_getaffinity(0)))\n"
+            "print(threads == want, os.environ == before,\n"
+            "      os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "True", str(user_value)]
+
+
+def test_verify_derivations_f4_within_two_gigabytes():
+    # the derivation system of F4 has 2,704 unknowns; solved as one dense
+    # matrix it ran out of a 2 GB address space
+    code = ("import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "sys.argv = ['lieform', 'verify', '--suite', 'derivations',\n"
+            "            '--type', 'F4', '--prime', '7']\n"
+            "runpy.run_module('lieform', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "OK"
+    assert doc["results"]["dim"] == 52
 
 
 def test_verify_casimir_near_int64_limit(capsys):
@@ -361,12 +414,8 @@ def test_sl2_decompose_file_with_rows_dependent_mod_p(tmp_path):
                       "1": [[1], [0], [0]]}}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "lieform", "sl2-decompose",
-                           "--file", str(path)], env=env, capture_output=True,
+                           "--file", str(path)], env=_child_env(), capture_output=True,
                           text=True, timeout=30)
     assert proc.returncode == 0
     out = json.loads(proc.stdout)

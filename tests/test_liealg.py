@@ -475,6 +475,66 @@ def test_centres_match_pinned_digest(tname, rname):
     assert (centre.ncols, _kernel_digest(centre)) == CENTRE_DIGESTS[(tname, rname)]
 
 
+# -- the root-lattice grading against the one-block system: the same table
+# without its dynkin label is one block of degree 0
+
+GRADED_CASES = ([(t, r) for r in ("F7", "F2097169")
+                 for t in ("A1", "A2", "A3", "B2", "C3", "G2", "B3", "D4")]
+                + [(t, "QQ") for t in ("A1", "A2", "B2", "G2")])
+
+
+@pytest.mark.parametrize("tname, rname", GRADED_CASES)
+def test_graded_kernels_match_one_block(tname, rname):
+    g = _pinned_algebra(tname, rname)
+    nroots = g.dim - g.dynkin.rank
+    assert len(set(lieform.liealg._weights(g))) == nroots + 1
+    one_block = LieAlgebra(g.ring, g.dim, g.table, check=False)
+    assert derivation_algebra(g) == derivation_algebra(one_block)
+    assert center_basis(g) == center_basis(one_block)
+
+
+def _permuted(g, perm, dynkin):
+    """g's table on the basis with b_i moved to position perm[i]."""
+    neg, table = g.ring.neg, {}
+    for (i, j), terms in g.table.items():
+        moved = tuple((perm[k], c) for k, c in terms)
+        if perm[i] < perm[j]:
+            table[(perm[i], perm[j])] = moved
+        else:
+            table[(perm[j], perm[i])] = tuple((k, neg(c)) for k, c in moved)
+    return LieAlgebra(g.ring, g.dim, table, dynkin=dynkin)
+
+
+@pytest.mark.parametrize("tname", ["A2", "B2", "G2", "A3"])
+def test_permuted_chevalley_table_keeps_one_block(tname):
+    g = _pinned_algebra(tname, "F7")
+    perm = list(range(g.dim))
+    random.Random(3).shuffle(perm)
+    labelled = _permuted(g, perm, g.dynkin)
+    assert lieform.liealg._weights(labelled) == [()] * g.dim
+    one_block = _permuted(g, perm, None)
+    assert derivation_algebra(labelled) == derivation_algebra(one_block)
+    assert center_basis(labelled) == center_basis(one_block)
+    assert derivation_algebra(labelled).ncols == g.dim
+
+
+def test_row_across_two_degrees_raises_under_python_O():
+    code = ("import lieform, lieform.liealg\n"
+            "assert False  # stripped under -O\n"
+            "try:\n"
+            "    lieform.liealg._graded_kernel(lieform.PrimeField(7), [(0,), (1,)],\n"
+            "                                  {(0, 0): 1, (0, 1): 1})\n"
+            "except AssertionError as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "AssertionError row 0 has entries in degrees (0,) and (1,)\n"
+
+
 # -- pinned ad maps: sha256 of repr([(nrows, ncols, data), ...]) of ad(b_i)
 # for every basis vector, then of ad(v) for a dense v, taken from the
 # per-pair table walk that the sparse ad entries replaced
