@@ -7,7 +7,8 @@ top to bottom", so identical inputs give bit-identical outputs.  `_echelon`
 is also the one place that picks the carrier: over a prime field with
 p < 2^21 it eliminates on int64 arrays (exact residues, never floats),
 over every other ring on the raw ring values.  Matrix products over such
-fields and `rank_mod_p` use int64 arrays too.
+fields and `rank_mod_p` use int64 arrays too; products over every other
+ring multiply only the nonzero entries, row by row.
 """
 
 from __future__ import annotations
@@ -155,19 +156,21 @@ class Matrix:
             a = self.to_numpy()
             b = other.to_numpy()
             return Matrix.from_numpy(ring, (a @ b) % ring.p)
+        # Row by row over the nonzero entries only: each zero test is made
+        # once per entry, and every output entry still sums its nonzero
+        # terms from `zero` in increasing l, so the values are the same.
         add, mul, zero = ring.add, ring.mul, ring.zero()
         n, m, k = self.nrows, other.ncols, self.ncols
+        other_rows = [[(j, w) for j, w in enumerate(other.row(l)) if w != zero]
+                      for l in range(k)]
         out = []
         for i in range(n):
-            ri = self.row(i)
-            for j in range(m):
-                acc = zero
-                for l in range(k):
-                    v = ri[l]
-                    w = other.raw(l, j)
-                    if v != zero and w != zero:
-                        acc = add(acc, mul(v, w))
-                out.append(acc)
+            acc = [zero] * m
+            for l, v in enumerate(self.row(i)):
+                if v != zero:
+                    for j, w in other_rows[l]:
+                        acc[j] = add(acc[j], mul(v, w))
+            out += acc
         return Matrix(ring, n, m, tuple(out))
 
     def transpose(self) -> "Matrix":

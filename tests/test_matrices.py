@@ -318,3 +318,30 @@ def test_elimination_results_match_pinned_digest(name):
                for _ in range(6) for a, b in _pinned_cases(ring, rng)]
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["QQ", "Z/25", "Z_(5)", "F5[eps]", "F2097169"])
+def test_generic_product_matches_triple_sum(name):
+    """The product off the int64 path skips zero entries; it must equal
+    the textbook sum over l, term by term from zero, in value and type."""
+    import random
+    ring = PINNED_RINGS[name]
+    rng = random.Random(7)
+    zero = ring.zero()
+
+    def rand(r, c):
+        return Matrix(ring, r, c, tuple(_pinned_entry(ring, rng) for _ in range(r * c)))
+
+    for n, k, m in ((1, 1, 1), (3, 4, 2), (5, 5, 5), (2, 6, 3), (4, 0, 3), (0, 3, 2), (3, 2, 0)):
+        a, b = rand(n, k), rand(k, m)
+        want = []
+        for i in range(n):
+            for j in range(m):
+                acc = zero
+                for l in range(k):
+                    acc = ring.add(acc, ring.mul(a.raw(i, l), b.raw(l, j)))
+                want.append(acc)
+        got = a @ b
+        assert (got.nrows, got.ncols) == (n, m)
+        assert list(got.data) == want
+        assert [type(x) for x in got.data] == [type(x) for x in want]
