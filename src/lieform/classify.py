@@ -1,7 +1,7 @@
 """Perfectness of the Killing form by type and prime.
 
-Closed-form predicate, brute-force Gram-rank oracle, the exact
-Killing-to-trace-form ratios for classical series, and the
+Closed-form predicate, an oracle on the integral Killing discriminant,
+the exact Killing-to-trace-form ratios for classical series, and the
 characteristic-2 kernel witness in the B series.
 """
 
@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .chevalley import chevalley_presentation, matrix_realization
-from .liealg import killing_form, trace_form
-from .matrices import Matrix, rank_mod_p
+from .liealg import BilinearForm, _discriminant, killing_form, trace_form
+from .matrices import Matrix
 from .rings import PrimeField, ZZ
 from .roots import DynkinType, InvalidRank
 
@@ -71,23 +69,22 @@ def integral_killing_gram(t: DynkinType) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def integral_killing_array(t: DynkinType) -> np.ndarray:
-    """integral_killing_gram(t) as a read-only int64 array."""
-    a = integral_killing_gram(t).to_numpy()
-    a.flags.writeable = False
-    return a
+def _integral_discriminant(t: DynkinType) -> int:
+    """det of integral_killing_gram(t), computed once per type."""
+    gram = integral_killing_gram(t)     # first, so one table is alive at a time
+    g = chevalley_presentation(t).to_lie_algebra(ZZ)
+    return _discriminant(BilinearForm(g, gram))
 
 
 def oracle_perfect(t: DynkinType, p: int) -> bool:
-    """Full-rank test of the Killing Gram over the prime field.
+    """Whether the Killing Gram is invertible over the prime field.
 
-    Reduction commutes with the Gram computation, so this equals the rank
-    of the Killing form of the reduced algebra.
+    Reduction commutes with the Gram computation and the determinant, so
+    this asks whether p divides the integral discriminant.
     """
     if t.rank > 8:
         raise InvalidRank("oracle capped at rank 8, got %s" % (t,))
-    gram = integral_killing_array(t)
-    return rank_mod_p(gram, p) == len(gram)
+    return _integral_discriminant(t) % p != 0
 
 
 def verdict_with_oracle(t: DynkinType, p: int) -> PerfectnessVerdict:

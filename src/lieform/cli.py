@@ -443,7 +443,7 @@ def build_parser() -> _Parser:
     add_type_rank(sp)
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--oracle", action="store_true",
-                    help="also run the Gram-rank oracle and compare")
+                    help="also run the Killing-discriminant oracle and compare")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("table", help="full classification table")

@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _adjoint_complex,
                      _bracket_defect, _dense, _nonzero_product, _summed,
                      base_change, is_lie_automorphism, is_perfect, killing_form)
-from .matrices import Matrix, inverse, kernel, pivots, solve_linear
+from .matrices import Matrix, inverse, kernel, pivots, rank, solve_linear
 from .rings import PrimeField, RingSpec, UnsupportedRing
 
 
@@ -126,7 +126,6 @@ def _untwisted_complex(ring: RingSpec, dim: int, table: tuple):
 
 
 def cohomology_dim(cx: CochainComplex, degree: int) -> int:
-    from .matrices import rank
     if degree == 0:
         return cx.cochain_dim(0) - rank(cx.d0)
     if degree == 1:

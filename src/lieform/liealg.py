@@ -12,10 +12,12 @@ d1∘d0 = 0 is the Jacobi identity that the constructor checks;
 weight alpha, so d0 and d1 are block diagonal by degree and
 `_graded_kernel` takes both kernels one degree block at a time.  The
 grading is checked against the bracket table; a table it does not grade
-is one block of degree 0.  `ad_matrix` and `casimir_operator` read
-the same sparse ad entries.  `_bracket_defect` is the one bracket defect
-[s x, s y] - s[x, y] on basis pairs: `is_lie_automorphism` tests it for
-zero, and it is the obstruction cocycle of `cohomology.lift_automorphism`.
+is one block of degree 0.  The Killing Gram is graded too, and
+`is_perfect` reads its determinant one degree block at a time, over every
+ring.  `ad_matrix` and `casimir_operator` read the same sparse ad
+entries.  `_bracket_defect` is the one bracket defect [s x, s y] - s[x, y]
+on basis pairs: `is_lie_automorphism` tests it for zero, and it is the
+obstruction cocycle of `cohomology.lift_automorphism`.
 """
 
 from __future__ import annotations
@@ -267,12 +269,33 @@ def trace_form(realization, ring: RingSpec) -> BilinearForm:
     return BilinearForm(alg, gram)
 
 
+def _discriminant(f: BilinearForm):
+    """det(f.gram) as a raw ring value, one degree block at a time: when
+    every nonzero Gram[i, j] has wt(i) + wt(j) = 0, det = (-1)^m prod_d
+    det Gram[D_d, D_-d], D_d the basis vectors of degree d and m half those
+    of nonzero degree (zero if some |D_d| != |D_-d|).  A Gram off that
+    pattern is one block, the whole Gram."""
+    gram, ring, n = f.gram, f.gram.ring, f.gram.nrows
+    wt = _weights(f.algebra)
+    if any(not ring.is_zero(v) and wt[k % n] != tuple(-x for x in wt[k // n])
+           for k, v in enumerate(gram.data)):
+        wt = [()] * n
+    blocks: dict = defaultdict(list)
+    for i, w in enumerate(wt):
+        blocks[w].append(i)
+    out = ring.one() if sum(map(any, wt)) // 2 % 2 == 0 else ring.neg(ring.one())
+    for w, rows in blocks.items():
+        cols = blocks.get(tuple(-x for x in w), ())
+        if len(cols) != len(rows):
+            return ring.zero()
+        block = tuple(gram.raw(r, c) for r in rows for c in cols)
+        out = ring.mul(out, det(Matrix(ring, len(rows), len(cols), block)))
+    return out
+
+
 def is_perfect(f: BilinearForm) -> bool:
     """True iff the Gram determinant is a unit of the coefficient ring."""
-    ring = f.gram.ring
-    if ring.kind in ("prime_field", "rationals"):
-        return rank(f.gram) == f.gram.nrows
-    return ring.is_unit(det(f.gram))
+    return f.gram.ring.is_unit(_discriminant(f))
 
 
 def form_kernel(f: BilinearForm) -> Matrix:

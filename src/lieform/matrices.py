@@ -7,8 +7,8 @@ top to bottom", so identical inputs give bit-identical outputs.  `_echelon`
 is also the one place that picks the carrier: over a prime field with
 p < 2^21 it eliminates on int64 arrays (exact residues, never floats),
 over every other ring on the raw ring values.  Matrix products over such
-fields and `rank_mod_p` use int64 arrays too; products over every other
-ring multiply only the nonzero entries, row by row.
+fields use int64 arrays too; products over every other ring multiply only
+the nonzero entries, row by row.  `det` is exact over every ring.
 """
 
 from __future__ import annotations
@@ -301,14 +301,6 @@ def rank(m: Matrix) -> int:
     if not ring.is_field:
         raise UnsupportedRing("rank needs a field-kind ring, got %r" % (ring,))
     return len(pivots(m))
-
-
-def rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an integer array, reduced with one `% p`."""
-    if p < _NP_PRIME_LIMIT:
-        return len(_modp_echelon(a, p, reduce_up=False)[1])
-    return rank(Matrix(PrimeField(p), a.shape[0], a.shape[1],
-                       tuple(int(v) % p for v in a.reshape(-1))))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .matrices import Matrix, inverse, pivots, rank, saturate, solve_linear
+from .matrices import Matrix, det, inverse, pivots, rank, saturate, solve_linear
 from .rings import (LocalizedAtP, PrimeField, QQ, RingSpec, format_rational,
                     is_prime, parse_rational, pvaluation)
 from .roots import PTypeReport, classify_p_type
@@ -260,7 +260,6 @@ def conjugate(m: WeightedModule, u: Matrix) -> WeightedModule:
     n = m.ambient_dim
     if u.ring != QQ or (u.nrows, u.ncols) != (n, n):
         raise ValueError("conjugator must be an ambient rational square matrix")
-    from .matrices import det
     d = det(u)
     if d == 0 or not _p_integral(u, m.p) or pvaluation(d, m.p) != 0:
         raise ValueError("conjugator is not unimodular at %d" % m.p)

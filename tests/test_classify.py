@@ -1,8 +1,11 @@
 import pytest
 
 from lieform import (DynkinType, EXPECTED_RATIO, InvalidRank, NoConstantRatio,
-                     b_series_kernel_witness, oracle_perfect, predict_perfect,
-                     ratio_check, verdict_with_oracle)
+                     PrimeField, b_series_kernel_witness, oracle_perfect,
+                     predict_perfect, rank, ratio_check, verdict_with_oracle)
+from lieform.classify import _integral_discriminant, integral_killing_gram
+from lieform.cli import DEFAULT_PRIMES, _table_types
+from lieform.rings import is_prime
 
 ALL_TYPES = (
     [DynkinType(s, n) for s in "ABC" for n in range(1, 9)]
@@ -104,3 +107,26 @@ def test_isogenous_low_rank_types_agree():
         assert predict_perfect(DynkinType("C", 2), p).predicted == b2
         a3 = predict_perfect(DynkinType("A", 3), p).predicted
         assert predict_perfect(DynkinType("D", 3), p).predicted == a3
+
+
+# -- the oracle reads the integral discriminant det(Killing Gram)
+
+def test_discriminant_primes_are_the_predicted_bad_primes():
+    primes = [p for p in range(2, 400) if is_prime(p)]
+    for t in _table_types(8, dedup=False):
+        disc = _integral_discriminant(t)
+        assert disc != 0
+        assert ({p for p in primes if disc % p == 0}
+                == {p for p in primes if not predict_perfect(t, p).predicted}), t
+
+
+@pytest.mark.parametrize("t", _table_types(8, dedup=True), ids=str)
+def test_oracle_is_the_killing_gram_rank(t):
+    gram = integral_killing_gram(t)
+    primes = [int(p) for p in DEFAULT_PRIMES.split(",")]
+    if gram.nrows <= 78:
+        # on either side of 2^21, where int64 elimination stops
+        primes += [2097143, 2097169]
+    for p in primes:
+        full_rank = rank(gram.map_to_ring(PrimeField(p))) == gram.nrows
+        assert oracle_perfect(t, p) == full_rank, p

@@ -8,7 +8,7 @@ import pytest
 
 import lieform
 from lieform import chain_from_highest, counterexample_module, module_to_json
-from lieform.classify import integral_killing_array, integral_killing_gram
+from lieform.classify import _integral_discriminant, integral_killing_gram
 from lieform import cli
 from lieform.cli import main
 
@@ -139,8 +139,7 @@ def test_table_rejects_composite_primes(capsys):
     assert doc["status"] == "ERROR"
 
 
-def test_table_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("LIEFORM_THREADS", "2")
+def test_table_has_a_row_per_type_and_prime(capsys):
     code, doc, _ = run_json(capsys, ["table", "--max-rank", "2",
                                      "--primes", "2,3"])
     assert code == 0 and len(doc["results"]["rows"]) == 10
@@ -148,12 +147,13 @@ def test_table_thread_env(capsys, monkeypatch):
 
 def test_table_builds_each_killing_gram_once(capsys):
     integral_killing_gram.cache_clear()
-    integral_killing_array.cache_clear()
+    _integral_discriminant.cache_clear()
     code, doc, _ = run_json(capsys, ["table", "--max-rank", "3", "--oracle"])
     assert code == 0 and doc["results"]["all_agree"] is True
     ntypes = len({(r["series"], r["rank"]) for r in doc["results"]["rows"]})
     assert ntypes == 9
     assert integral_killing_gram.cache_info().misses == ntypes
+    assert _integral_discriminant.cache_info().misses == ntypes
 
 
 def _child_env():

@@ -17,6 +17,7 @@ from lieform import (DualNumbers, DynkinType, IntegersModPk, LieAlgebra,
                      is_lie_automorphism, is_perfect, killing_form,
                      matrix_realization, rank, solve_linear, torus_automorphism,
                      trace_form, triple_flip)
+from lieform.cli import _table_types
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -516,6 +517,82 @@ def test_permuted_chevalley_table_keeps_one_block(tname):
     assert derivation_algebra(labelled) == derivation_algebra(one_block)
     assert center_basis(labelled) == center_basis(one_block)
     assert derivation_algebra(labelled).ncols == g.dim
+
+
+# -- perfectness: the graded discriminant against the dense determinant
+
+PERFECT_RINGS = {"ZZ": ZZ, "QQ": QQ, "F2": PrimeField(2), "F3": F3, "F5": F5,
+                 "F7": F7, "F2097169": PrimeField(2097169),
+                 "Z25": IntegersModPk(5, 2), "Z49": IntegersModPk(7, 2),
+                 "Z(5)": LocalizedAtP(5), "F5[eps]": DualNumbers(F5),
+                 "F7[eps]": DualNumbers(F7)}
+
+
+def _dense_is_perfect(f):
+    """Full rank over F_p and QQ, a unit determinant over every other ring."""
+    ring = f.gram.ring
+    if ring.kind in ("prime_field", "rationals"):
+        return rank(f.gram) == f.gram.nrows
+    return ring.is_unit(det(f.gram))
+
+
+@pytest.mark.parametrize("rname", PERFECT_RINGS)
+@pytest.mark.parametrize("t", _table_types(4, dedup=False), ids=str)
+def test_discriminant_is_the_gram_determinant(t, rname):
+    g = chevalley_presentation(t).to_lie_algebra(PERFECT_RINGS[rname])
+    kf = killing_form(g)
+    assert lieform.liealg._discriminant(kf) == det(kf.gram)
+    assert is_perfect(kf) == _dense_is_perfect(kf)
+
+
+def _det_sizes(monkeypatch):
+    """The sizes of the blocks that reach liealg.det, as they arrive."""
+    sizes = []
+
+    def spy(m):
+        sizes.append(m.nrows)
+        return det(m)
+
+    monkeypatch.setattr(lieform.liealg, "det", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("rname", ["ZZ", "F7", "Z25", "F5[eps]"])
+def test_discriminant_of_a_permuted_table_is_one_block(rname, monkeypatch):
+    g = chevalley_presentation(DynkinType("B", 2)).to_lie_algebra(PERFECT_RINGS[rname])
+    perm = list(range(g.dim))
+    random.Random(3).shuffle(perm)
+    kf = killing_form(_permuted(g, perm, g.dynkin))
+    sizes = _det_sizes(monkeypatch)
+    assert lieform.liealg._discriminant(kf) == det(kf.gram)
+    assert sizes == [g.dim]
+    assert lieform.liealg._discriminant(killing_form(g)) == det(kf.gram)
+    assert is_perfect(kf) == _dense_is_perfect(kf)
+
+
+@pytest.mark.parametrize("entries", [[(0, 2)], [(0, 2), (0, 5)]])
+def test_discriminant_of_a_gram_off_the_grading_is_one_block(entries, monkeypatch):
+    # A2 weights: b_0, b_1 are 0, b_2 is (0, 1) and b_5 is (0, -1); one
+    # entry leaves det unchanged, the two together change it
+    g = chevalley_presentation(DynkinType("A", 2)).to_lie_algebra(F7)
+    gram = [list(killing_form(g).gram.row(i)) for i in range(g.dim)]
+    for i, j in entries:
+        gram[i][j] = gram[j][i] = 1
+    f = lieform.liealg.BilinearForm(g, Matrix.from_rows(F7, gram))
+    sizes = _det_sizes(monkeypatch)
+    assert lieform.liealg._discriminant(f) == det(f.gram)
+    assert sizes == [g.dim]
+    assert is_perfect(f) == _dense_is_perfect(f)
+    if len(entries) == 2:
+        assert det(f.gram) != det(killing_form(g).gram)
+
+
+def test_discriminant_over_dual_numbers_stays_in_small_blocks(monkeypatch):
+    t = DynkinType("F", 4)
+    kf = killing_form(chevalley_presentation(t).to_lie_algebra(DualNumbers(F5)))
+    sizes = _det_sizes(monkeypatch)
+    assert is_perfect(kf)
+    assert max(sizes) == t.rank
 
 
 def test_row_across_two_degrees_raises_under_python_O():
