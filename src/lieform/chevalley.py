@@ -16,9 +16,10 @@ sum_j coords_j * base**j of all sums.  `_root_data` derives norms, string
 lengths, Cartan pairings and coroots as whole arrays; the sign recursion
 runs on index pairs and raises on any inexact division; `_check_constants`
 compares whole arrays (N != 0 exactly where a + b is a root, |N| = p + 1,
-antisymmetry, negation rule); `verify_jacobi` then certifies every pair of
-the table.  All checks raise AssertionError (or its subclass
-JacobiFailure), so `python -O` keeps them.
+antisymmetry, negation rule); `verify_jacobi` then certifies the Jacobi
+identity on every sorted triple of basis indices, chunked by output index.
+All checks raise AssertionError (or its subclass JacobiFailure), so
+`python -O` keeps them.
 """
 
 from __future__ import annotations
@@ -217,55 +218,73 @@ def _join(ptr: np.ndarray, idx: np.ndarray) -> tuple:
     return q, np.arange(len(q)) - np.repeat(np.cumsum(cnt) - cnt, cnt) + lo[q]
 
 
-def verify_jacobi(pres: ChevalleyPresentation) -> int:
-    """Check ad([b_i, b_g]) = [ad b_i, ad b_g] exactly over the integers
-    for all dim*(dim-1)/2 unordered pairs {i, g}; returns that count.
+# products per chunk of the Jacobi check; bounds its working memory
+_JACOBI_CHUNK = 8192
 
-    One pair certifies the Jacobi identity for all dim triples (i, g, k),
-    so the pairs cover the complete triple loop.  The check is batched
-    over i: every ad map is one COO list ad_i[r, c] = v, and for each g the
-    three terms ad_i ad_g, ad_g ad_i and sum_k c_(igk) ad_k are joins of
-    that list on their shared index, summed per (i, r, c) with i < g.  A
-    nonzero sum raises JacobiFailure naming the pair and the entry (r, c)
-    of the defect.
+
+def verify_jacobi(pres: ChevalleyPresentation) -> int:
+    """Check the Jacobi identity exactly over the integers on every sorted
+    triple a < b < c of basis indices; returns dim*(dim-1)/2, the number of
+    pairs that [ad a, ad b] = ad[a, b] would check.
+
+    J(a,b,c)_l = sum_m C[b,c,m] C[a,m,l] - C[a,c,m] C[b,m,l]
+    + C[a,b,m] C[c,m,l].  Each term is a stored table term [y, z] ∋ c e_m,
+    y < z, times an ad entry [x, e_m] ∋ v e_l with x not in {y, z}, and
+    its sign is -1 exactly when y < x < z.  Triples with a repeated index
+    vanish by antisymmetry, so the sorted triples certify every pair.  The
+    terms are one join on m, chunked by output index l (whole groups of l,
+    at most _JACOBI_CHUNK products each), summed per key
+    ((b*dim + a)*dim + l)*dim + c.  A nonzero sum raises JacobiFailure
+    with the smallest failing key: pair (a, b) and entry (l, c) of the
+    defect [ad a, ad b] - ad[a, b], whose value is J(a,b,c)_l.
     """
     dim = pres.dim
-    i, j, k, c = np.array([(i, j, k, c) for (i, j), terms in pres.table.items()
-                           for k, c in terms], dtype=np.int64).reshape(-1, 4).T
-    coo = np.stack((np.r_[i, j], np.r_[k, k], np.r_[j, i], np.r_[c, -c]))
-    # keys (i*dim + r)*dim + c are below dim^3; a key sums at most 3*dim
-    # products of two constants, and |c| <= 6 up to rank 8
-    cmax = int(np.abs(c).max(initial=0))
-    if dim ** 3 >= 2 ** 63 or 3 * dim * cmax * cmax >= 2 ** 63:
+    ty, tz, tm, tc = np.array([(i, j, k, c) for (i, j), terms in pres.table.items()
+                               for k, c in terms], dtype=np.int64).reshape(-1, 4).T
+    # keys are below dim^4; a key sums at most 3*dim products of two
+    # constants, and |c| <= 6 up to rank 8
+    cmax = int(np.abs(tc).max(initial=0))
+    if dim ** 4 >= 2 ** 63 or 3 * dim * cmax * cmax >= 2 ** 63:
         raise OverflowError("Jacobi check of %s exceeds int64" % (pres.dynkin.name,))
-    ai, ar, ac, av = coo[:, np.lexsort(coo[2::-1])]         # by (i, r, c)
-    bi, br, bc, bv = coo[:, np.argsort(coo[1], kind="stable")]  # by r
-    span = np.arange(dim + 1)
-    ptr, rowptr = np.searchsorted(ai, span), np.searchsorted(br, span)
-    for g in range(dim):
-        gr, gc, gv = (x[ptr[g]:ptr[g + 1]] for x in (ar, ac, av))
-        q1, t1 = _join(np.searchsorted(gr, span), ac)        # ad_i[r, m] ad_g[m, c]
-        q2, t2 = _join(rowptr, gc)                           # ad_g[r, m] ad_i[m, c]
-        q3, t3 = _join(ptr, gr)                              # ad_g[k, i] ad_k[r, c]
-        keys = np.concatenate(((ai[q1] * dim + ar[q1]) * dim + gc[t1],
-                               (bi[t2] * dim + gr[q2]) * dim + bc[t2],
-                               (gc[q3] * dim + ar[t3]) * dim + ac[t3]))
-        vals = np.concatenate((av[q1] * gv[t1], -gv[q2] * bv[t2], gv[q3] * av[t3]))
-        keep = keys < g * dim * dim                          # pairs i < g only
-        keys, vals = keys[keep], vals[keep]
-        keys, inv = np.unique(keys, return_inverse=True)
-        sums = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(sums, inv, vals)
+    order = np.argsort(tm, kind="stable")                # table terms by m
+    ty, tz, tm, tc = ty[order], tz[order], tm[order], tc[order]
+    tptr = np.searchsorted(tm, np.arange(dim + 1))
+    # ad entries [x, e_m] ∋ v e_l, sorted by l
+    ad = np.stack((np.r_[ty, tz], np.r_[tz, ty], np.r_[tm, tm], np.r_[tc, -tc]))
+    ax, am, al, av = ad[:, np.argsort(ad[2], kind="stable")]
+    lptr = np.searchsorted(al, np.arange(dim + 1))
+    # products before each group of l; chunks end on those boundaries
+    before = np.r_[0, np.cumsum(np.diff(tptr)[am])][lptr]
+    best = None
+    lo = 0
+    while lo < dim:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _JACOBI_CHUNK,
+                                             side="right")) - 1)
+        s = slice(lptr[lo], lptr[hi])
+        q, t = _join(tptr, am[s])
+        x, y, z = ax[s][q], ty[t], tz[t]
+        keep = (x != y) & (x != z)
+        q, t, x, y, z = q[keep], t[keep], x[keep], y[keep], z[keep]
+        vals = np.where((y < x) & (x < z), -1, 1) * av[s][q] * tc[t]
+        lo3, hi3 = np.minimum(x, y), np.maximum(x, z)
+        keys = (((x + y + z - lo3 - hi3) * dim + lo3) * dim + al[s][q]) * dim + hi3
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+        keys, sums = keys[first], np.add.reduceat(vals, first)
         bad = np.flatnonzero(sums)
-        if bad.size:
-            key, val = int(keys[bad[0]]), int(sums[bad[0]])
-            i, r, c = key // (dim * dim), key // dim % dim, key % dim
-            x, y = pres.labels[i], pres.labels[g]
-            raise JacobiFailure(
-                "Jacobi fails at pair (%s, %s) of %s: entry (%s, %s) of "
-                "[ad %s, ad %s] - ad[%s, %s] is %d" % (
-                    x, y, pres.dynkin.name, pres.labels[r], pres.labels[c],
-                    x, y, x, y, val))
+        if bad.size and (best is None or keys[bad[0]] < best[0]):
+            best = int(keys[bad[0]]), int(sums[bad[0]])
+        lo = hi
+    if best is not None:
+        key, val = best
+        b, a, l, c = key // dim ** 3, key // dim ** 2 % dim, key // dim % dim, key % dim
+        x, y = pres.labels[a], pres.labels[b]
+        raise JacobiFailure(
+            "Jacobi fails at pair (%s, %s) of %s: entry (%s, %s) of "
+            "[ad %s, ad %s] - ad[%s, %s] is %d" % (
+                x, y, pres.dynkin.name, pres.labels[l], pres.labels[c],
+                x, y, x, y, val))
     return dim * (dim - 1) // 2
 
 

@@ -61,19 +61,24 @@ def predict_perfect(t: DynkinType, p: int) -> PerfectnessVerdict:
     return PerfectnessVerdict(t, p, reason == "PERFECT", reason)
 
 
+@lru_cache(maxsize=1)
+def _integral_algebra(t: DynkinType):
+    """The integral Lie algebra of type t; one slot, so the Gram and the
+    discriminant of a type share one build and one table is alive at a time."""
+    return chevalley_presentation(t).to_lie_algebra(ZZ)
+
+
 @lru_cache(maxsize=None)
 def integral_killing_gram(t: DynkinType) -> Matrix:
     """Killing Gram of the integral basis, computed once per type."""
-    g = chevalley_presentation(t).to_lie_algebra(ZZ)
-    return killing_form(g).gram
+    return killing_form(_integral_algebra(t)).gram
 
 
 @lru_cache(maxsize=None)
 def _integral_discriminant(t: DynkinType) -> int:
     """det of integral_killing_gram(t), computed once per type."""
-    gram = integral_killing_gram(t)     # first, so one table is alive at a time
-    g = chevalley_presentation(t).to_lie_algebra(ZZ)
-    return _discriminant(BilinearForm(g, gram))
+    gram = integral_killing_gram(t)
+    return _discriminant(BilinearForm(_integral_algebra(t), gram))
 
 
 def oracle_perfect(t: DynkinType, p: int) -> bool:

@@ -415,13 +415,22 @@ def det(m: Matrix):
     if kind == "prime_field":
         return _bareiss_det_int(m.rows()) % ring.p
     if kind == "dual_numbers":
-        # det(A + eps B) = det(A) + eps * sum_i det(A with row i replaced by B row i)
+        # det(A + eps B) = det(A) + eps * d1 with d1 = det(A) tr(A^-1 B)
+        # (Jacobi's formula) when det(A) is a unit, and otherwise
+        # d1 = sum_i det(A with row i replaced by B row i)
         base = ring.base
         arows = [[v[0] for v in m.row(i)] for i in range(n)]
         brows = [[v[1] for v in m.row(i)] for i in range(n)]
         a_m = Matrix.from_rows(base, arows)
         d0 = det(a_m)
         d1 = base.zero()
+        if base.is_unit(d0):
+            ainv = inverse(a_m)
+            for k, row in enumerate(brows):
+                for i, b in enumerate(row):
+                    if not base.is_zero(b):
+                        d1 = base.add(d1, base.mul(ainv.raw(i, k), b))
+            return (d0, base.mul(d0, d1))
         for i in range(n):
             mixed = [list(brows[r]) if r == i else list(arows[r]) for r in range(n)]
             d1 = base.add(d1, det(Matrix.from_rows(base, mixed)))

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +101,84 @@ def test_jacobi_failure_names_its_witness():
     msg = str(err.value)
     assert "pair (X[0,0,1], X[0,1,0]) of B3" in msg
     assert "entry (H2, X[0,-1,-1])" in msg
+
+
+def _reference_jacobi(pres):
+    """The JacobiFailure message verify_jacobi should raise, or None, from
+    a loop over sorted triples a < b < c through pres.bracket: the failure
+    with the least (b, a, l, c), J(a,b,c)_l the coefficient of b_l."""
+    def bracket_sum(x, terms):
+        out = {}
+        for m, v in terms:
+            for l, w in pres.bracket(x, m):
+                out[l] = out.get(l, 0) + v * w
+        return out
+
+    for b in range(pres.dim):
+        fails = []
+        for a in range(b):
+            for c in range(b + 1, pres.dim):
+                jac = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for l, v in bracket_sum(x, pres.bracket(y, z)).items():
+                        jac[l] = jac.get(l, 0) + v
+                fails += [(a, l, c, v) for l, v in jac.items() if v]
+        if fails:
+            a, l, c, v = min(fails)
+            x, y, lab = pres.labels[a], pres.labels[b], pres.labels
+            return ("Jacobi fails at pair (%s, %s) of %s: entry (%s, %s) of "
+                    "[ad %s, ad %s] - ad[%s, %s] is %d" % (
+                        x, y, pres.dynkin.name, lab[l], lab[c], x, y, x, y, v))
+    return None
+
+
+def _corrupted(pres, rng):
+    """pres with one table entry changed: a coefficient, a target index,
+    or a dropped term."""
+    key = rng.choice(sorted(pres.table))
+    terms = list(pres.table[key])
+    n = rng.randrange(len(terms))
+    k, c = terms[n]
+    mode = rng.randrange(3)
+    if mode == 0:
+        terms[n] = (k, c + rng.choice((-2, -1, 1, 2)))
+    elif mode == 1:
+        terms[n] = (rng.randrange(pres.dim), c)
+    else:
+        del terms[n]
+    return dataclasses.replace(pres, table={**pres.table, key: tuple(terms)})
+
+
+@pytest.mark.parametrize("chunk", [None, 64], ids=["one-chunk", "small-chunks"])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C2", "G2", "B3", "D4"])
+def test_jacobi_matches_the_triple_loop_reference(name, chunk, monkeypatch):
+    if chunk is not None:       # failures then spread over many chunks
+        monkeypatch.setattr(lieform.chevalley, "_JACOBI_CHUNK", chunk)
+    pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
+    rng = random.Random(name)
+    cases = [pres] + [_corrupted(pres, rng) for _ in range(6)]
+    failed = 0
+    for case in cases:
+        want = _reference_jacobi(case)
+        if want is None:
+            assert verify_jacobi(case) == pres.dim * (pres.dim - 1) // 2
+        else:
+            failed += 1
+            with pytest.raises(JacobiFailure) as err:
+                verify_jacobi(case)
+            assert str(err.value) == want
+    assert _reference_jacobi(pres) is None and failed >= 3
+
+
+def test_jacobi_check_memory_is_bounded():
+    pres = chevalley_presentation(DynkinType("E", 8))
+    tracemalloc.start()
+    try:
+        verify_jacobi(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("t,mrank", [

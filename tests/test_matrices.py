@@ -96,6 +96,30 @@ def test_dual_number_determinant():
     assert det(m) == (1, 4)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_dual_number_determinant_matches_the_row_replacement_sum(p):
+    # Jacobi's formula for a unit det(A) and the row-replacement sum for a
+    # singular A must agree with the sum on every matrix
+    import random
+    base = PrimeField(p)
+    d = DualNumbers(base)
+    rng = random.Random(p)
+    singular = 0
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0 and n > 1:        # force a singular A
+            a[-1] = [(x + 2 * y) % p for x, y in zip(a[0], a[1 % (n - 1)])]
+        d0 = det(M(base, a))
+        d1 = sum(det(M(base, [b[r] if r == i else a[r] for r in range(n)]))
+                 for i in range(n)) % p
+        singular += d0 == 0
+        assert det(M(d, [[(x, y) for x, y in zip(ra, rb)]
+                         for ra, rb in zip(a, b)])) == (d0, d1)
+    assert 20 <= singular < 60
+
+
 def test_bareiss_on_larger_integer_matrix():
     m = M(ZZ, [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]])
     assert det(m) == 98
