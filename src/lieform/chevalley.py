@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -292,33 +293,6 @@ def verify_jacobi(pres: ChevalleyPresentation) -> int:
 # classical matrix realizations
 # ---------------------------------------------------------------------------
 
-def _dlin(x: dict, y: dict, c: int = -1) -> dict:
-    """x + c*y for dict-matrices {(row, col): int}, without zero entries."""
-    out = dict(x)
-    for k, v in y.items():
-        nv = out.get(k, 0) + c * v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _dmul(x: dict, y: dict) -> dict:
-    yrows: dict = {}
-    for (r, c), v in y.items():
-        yrows.setdefault(r, []).append((c, v))
-    out: dict = {}
-    for (r, c), v in x.items():
-        for c2, v2 in yrows.get(c, ()):
-            out[(r, c2)] = out.get((r, c2), 0) + v * v2
-    return out
-
-
-def _dcomm(x: dict, y: dict) -> dict:
-    return {k: v for k, v in _dlin(_dmul(x, y), _dmul(y, x)).items() if v}
-
-
 def _simple_triples(t: DynkinType):
     """(x_i, y_i, h_i) dict-matrices for each node, plus the module rank."""
     n = t.rank
@@ -389,6 +363,14 @@ class MatrixRealization:
 
 @lru_cache(maxsize=None)
 def matrix_realization(t: DynkinType) -> MatrixRealization:
+    from .liealg import _nonzero_product, _summed
+
+    def commutator(x: dict, y: dict) -> dict:
+        """xy - yx for integer matrices {(row, col): int}, without zeros."""
+        return _summed(ZZ, chain(_nonzero_product(ZZ, x.items(), y).items(),
+                                 _nonzero_product(ZZ, ((k, -v) for k, v in y.items()),
+                                                  x).items()))
+
     if t.series not in "ABCD":
         raise NotClassical("no defining realization for series %s" % t.series)
     pres = chevalley_presentation(t)
@@ -405,21 +387,17 @@ def matrix_realization(t: DynkinType) -> MatrixRealization:
         nval = pres.table[(rank + a, rank + b)][0][1]
         # X_g = [X_a, X_b] / N(a, b) and X_-g = -[X_-a, X_-b] / N(a, b)
         for x, y, z, sign in ((a, b, g, 1), (neg[a], neg[b], neg[g], -1)):
-            prod = _dcomm(imgs[x], imgs[y])
+            prod = commutator(imgs[x], imgs[y])
             if any(v % nval for v in prod.values()):
                 raise AssertionError("realization of %s: [X_a, X_b] is not "
                                      "divisible by N(a, b) at %s" % (t, roots[z]))
             imgs[z] = {k: sign * v // nval for k, v in prod.items()}
     mats = [trip[i][2] for i in range(rank)] + imgs
     # full bracket-compatibility check against the abstract constants
-    for i in range(pres.dim):
-        for j in range(i + 1, pres.dim):
-            expect: dict = {}
-            for k, c in pres.bracket(i, j):
-                expect = _dlin(expect, mats[k], c)
-            if _dlin(_dcomm(mats[i], mats[j]), expect):
-                raise AssertionError("realization bracket mismatch at (%d,%d)"
-                                     % (i, j))
+    for i, j in combinations(range(pres.dim), 2):
+        expect = ((key, -c * v) for k, c in pres.bracket(i, j) for key, v in mats[k].items())
+        if _summed(ZZ, chain(commutator(mats[i], mats[j]).items(), expect)):
+            raise AssertionError("realization bracket mismatch at (%d,%d)" % (i, j))
     return MatrixRealization(pres, m, tuple(
         Matrix(ZZ, m, m, tuple(d.get((r, c), 0) for r in range(m) for c in range(m)))
         for d in mats))

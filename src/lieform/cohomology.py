@@ -18,9 +18,11 @@ x·m = [σx, m], which is what the obstruction calculus for lifting needs.
 Since ad(σx) = σ ad(x) σ⁻¹, twisting is a conjugation:
 d_σ = (σ⊗I)·d·(σ⁻¹⊗I), where σ⊗I acts on the coefficient index a of a
 cochain index a*m + q.  `lift_automorphism` therefore never builds a
-twisted complex.  It works against the untwisted dense d1, kernel(d1) and
-sparse d2, which are built once per (quotient field, dim, bracket table)
-and kept in an `lru_cache`, and transports its data through σ⊗I.
+twisted complex.  It works against the untwisted d1, split into its
+root-lattice degree blocks, kernel(d1) and sparse d2, built once per
+(quotient field, dim, bracket table, `dynkin` label) and kept in an
+`lru_cache`; it solves d1·y = θ only in the blocks where θ is nonzero, and
+transports its data through σ⊗I.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _adjoint_complex,
-                     _bracket_defect, _dense, _nonzero_product, _summed,
+                     _bracket_defect, _degree_blocks, _dense, _graded_kernel,
+                     _nonzero_product, _slot_degrees, _summed, _weights,
                      base_change, is_lie_automorphism, is_perfect, killing_form)
-from .matrices import Matrix, inverse, kernel, pivots, rank, solve_linear
+from .matrices import Matrix, inverse, pivots, rank, solve_linear
 from .rings import PrimeField, RingSpec, UnsupportedRing
 
 
@@ -110,19 +113,45 @@ def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
     pairs, triples, d0, d1, d2 = _sparse_complex(g, twist)
     ring, n = g.ring, g.dim
     return CochainComplex(g, twist, pairs, triples,
-                          _dense(ring, n, d0, n * n),
-                          _dense(ring, n * n, d1, n * len(pairs)),
-                          _dense(ring, n * len(pairs), d2, n * len(triples)))
+                          _dense(ring, n, d0, range(n * n)),
+                          _dense(ring, n * n, d1, range(n * len(pairs))),
+                          _dense(ring, n * len(pairs), d2, range(n * len(triples))))
 
 
 @lru_cache(maxsize=None)
-def _untwisted_complex(ring: RingSpec, dim: int, table: tuple):
-    """(d1 dense, kernel(d1), d2 as a tuple of ((row, col), raw)) of the
-    untwisted complex of the algebra with this sorted bracket table."""
-    g = LieAlgebra(ring, dim, dict(table), check=False)
-    pairs, _, _, d1, d2 = _sparse_complex(g, None)
-    d1 = _dense(ring, dim * dim, d1, dim * len(pairs))
-    return d1, kernel(d1), tuple(d2.items())
+def _untwisted_complex(ring: RingSpec, dim: int, table: tuple, dynkin):
+    """({row: degree}, {degree: (columns, rows, block)}) of d1, split by
+    `liealg._degree_blocks` with degree wt(m) - wt(k) at column m*dim + k,
+    kernel(d1), and d2 as a tuple of ((row, col), raw), for the untwisted
+    complex of the algebra with this sorted table and `dynkin` label."""
+    g = LieAlgebra(ring, dim, dict(table), dynkin=dynkin, check=False)
+    _, _, _, d1, d2 = _sparse_complex(g, None)
+    degrees = _slot_degrees(_weights(g))
+    row_degree, blocks = _degree_blocks(ring, degrees, d1)
+    return row_degree, blocks, _graded_kernel(ring, degrees, d1), tuple(d2.items())
+
+
+def _solve_by_blocks(ring: RingSpec, row_degree: dict, blocks: dict, ncols: int,
+                     rhs: dict) -> Optional[Matrix]:
+    """solve_linear(d, b) for the map d split by `liealg._degree_blocks`
+    into row_degree and blocks, b given as {row: raw} without zeros.
+
+    d is block diagonal, so its pivot columns are those of its blocks, and
+    the solution that is zero at every other column is found by solving
+    only the blocks of the rows where b is nonzero, each on its own.
+    """
+    if any(r not in row_degree for r in rhs):
+        return None
+    y = [ring.zero()] * ncols
+    for d in {row_degree[r] for r in rhs}:
+        cols, rows, block = blocks[d]
+        sol = solve_linear(block, Matrix(ring, len(rows), 1,
+                                         tuple(rhs.get(r, ring.zero()) for r in rows)))
+        if sol is None:
+            return None
+        for c, v in zip(cols, sol.data):
+            y[c] = v
+    return Matrix(ring, ncols, 1, tuple(y))
 
 
 def cohomology_dim(cx: CochainComplex, degree: int) -> int:
@@ -234,6 +263,7 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
     d1_σ is K_σ = (σ⊗I)·kernel(d1), and c is a non-pivot column exactly
     when a kernel vector has its last nonzero entry at c.  So F is read
     from K_σ bottom up, and delta = delta0 - K_σ·x with K_σ[F]·x = delta0[F].
+    d1·y = (σ⁻¹⊗I)·theta is solved one degree block of d1 at a time.
     """
     if g.ring.kind != "integers":
         raise UnsupportedRing("lifting starts from an integral table")
@@ -250,7 +280,8 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
 
     total, quot = ext.total_ring, ext.quotient_ring
     n = g.dim
-    d1, ker, d2 = _untwisted_complex(quot, n, tuple(sorted(gq.table.items())))
+    row_degree, blocks, ker, d2 = _untwisted_complex(
+        quot, n, tuple(sorted(gq.table.items())), gq.dynkin)
     gt = base_change(g, total)
     sigma0 = Matrix(total, n, n, tuple(ext.lift_raw(v) for v in sigma_bar.data))
 
@@ -265,10 +296,10 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
 
     # d2_σ·theta = (σ⊗I)·d2·theta_u, so the cocycle check runs untwisted
     theta_u = _transport(inverse(sigma_bar), Matrix.column(quot, theta))
-    column = {(c, 0): t for c, t in enumerate(theta_u.data) if not quot.is_zero(t)}
-    if _nonzero_product(quot, d2, column):
+    rhs = {r: t for r, t in enumerate(theta_u.data) if not quot.is_zero(t)}
+    if _nonzero_product(quot, d2, {(r, 0): t for r, t in rhs.items()}):
         raise AssertionError("lift defect failed the cocycle identity")
-    y = solve_linear(d1, theta_u)
+    y = _solve_by_blocks(quot, row_degree, blocks, n * n, rhs)
     if y is None:
         raise AssertionError("no primitive despite a perfect Killing form")
 

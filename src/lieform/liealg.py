@@ -120,7 +120,7 @@ class LieAlgebra:
         vals = self._raws(v)
         return _dense(ring, n, _summed(ring, (((a, b), ring.mul(vals[i], c))
                                              for i, a, b, c in _ad_entries(self)
-                                             if not ring.is_zero(vals[i]))), n)
+                                             if not ring.is_zero(vals[i]))), range(n))
 
     def basis_vector(self, i: int) -> tuple:
         z, o = self.ring.zero(), self.ring.one()
@@ -233,10 +233,10 @@ def _adjoint_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> tuple:
     return pairs, acts, d0, d1
 
 
-def _dense(ring: RingSpec, ncols: int, entries: dict, nrows=None) -> Matrix:
-    """A sparse map {(row, col): raw} as a Matrix; without nrows, only its
-    nonempty rows, in order (the kernel is the same)."""
-    rows = range(nrows) if nrows is not None else sorted({r for r, _ in entries})
+def _dense(ring: RingSpec, ncols: int, entries: dict, rows=None) -> Matrix:
+    """A sparse map {(row, col): raw} as a Matrix on the given rows, in
+    order; without rows, only its nonempty rows (the kernel is the same)."""
+    rows = sorted({r for r, _ in entries}) if rows is None else rows
     at = {r: t for t, r in enumerate(rows)}
     flat = [ring.zero()] * (len(rows) * ncols)
     for (r, c), v in entries.items():
@@ -321,17 +321,17 @@ def _weights(g: LieAlgebra) -> list:
     return [()] * g.dim
 
 
-def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
-    """kernel(_dense(ring, len(degrees), entries)), entry for entry, taken
-    one degree block at a time: column c of the sparse map {(row, col): raw}
-    has degree degrees[c], and every row must lie in one degree.
+def _slot_degrees(wt: list) -> list:
+    """The degree wt(m) - wt(k) of each 1-cochain slot m*dim + k: D[m, k]."""
+    return [tuple(x - y for x, y in zip(wm, wk)) for wm in wt for wk in wt]
 
-    Each block (its columns in increasing order, its nonempty rows) is
-    eliminated on its own.  A column is a pivot of the whole map iff it is
-    one of its block, and the reduced-echelon kernel basis is unique, so
-    the free column f gives the same vector: 1 at f, minus the reduced row
-    entries at the block's pivot columns.  Columns are sorted by f.
-    """
+
+def _degree_blocks(ring: RingSpec, degrees: list, entries: dict) -> tuple:
+    """The diagonal blocks of the sparse map {(row, col): raw} whose column
+    c has degree degrees[c]; every row must lie in one degree.  Returns
+    {row: its degree} for the nonempty rows, and per degree, in order of
+    first column, (its columns in increasing order, its nonempty rows in
+    increasing order, the block on those rows and columns)."""
     blocks: dict = defaultdict(list)           # degree -> its columns
     local = []                                 # column -> its place in its block
     for c, d in enumerate(degrees):
@@ -345,11 +345,25 @@ def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
             raise AssertionError("row %d has entries in degrees %r and %r"
                                  % (r, row_degree[r], d))
         parts[d][(r, local[c])] = v
+    for d, cols in blocks.items():
+        rows = sorted({r for r, _ in parts[d]})
+        blocks[d] = (cols, rows, _dense(ring, len(cols), parts[d], rows))
+    return row_degree, blocks
+
+
+def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
+    """kernel(_dense(ring, len(degrees), entries)), entry for entry, taken
+    one `_degree_blocks` block at a time.
+
+    A column is a pivot of the whole map iff it is one of its block, and
+    the reduced-echelon kernel basis is unique, so the free column f gives
+    the same vector: 1 at f, minus the reduced row entries at the block's
+    pivot columns.  Columns are sorted by f.
+    """
     one, neg = ring.one(), ring.neg
     vectors = []                               # (free column, {col: raw})
-    for d, cols in blocks.items():
-        pivots, free, rest, _ = _echelon(_dense(ring, len(cols), parts[d]),
-                                         reduce_up=True)
+    for cols, _, block in _degree_blocks(ring, degrees, entries)[1].values():
+        pivots, free, rest, _ = _echelon(block, reduce_up=True)
         for t, f in enumerate(free):
             vec = {cols[f]: one}
             for pc, row in zip(pivots, rest):
@@ -378,9 +392,35 @@ def derivation_algebra(g: LieAlgebra) -> Matrix:
     degree wt(m) - wt(k)."""
     if not g.ring.is_field:
         raise UnsupportedRing("derivations need a field-kind ring")
+    return _graded_kernel(g.ring, _slot_degrees(_weights(g)), _adjoint_complex(g)[3])
+
+
+def _spans_inner_derivations(g: LieAlgebra, ders: Matrix) -> bool:
+    """Whether the columns of ders are a basis of the inner derivations:
+    for the dim^2 x dim matrix `inner` whose column i is ad(b_i),
+    rank(inner) == dim, inner lies in the span of ders and
+    rank(ders | inner) == ders.ncols.  The last two hold iff the pivot
+    columns of (ders | inner) are those of ders.
+
+    Both eliminations run one `_degree_blocks` block at a time: ad(b_i)
+    has degree wt(i), and each column that `derivation_algebra` returns
+    lies in one degree, that of its slots.
+    """
+    ring, n, k = g.ring, g.dim, ders.ncols
     wt = _weights(g)
-    degrees = [tuple(x - y for x, y in zip(wm, wk)) for wm in wt for wk in wt]
-    return _graded_kernel(g.ring, degrees, _adjoint_complex(g)[3])
+    degrees = _slot_degrees(wt)
+    inner = _summed(ring, (((a * n + b, i), v) for i, a, b, v in _ad_entries(g)))
+    both = {(s, k + i): v for (s, i), v in inner.items()}
+    col_degrees = []
+    for j in range(k):
+        col = [(s, v) for s, v in enumerate(ders.col(j)) if not ring.is_zero(v)]
+        both.update(((s, j), v) for s, v in col)
+        col_degrees.append(degrees[col[0][0]])
+    pivots = sorted(cols[c] for cols, _, block
+                    in _degree_blocks(ring, col_degrees + wt, both)[1].values()
+                    for c in _echelon(block, reduce_up=False)[0])
+    return (pivots == list(range(k)) and n == sum(
+        rank(block) for _, _, block in _degree_blocks(ring, wt, inner)[1].values()))
 
 
 def casimir(g: LieAlgebra) -> CasimirTensor:
@@ -404,7 +444,7 @@ def casimir_operator(ct: CasimirTensor) -> Matrix:
     left = (((a, (j, b)), ring.mul(cij, v))
             for i, a, b, v in entries for j, cij in partners[i])
     right = _summed(ring, ((((j, b), c), w) for j, b, c, w in entries))
-    return _dense(ring, n, _nonzero_product(ring, left, right), n)
+    return _dense(ring, n, _nonzero_product(ring, left, right), range(n))
 
 
 def apply_endo_to_casimir(ct: CasimirTensor, s: Matrix) -> Matrix:

@@ -3,17 +3,15 @@
 One elimination, `_echelon`, serves rank, pivots, solve_linear, kernel,
 inverse and saturate: each reads its answer off the same echelon form.
 Pivot choice is always "first usable entry in column order, scanning rows
-top to bottom", so identical inputs give bit-identical outputs.  `_echelon`
-is also the one place that picks the carrier: over a prime field with
-p < 2^21 it eliminates on int64 arrays (exact residues, never floats),
-over every other ring on the raw ring values.  Matrix products over such
-fields use int64 arrays too; products over every other ring multiply only
-the nonzero entries, row by row.  `det` is exact over every ring.
+top to bottom", so identical inputs give bit-identical outputs.  Every
+ring, prime fields included, eliminates on its raw values with its own
+arithmetic, and every product multiplies only the nonzero entries, row by
+row.  `det` is exact over every ring: over a field it is the product of
+the elimination's pivots.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -43,14 +41,6 @@ class Singular(Exception):
 
 class NotASubspace(Exception):
     pass
-
-
-# Largest prime modulus for which int64 elimination cannot overflow.
-_NP_PRIME_LIMIT = 1 << 21
-
-
-def _np_ok(ring: RingSpec) -> bool:
-    return ring.kind == "prime_field" and ring.p < _NP_PRIME_LIMIT
 
 
 @dataclass(frozen=True)
@@ -152,10 +142,6 @@ class Matrix:
             raise DimensionMismatch("%dx%d @ %dx%d" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
         ring = self.ring
-        if _np_ok(ring):
-            a = self.to_numpy()
-            b = other.to_numpy()
-            return Matrix.from_numpy(ring, (a @ b) % ring.p)
         # Row by row over the nonzero entries only: each zero test is made
         # once per entry, and every output entry still sums its nonzero
         # terms from `zero` in increasing l, so the values are the same.
@@ -213,65 +199,44 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination over a prime field (int64 arrays, exact residues)
+# elimination
 # ---------------------------------------------------------------------------
 
-def _modp_echelon(a: np.ndarray, p: int, reduce_up: bool) -> tuple[np.ndarray, list[int]]:
-    a = a % p
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        rows = np.nonzero(a[r:, c])[0]
-        if rows.size == 0:
-            continue
-        pr = r + int(rows[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        below = np.nonzero(a[r + 1:, c])[0]
-        if below.size:
-            idx = below + r + 1
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
-        if reduce_up and r > 0:
-            above = np.nonzero(a[:r, c])[0]
-            if above.size:
-                a[above] = (a[above] - np.outer(a[above, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _generic_echelon(m: Matrix, reduce_up: bool) -> tuple[list[list], list[int]]:
-    """Row echelon over a field or local ring; unit pivots, first-hit order."""
+def _row_reduce(m: Matrix, reduce_up: bool) -> tuple[list[list], list[int], object]:
+    """Row echelon over a field or local ring; unit pivots, first-hit order.
+    Also returns the product of the pivots times the sign of the row swaps,
+    which over a field is det(m) when every column of a square m pivots."""
     ring = m.ring
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     rows = m.rows()
     nrows, ncols = m.nrows, m.ncols
-    usable = ring.is_unit if not ring.is_field else (lambda v: not ring.is_zero(v))
     pivots = []
+    scale = ring.one()
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if usable(rows[i][c])), None)
+        pr = next((i for i in range(r, nrows) if ring.is_unit(rows[i][c])), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            scale = ring.neg(scale)
+        scale = mul(scale, rows[r][c])
         inv = ring.inv(rows[r][c])
-        rows[r] = [ring.mul(inv, v) for v in rows[r]]
         # a target row changes only where the pivot row is nonzero
-        support = [(j, w) for j, w in enumerate(rows[r]) if not ring.is_zero(w)]
+        support = [(j, mul(inv, w)) for j, w in enumerate(rows[r]) if not is_zero(w)]
+        for j, w in support:
+            rows[r][j] = w
         targets = range(nrows) if reduce_up else range(r + 1, nrows)
         for i in targets:
-            if i != r and not ring.is_zero(rows[i][c]):
-                row, f = rows[i], rows[i][c]
+            if i != r and not is_zero(rows[i][c]):
+                row, nf = rows[i], ring.neg(rows[i][c])
                 for j, w in support:
-                    row[j] = ring.sub(row[j], ring.mul(f, w))
+                    row[j] = add(row[j], mul(nf, w))
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return rows, pivots, scale
 
 
 def _echelon(m: Matrix, reduce_up: bool) -> tuple[list[int], list[int], list[list], bool]:
@@ -279,20 +244,15 @@ def _echelon(m: Matrix, reduce_up: bool) -> tuple[list[int], list[int], list[lis
 
     Returns the pivot columns, the non-pivot columns, the pivot rows
     restricted to the non-pivot columns (raw ring values), and whether
-    every row below the pivot rows is zero.  Over a prime field with
-    p < 2^21 it runs on int64 arrays; everywhere else on raw ring values.
+    every row below the pivot rows is zero: always over a field, where any
+    nonzero entry can pivot, not always over Z/p^k, Z_(p) and F_p[eps].
     """
     ring = m.ring
-    if _np_ok(ring):
-        ech, pivots = _modp_echelon(m.to_numpy(), ring.p, reduce_up)
-        free = [c for c in range(m.ncols) if c not in pivots]
-        r = len(pivots)
-        return pivots, free, ech[:r][:, free].tolist(), not ech[r:].any()
-    rows, pivots = _generic_echelon(m, reduce_up)
+    rows, pivots, _ = _row_reduce(m, reduce_up)
     free = [c for c in range(m.ncols) if c not in pivots]
     r = len(pivots)
     return (pivots, free, [[row[c] for c in free] for row in rows[:r]],
-            all(ring.is_zero(v) for row in rows[r:] for v in row))
+            ring.is_field or all(ring.is_zero(v) for row in rows[r:] for v in row))
 
 
 def rank(m: Matrix) -> int:
@@ -399,21 +359,14 @@ def det(m: Matrix):
     kind = ring.kind
     if kind == "integers":
         return _bareiss_det_int(m.rows())
-    if kind in ("rationals", "localized_at_p"):
-        rows = m.rows()
-        scale = Fraction(1)
-        int_rows = []
-        for row in rows:
-            l = 1
-            for v in row:
-                l = l * v.denominator // math.gcd(l, v.denominator)
-            scale *= l
-            int_rows.append([int(v * l) for v in row])
-        return Fraction(_bareiss_det_int(int_rows)) / scale
     if kind == "integers_mod_pk":
         return _bareiss_det_int(m.rows()) % ring.modulus
-    if kind == "prime_field":
-        return _bareiss_det_int(m.rows()) % ring.p
+    if kind == "localized_at_p":
+        # the same value over QQ, whose pivots may be divisible by p
+        return det(Matrix(QQ, n, n, m.data))
+    if ring.is_field:
+        _, piv, scale = _row_reduce(m, reduce_up=False)
+        return scale if len(piv) == n else ring.zero()
     if kind == "dual_numbers":
         # det(A + eps B) = det(A) + eps * d1 with d1 = det(A) tr(A^-1 B)
         # (Jacobi's formula) when det(A) is a unit, and otherwise

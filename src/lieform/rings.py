@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Any
 
 
@@ -245,6 +244,9 @@ class PrimeField(RingSpec):
 
     def neg(self, a):
         return (-a) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

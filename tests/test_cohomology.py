@@ -316,6 +316,48 @@ def test_lifts_share_one_untwisted_complex(monkeypatch):
     assert (info.misses, info.hits) == (1, 9)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_block_solve_equals_the_dense_solve(name, p, monkeypatch):
+    # the lift solves d1·y = theta_u one degree block of d1 at a time; each
+    # system it meets, an rhs on a row d1 never reaches, rhs in the image
+    # and random rhs must give what the dense solve on the whole d1 gives
+    from lieform.liealg import _dense
+    fp = PrimeField(p)
+    pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
+    n = pres.dim
+    d1 = cohomology._sparse_complex(pres.to_lie_algebra(fp), None)[3]
+    dense = _dense(fp, n * n, d1, range(n * n * (n - 1) // 2))
+    real, seen = cohomology._solve_by_blocks, []
+
+    def spy(ring, row_degree, blocks, ncols, rhs):
+        seen.append((row_degree, blocks, rhs))
+        return real(ring, row_degree, blocks, ncols, rhs)
+
+    def both(row_degree, blocks, rhs):
+        col = Matrix(fp, dense.nrows, 1, tuple(rhs.get(r, 0) for r in range(dense.nrows)))
+        return real(fp, row_degree, blocks, n * n, rhs), solve_linear(dense, col)
+
+    monkeypatch.setattr(cohomology, "_solve_by_blocks", spy)
+    ext = square_zero_extension(IntegersModPk(p, 2))
+    rng = random.Random(p)
+    for _ in range(3):
+        lift_automorphism(pres.to_lie_algebra(ZZ), ext,
+                          _seeded_automorphism(pres, fp, rng))
+    assert len(seen) == 3 and all(rhs for _, _, rhs in seen)
+    row_degree, blocks = seen[0][:2]
+    assert len(blocks) > 1
+    unreached = next(r for r in range(dense.nrows) if r not in row_degree)
+    image = dense @ Matrix(fp, n * n, 1, tuple(rng.randrange(p) for _ in range(n * n)))
+    cases = [rhs for _, _, rhs in seen] + [
+        {unreached: 1},
+        {r: v for r, v in enumerate(image.data) if v},
+        {r: rng.randrange(1, p) for r in rng.sample(sorted(row_degree), 3)}]
+    results = [both(row_degree, blocks, rhs) for rhs in cases]
+    assert all(got == want for got, want in results)
+    assert [got is None for got, _ in results[:5]] == [False, False, False, True, False]
+
+
 def test_lift_keeps_the_dimension_bound():
     pres = chevalley_presentation(DynkinType("B", 3))
     ext = square_zero_extension(IntegersModPk(7, 2))
@@ -329,12 +371,12 @@ def test_corrupted_d2_fails_the_cocycle_check(monkeypatch):
     # an automorphism over Z/25
     real = cohomology._untwisted_complex
 
-    def corrupted(ring, dim, table):
-        d1, ker, d2 = real(ring, dim, table)
+    def corrupted(ring, dim, table, dynkin):
+        row_degree, blocks, ker, d2 = real(ring, dim, table, dynkin)
         entries = dict(d2)
-        for c in range(d1.nrows):
+        for c in range(dim * dim * (dim - 1) // 2):
             entries[(c, c)] = ring.add(entries.get((c, c), ring.zero()), 1)
-        return d1, ker, tuple(entries.items())
+        return row_degree, blocks, ker, tuple(entries.items())
 
     monkeypatch.setattr(cohomology, "_untwisted_complex", corrupted)
     g = SL3.to_lie_algebra(ZZ)

@@ -519,6 +519,38 @@ def test_permuted_chevalley_table_keeps_one_block(tname):
     assert derivation_algebra(labelled).ncols == g.dim
 
 
+def _dense_spans_inner(g, ders):
+    """The dense check: inner is the dim^2 x dim matrix of the ad(b_i)."""
+    ads = [g.ad_matrix(g.basis_vector(i)).data for i in range(g.dim)]
+    inner = Matrix(g.ring, g.dim * g.dim, g.dim,
+                   tuple(v for entries in zip(*ads) for v in entries))
+    return (rank(inner) == g.dim and solve_linear(ders, inner) is not None
+            and rank(ders.hstack(inner)) == ders.ncols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("tname", ["A1", "A2", "A3", "B2", "C2", "G2", "B3"])
+def test_inner_span_per_degree_matches_the_dense_check(tname, p):
+    # besides the derivations themselves: one column short, the last column
+    # replaced by the first (as many pivots, not the same ones), and the
+    # inhomogeneous sum of two columns of different degrees, which the
+    # block split refuses
+    g = chevalley_presentation(DynkinType(tname[0], int(tname[1:]))).to_lie_algebra(PrimeField(p))
+    ders = derivation_algebra(g)
+    cols = [list(ders.col(j)) for j in range(ders.ncols)]
+    variants = [ders] + [Matrix(g.ring, ders.nrows, len(kept),
+                                tuple(v for row in zip(*kept) for v in row))
+                         for kept in (cols[:-1], cols[:-1] + cols[:1])]
+    got = [lieform.liealg._spans_inner_derivations(g, d) for d in variants]
+    assert got == [_dense_spans_inner(g, d) for d in variants]
+    assert got[1:] == [False, False]
+    mixed = [g.ring.add(x, y) for x, y in zip(cols[0], cols[-1])]
+    mixed = Matrix(g.ring, ders.nrows, len(cols),
+                   tuple(v for row in zip(mixed, *cols[1:]) for v in row))
+    with pytest.raises(AssertionError, match="has entries in degrees"):
+        lieform.liealg._spans_inner_derivations(g, mixed)
+
+
 # -- perfectness: the graded discriminant against the dense determinant
 
 PERFECT_RINGS = {"ZZ": ZZ, "QQ": QQ, "F2": PrimeField(2), "F3": F3, "F5": F5,

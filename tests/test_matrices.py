@@ -120,6 +120,44 @@ def test_dual_number_determinant_matches_the_row_replacement_sum(p):
     assert 20 <= singular < 60
 
 
+@pytest.mark.parametrize("ring", [F2, F5, PrimeField(2097143), QQ], ids=str)
+def test_field_determinant_matches_integer_bareiss(ring):
+    # over a field det is the product of the pivots times the sign of the
+    # row swaps; fraction-free Bareiss on integer representatives (scaled
+    # to integers over QQ) is the reference
+    import random
+    from lieform.matrices import _bareiss_det_int
+    rng = random.Random(11)
+    singular = 0
+    for trial in range(80):
+        n = rng.randint(0, 7)
+        if ring == QQ:
+            den = rng.randint(1, 4)
+            ints = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            rows = [[Fraction(x, den) for x in r] for r in ints]
+        else:
+            ints = rows = [[rng.choice((0, 0, 1, ring.p - 1, rng.randrange(ring.p)))
+                            for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 0 and n > 1:        # force a singular matrix
+            k = rng.randrange(1, n)
+            ints[k] = [2 * x for x in ints[0]]
+            rows[k] = [2 * x for x in rows[0]]
+        want = (Fraction(_bareiss_det_int(ints), den ** n) if ring == QQ
+                else _bareiss_det_int(ints) % ring.p)
+        got = det(M(ring, rows))
+        assert got == want and type(got) is type(want)
+        singular += got == 0
+    assert 15 <= singular < 80
+
+
+def test_localized_determinant_with_a_pivot_divisible_by_p():
+    # elimination in Z_(5) itself could not pivot on 5; the value is a unit
+    z5 = LocalizedAtP(5)
+    m = M(z5, [[5, 1], [1, Fraction(1, 2)]])
+    assert det(m) == Fraction(3, 2)
+    assert det(M(z5, [[5, 10], [1, 2]])) == 0
+
+
 def test_bareiss_on_larger_integer_matrix():
     m = M(ZZ, [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]])
     assert det(m) == 98
@@ -330,10 +368,11 @@ def test_elimination_results_match_pinned_digest(name):
     assert digest == PINNED_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["QQ", "Z/25", "Z_(5)", "F5[eps]", "F2097169"])
+@pytest.mark.parametrize("name", ["QQ", "Z/25", "Z_(5)", "F5[eps]", "F2097169",
+                                  "F7", "F2097143"])
 def test_generic_product_matches_triple_sum(name):
-    """The product off the int64 path skips zero entries; it must equal
-    the textbook sum over l, term by term from zero, in value and type."""
+    """The product skips zero entries; it must equal the textbook sum
+    over l, term by term from zero, in value and type."""
     import random
     ring = PINNED_RINGS[name]
     rng = random.Random(7)
