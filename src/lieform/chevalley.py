@@ -25,7 +25,7 @@ All checks raise AssertionError (or its subclass JacobiFailure), so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations
 
 import numpy as np
@@ -407,16 +407,24 @@ def matrix_realization(t: DynkinType) -> MatrixRealization:
 # automorphism builders
 # ---------------------------------------------------------------------------
 
+def _monomial(pres: ChevalleyPresentation, ring: RingSpec, h, xs: list,
+              swap: bool) -> Matrix:
+    """The matrix of H_i -> h H_i and X_k -> xs[k] X_{-k} (swap) or
+    xs[k] X_k, built from raw values."""
+    rank, dim = pres.rank, pres.dim
+    flat = [ring.zero()] * (dim * dim)
+    for i in range(rank):
+        flat[i * dim + i] = h
+    to = pres.root_system.neg_index.tolist() if swap else range(len(xs))
+    for k, (t, v) in enumerate(zip(to, xs)):
+        flat[(rank + t) * dim + rank + k] = v
+    return Matrix(ring, dim, dim, tuple(flat))
+
+
 def chevalley_involution(pres: ChevalleyPresentation, ring: RingSpec) -> Matrix:
     """H_i -> -H_i, X_a -> -X_{-a}; an automorphism of any Chevalley form."""
-    rank, dim = pres.rank, pres.dim
-    rows = [[ring.zero()] * dim for _ in range(dim)]
     mone = ring.coerce(-1)
-    for i in range(rank):
-        rows[i][i] = mone
-    for k, nk in enumerate(pres.root_system.neg_index.tolist()):
-        rows[rank + nk][rank + k] = mone
-    return Matrix.from_rows(ring, rows)
+    return _monomial(pres, ring, mone, [mone] * len(pres.root_system.roots), True)
 
 
 def torus_automorphism(pres: ChevalleyPresentation, ring: RingSpec, tval,
@@ -425,21 +433,11 @@ def torus_automorphism(pres: ChevalleyPresentation, ring: RingSpec, tval,
     tval = tval.value if isinstance(tval, Scalar) else ring.coerce(tval)
     if not ring.is_unit(tval):
         raise ValueError("torus parameter must be a unit")
-    rank, dim = pres.rank, pres.dim
-    if lam is None:
-        lam = (1,) * rank
+    lam = (1,) * pres.rank if lam is None else lam
     tinv = ring.inv(tval)
-    rows = [[ring.zero()] * dim for _ in range(dim)]
-    for i in range(rank):
-        rows[i][i] = ring.one()
-    for k, rho in enumerate(pres.root_system.roots):
-        e = sum(l * c for l, c in zip(lam, rho))
-        base, e = (tval, e) if e >= 0 else (tinv, -e)
-        v = ring.one()
-        for _ in range(e):
-            v = ring.mul(v, base)
-        rows[rank + k][rank + k] = v
-    return Matrix.from_rows(ring, rows)
+    es = [sum(l * c for l, c in zip(lam, rho)) for rho in pres.root_system.roots]
+    xs = [reduce(ring.mul, [tval if e >= 0 else tinv] * abs(e), ring.one()) for e in es]
+    return _monomial(pres, ring, ring.one(), xs, False)
 
 
 def triple_flip(pres: ChevalleyPresentation, ring: RingSpec,
@@ -453,13 +451,6 @@ def triple_flip(pres: ChevalleyPresentation, ring: RingSpec,
     odd = next((i for i, c in enumerate(alpha) if c % 2), None)
     if odd is None:
         raise ValueError("%s has no odd coordinate, so it is not a root" % (alpha,))
-    rank, dim = pres.rank, pres.dim
-    rows = [[ring.zero()] * dim for _ in range(dim)]
-    mone = ring.coerce(-1)
-    one = ring.one()
-    for i in range(rank):
-        rows[i][i] = mone
-    rs = pres.root_system
-    for k, (rho, nk) in enumerate(zip(rs.roots, rs.neg_index.tolist())):
-        rows[rank + nk][rank + k] = one if rho[odd] % 2 else mone
-    return Matrix.from_rows(ring, rows)
+    mone, one = ring.coerce(-1), ring.one()
+    return _monomial(pres, ring, mone, [one if rho[odd] % 2 else mone
+                                        for rho in pres.root_system.roots], True)

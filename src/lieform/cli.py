@@ -23,9 +23,9 @@ from .classify import (EXPECTED_RATIO, NoConstantRatio, b_series_kernel_witness,
                        predict_perfect, ratio_check, verdict_with_oracle)
 from .cohomology import (DimensionTooLarge, NotAutomorphism, ce_complex,
                          cohomology_dim, lift_automorphism, square_zero_extension)
-from .liealg import (NotPerfect, _spans_inner_derivations, apply_endo_to_casimir,
-                     base_change, casimir, casimir_operator, derivation_algebra,
-                     is_lie_automorphism, is_perfect, killing_form)
+from .liealg import (NotPerfect, _nonzero_product, _spans_inner_derivations,
+                     apply_endo_to_casimir, base_change, casimir, casimir_operator,
+                     derivation_algebra, is_lie_automorphism, is_perfect, killing_form)
 from .matrices import Matrix, NotASubspace, Singular
 from .rings import (IntegersModPk, NonIntegralDenominator, PrimeField,
                     UnsupportedRing, ZZ, format_rational, is_prime)
@@ -121,10 +121,6 @@ def _table_types(max_rank: int, dedup: bool) -> list:
     return out
 
 
-def _fmt_matrix_int(mat: Matrix) -> list:
-    return [[mat.raw(r, c) for c in range(mat.ncols)] for r in range(mat.nrows)]
-
-
 # ---------------------------------------------------------------------------
 # classify
 
@@ -132,10 +128,7 @@ def cmd_classify(args) -> int:
     t = _parse_type(args)
     p = _parse_prime(args.prime)
     inputs = {"type": t.name, "prime": p, "oracle": bool(args.oracle)}
-    if args.oracle:
-        v = verdict_with_oracle(t, p)
-    else:
-        v = predict_perfect(t, p)
+    v = verdict_with_oracle(t, p) if args.oracle else predict_perfect(t, p)
     results = {"series": t.series, "rank": t.rank, "p": p,
                "predicted": v.predicted, "reason": v.reason}
     status = "OK"
@@ -183,9 +176,14 @@ def cmd_table(args) -> int:
     inputs = {"max_rank": args.max_rank, "primes": primes,
               "oracle": bool(args.oracle), "format": args.format,
               "dedup": not args.no_dedup}
-    header = ["series", "rank", "p", "predicted", "reason"]
-    if args.oracle:
-        header += ["oracle", "agree"]
+    header = ["series", "rank", "p", "predicted", "reason"] + (
+        ["oracle", "agree"] if args.oracle else [])
+
+    def cells(r) -> list:
+        out = [r["series"], str(r["rank"]), str(r["p"]),
+               _bool_str(r["predicted"]), r["reason"]]
+        return out + [_bool_str(r["oracle"]), _bool_str(r["agree"])] if args.oracle else out
+
     if args.format == "json":
         results = {"row_count": len(rows), "rows": rows}
         if all_agree is not None:
@@ -193,25 +191,14 @@ def cmd_table(args) -> int:
         _emit(_envelope("table", inputs, results, status))
     elif args.format == "csv":
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\r\n")
-        w.writerow(header)
-        for r in rows:
-            out = [r["series"], r["rank"], r["p"],
-                   _bool_str(r["predicted"]), r["reason"]]
-            if args.oracle:
-                out += [_bool_str(r["oracle"]), _bool_str(r["agree"])]
-            w.writerow(out)
+        csv.writer(buf, lineterminator="\r\n").writerows([header] + list(map(cells, rows)))
         sys.stdout.write(buf.getvalue())
     else:
         cols = " | ".join(h.capitalize() for h in header)
         sys.stdout.write("| %s |\n" % cols)
         sys.stdout.write("|%s|\n" % "|".join(" --- " for _ in header))
         for r in rows:
-            vals = [r["series"], str(r["rank"]), str(r["p"]),
-                    _bool_str(r["predicted"]), r["reason"]]
-            if args.oracle:
-                vals += [_bool_str(r["oracle"]), _bool_str(r["agree"])]
-            sys.stdout.write("| %s |\n" % " | ".join(vals))
+            sys.stdout.write("| %s |\n" % " | ".join(cells(r)))
     return EXIT_OK if status == "OK" else EXIT_MISMATCH
 
 
@@ -236,20 +223,15 @@ def _verify_casimir(t: DynkinType, p: int):
     ads = (g.ad_matrix(g.basis_vector(i)) for i in range(g.dim))
     ok = all(ad @ op == op @ ad for ad in ads)
     checks.append({"name": "operator-commutes-with-ad", "pass": ok})
-    flips_ok = True
-    for root in pres.root_system.positive_roots:
-        s = triple_flip(pres, g.ring, root)
-        if not is_lie_automorphism(g, s):
-            flips_ok = False
-            break
-        if apply_endo_to_casimir(ct, s) != ct.coefficients:
-            flips_ok = False
-            break
-    checks.append({"name": "tensor-invariant-under-triple-flips", "pass": flips_ok})
+
+    def invariant(s: Matrix) -> bool:
+        return is_lie_automorphism(g, s) and apply_endo_to_casimir(ct, s) == ct.coefficients
+
+    flips = (triple_flip(pres, g.ring, root) for root in pres.root_system.positive_roots)
+    checks.append({"name": "tensor-invariant-under-triple-flips",
+                   "pass": all(map(invariant, flips))})
     tor = torus_automorphism(pres, g.ring, 2 % p if p > 2 else 1)
-    tor_ok = (is_lie_automorphism(g, tor)
-              and apply_endo_to_casimir(ct, tor) == ct.coefficients)
-    checks.append({"name": "tensor-invariant-under-torus", "pass": tor_ok})
+    checks.append({"name": "tensor-invariant-under-torus", "pass": invariant(tor)})
     checks.append({"name": "gram-times-coefficients-is-identity",
                    "pass": kf.gram @ ct.coefficients == ident})
     return {"dim": g.dim, "checks": checks}
@@ -271,9 +253,11 @@ def _verify_cohomology(t: DynkinType, p: int):
     g = chevalley_presentation(t).to_lie_algebra(PrimeField(p))
     cx = ce_complex(g)
     dims = [cohomology_dim(cx, d) for d in (0, 1, 2)]
+    d0, d1, d2 = cx.maps
     checks = [
         {"name": "differentials-compose-to-zero",
-         "pass": (cx.d1 @ cx.d0).is_zero() and (cx.d2 @ cx.d1).is_zero()},
+         "pass": not (_nonzero_product(g.ring, d1.items(), d0)
+                      or _nonzero_product(g.ring, d2.items(), d1))},
         {"name": "h0-h1-h2-vanish", "pass": dims == [0, 0, 0],
          "dims": dims},
     ]
@@ -413,8 +397,8 @@ def cmd_lift_aut(args) -> int:
                      for a in range(g.dim) for b in range(g.dim))},
     ]
     inputs = {"type": t.name, "prime": p, "sigma": os.path.basename(args.sigma)}
-    results = {"modulus": p * p, "sigma_bar": _fmt_matrix_int(sigma_bar),
-               "lifted": _fmt_matrix_int(lifted), "checks": checks}
+    results = {"modulus": p * p, "sigma_bar": sigma_bar.rows(),
+               "lifted": lifted.rows(), "checks": checks}
     status = _checks_status(checks)
     _emit(_envelope("lift-aut", inputs, results, status))
     return EXIT_OK if status == "OK" else EXIT_MISMATCH

@@ -5,30 +5,30 @@ Cochain spaces are flattened: a 1-cochain f sits at index a*dim + i for
 the coefficient of basis vector a in f(e_i); 2- and 3-cochains use the
 lexicographic index of the argument pair or triple in the same way.
 
-The differentials are sparse {(row, col): raw} maps with the zeros
-dropped.  d0 and d1 come from `liealg._adjoint_complex`, the one builder
-that also gives the centre and the derivations and checks d1∘d0 = 0 (the
-Jacobi identity, or the twist being an automorphism).  Only d2 is built
-here, for dim <= 20, from the same action entries; d2∘d1 = 0 is checked
-on the sparse entries, and `ce_complex` then densifies each map in one
-step.
+`CochainComplex` keeps d0, d1, d2 as sparse {(row, col): raw} maps with
+the zeros dropped.  d0 and d1 come from `liealg._adjoint_complex`, the one
+builder that also gives the centre and the derivations; only d2 is built
+here, for dim <= 20, from the same action entries, and d2∘d1 = 0 is
+checked on the sparse entries.  Untwisted, a Chevalley algebra's complex
+is block diagonal by root-lattice degree: `cohomology_dim` sums block
+ranks, and `solve_coboundary` tests d2 only on the columns where its
+cochain is nonzero and solves only in the d1 blocks that it meets.  The
+dense d0, d1, d2 are views, built only when read.
 
 The action on coefficients may be twisted through an automorphism σ,
 x·m = [σx, m], which is what the obstruction calculus for lifting needs.
 Since ad(σx) = σ ad(x) σ⁻¹, twisting is a conjugation:
 d_σ = (σ⊗I)·d·(σ⁻¹⊗I), where σ⊗I acts on the coefficient index a of a
 cochain index a*m + q.  `lift_automorphism` therefore never builds a
-twisted complex.  It works against the untwisted d1, split into its
-root-lattice degree blocks, kernel(d1) and sparse d2, built once per
-(quotient field, dim, bracket table, `dynkin` label) and kept in an
-`lru_cache`; it solves d1·y = θ only in the blocks where θ is nonzero, and
-transports its data through σ⊗I.
+twisted complex.  It calls `solve_coboundary` on the untwisted complex,
+kept with kernel(d1) per (quotient field, dim, bracket table, `dynkin`
+label) in an `lru_cache`, and transports its data through σ⊗I.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
@@ -37,7 +37,7 @@ from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _adjoint_complex,
                      _nonzero_product, _slot_degrees, _summed, _weights,
                      base_change, is_lie_automorphism, is_perfect, killing_form)
 from .matrices import Matrix, inverse, pivots, rank, solve_linear
-from .rings import PrimeField, RingSpec, UnsupportedRing
+from .rings import PrimeField, RingMismatch, RingSpec, UnsupportedRing
 
 
 class DimensionTooLarge(Exception):
@@ -50,25 +50,49 @@ class NotACocycle(Exception):
 
 @dataclass(frozen=True)
 class CochainComplex:
+    """d0, d1, d2 as sparse `maps` {(row, col): raw} without zeros, with
+    the `degrees` of their columns.  The dense d0, d1, d2, the degree
+    blocks and d2 by column are built on first use and kept."""
+
     algebra: LieAlgebra
     twist: Optional[Matrix]
     pairs: tuple
     triples: tuple
-    d0: Matrix
-    d1: Matrix
-    d2: Matrix
+    maps: tuple = field(compare=False, repr=False)
+    degrees: tuple = field(compare=False, repr=False)
 
     def cochain_dim(self, degree: int) -> int:
         n = self.algebra.dim
         return (n, n * n, n * len(self.pairs), n * len(self.triples))[degree]
 
+    def _dense_view(self, k: int) -> Matrix:
+        return _dense(self.algebra.ring, self.cochain_dim(k), self.maps[k],
+                      range(self.cochain_dim(k + 1)))
 
-def _sparse_complex(g: LieAlgebra, twist: Optional[Matrix]):
-    """(pairs, triples, d0, d1, d2) with each differential a sparse map
-    {(row, col): raw} without zeros; the action of x is bracketing with
-    twist(x).  d0 and d1 come from `liealg._adjoint_complex`, which checks
-    d1∘d0 = 0; raises AssertionError unless d2∘d1 = 0.
-    """
+    d0 = cached_property(lambda self: self._dense_view(0))
+    d1 = cached_property(lambda self: self._dense_view(1))
+    d2 = cached_property(lambda self: self._dense_view(2))
+
+    @cached_property
+    def _d2_columns(self) -> dict:
+        out: dict = {}
+        for (r, c), v in self.maps[2].items():
+            out.setdefault(c, []).append((r, v))
+        return out
+
+    def _blocks(self, k: int) -> tuple:
+        """`liealg._degree_blocks` of d_k: ({row: degree}, {degree: block})."""
+        split = self.__dict__.setdefault("_split", {})
+        if k not in split:
+            split[k] = _degree_blocks(self.algebra.ring, self.degrees[k], self.maps[k])
+        return split[k]
+
+
+def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
+    """The complex behind `ce_complex`.  Untwisted, column degrees follow
+    `liealg._weights`: wt(b) at column b of d0, `_slot_degrees` for d1,
+    wt(a) - wt(i) - wt(j) at column (a, (i, j)) of d2.  A twisted complex
+    is one block."""
     ring = g.ring
     if not ring.is_field:
         raise UnsupportedRing("cochain complexes need a field, got %r" % (ring,))
@@ -102,33 +126,28 @@ def _sparse_complex(g: LieAlgebra, twist: Optional[Matrix]):
     bad = _nonzero_product(ring, d2.items(), d1)
     if bad:
         raise AssertionError("d2∘d1 is nonzero at %s" % (min(bad),))
-    return pairs, triples, d0, d1, d2
+    wt = _weights(g) if twist is None else [()] * n
+    d2_degrees = [tuple(x - y - z for x, y, z in zip(wt[a], wt[i], wt[j]))
+                  for a in range(n) for i, j in pairs]
+    return CochainComplex(g, twist, pairs, triples, (d0, d1, d2),
+                          (wt, _slot_degrees(wt), d2_degrees))
 
 
 def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
     """Differentials d0, d1, d2 of the coefficient module g, the action of
-    x being bracketing with twist(x).  Exact over the base field; the two
-    compositions are checked to vanish on construction.
+    x being bracketing with twist(x).  Exact over the base field; d2∘d1 = 0
+    is checked on construction, and d1∘d0 = 0 for a twist (untwisted, it is
+    the Jacobi identity that g's table was certified with).
     """
-    pairs, triples, d0, d1, d2 = _sparse_complex(g, twist)
-    ring, n = g.ring, g.dim
-    return CochainComplex(g, twist, pairs, triples,
-                          _dense(ring, n, d0, range(n * n)),
-                          _dense(ring, n * n, d1, range(n * len(pairs))),
-                          _dense(ring, n * len(pairs), d2, range(n * len(triples))))
+    return _complex(g, twist)
 
 
 @lru_cache(maxsize=None)
 def _untwisted_complex(ring: RingSpec, dim: int, table: tuple, dynkin):
-    """({row: degree}, {degree: (columns, rows, block)}) of d1, split by
-    `liealg._degree_blocks` with degree wt(m) - wt(k) at column m*dim + k,
-    kernel(d1), and d2 as a tuple of ((row, col), raw), for the untwisted
-    complex of the algebra with this sorted table and `dynkin` label."""
-    g = LieAlgebra(ring, dim, dict(table), dynkin=dynkin, check=False)
-    _, _, _, d1, d2 = _sparse_complex(g, None)
-    degrees = _slot_degrees(_weights(g))
-    row_degree, blocks = _degree_blocks(ring, degrees, d1)
-    return row_degree, blocks, _graded_kernel(ring, degrees, d1), tuple(d2.items())
+    """(the untwisted complex, kernel(d1)) of the algebra with this sorted
+    table and `dynkin` label."""
+    cx = _complex(LieAlgebra(ring, dim, dict(table), dynkin=dynkin, check=False), None)
+    return cx, _graded_kernel(ring, cx.degrees[1], cx.maps[1])
 
 
 def _solve_by_blocks(ring: RingSpec, row_degree: dict, blocks: dict, ncols: int,
@@ -155,24 +174,12 @@ def _solve_by_blocks(ring: RingSpec, row_degree: dict, blocks: dict, ncols: int,
 
 
 def cohomology_dim(cx: CochainComplex, degree: int) -> int:
-    if degree == 0:
-        return cx.cochain_dim(0) - rank(cx.d0)
-    if degree == 1:
-        return (cx.cochain_dim(1) - rank(cx.d1)) - rank(cx.d0)
-    if degree == 2:
-        return (cx.cochain_dim(2) - rank(cx.d2)) - rank(cx.d1)
-    raise ValueError("degree must be 0, 1 or 2")
-
-
-def _as_column(cx: CochainComplex, theta: Union[Matrix, Sequence], degree: int) -> Matrix:
-    want = cx.cochain_dim(degree)
-    if isinstance(theta, Matrix):
-        if (theta.nrows, theta.ncols) != (want, 1):
-            raise ValueError("expected a %d x 1 column" % want)
-        return theta
-    if len(theta) != want:
-        raise ValueError("expected %d cochain coordinates" % want)
-    return Matrix.column(cx.algebra.ring, list(theta))
+    """cochain_dim - rank d_degree - rank d_(degree-1), by degree blocks."""
+    if degree not in (0, 1, 2):
+        raise ValueError("degree must be 0, 1 or 2")
+    return cx.cochain_dim(degree) - sum(
+        rank(block) for k in range(max(degree - 1, 0), degree + 1)
+        for _, _, block in cx._blocks(k)[1].values())
 
 
 def solve_coboundary(cx: CochainComplex, theta: Union[Matrix, Sequence]) -> Optional[Matrix]:
@@ -181,10 +188,24 @@ def solve_coboundary(cx: CochainComplex, theta: Union[Matrix, Sequence]) -> Opti
     Free coordinates pivot to zero, so the answer is deterministic; the
     zero cocycle always comes back as the zero cochain.
     """
-    col = _as_column(cx, theta, 2)
-    if not (cx.d2 @ col).is_zero():
+    ring, want = cx.algebra.ring, cx.cochain_dim(2)
+    if isinstance(theta, Matrix):
+        if (theta.nrows, theta.ncols) != (want, 1):
+            raise ValueError("expected a %d x 1 column" % want)
+        if theta.ring != ring:
+            raise RingMismatch("%r vs %r" % (ring, theta.ring))
+    elif len(theta) != want:
+        raise ValueError("expected %d cochain coordinates" % want)
+    else:
+        theta = Matrix.column(ring, list(theta))
+    rhs = {r: t for r, t in enumerate(theta.data) if not ring.is_zero(t)}
+    # d2·theta sums the d2 columns in theta's support, and no others
+    columns, mul = cx._d2_columns, ring.mul
+    if _summed(ring, ((r, mul(v, t)) for c, t in rhs.items()
+                      for r, v in columns.get(c, ()))):
         raise NotACocycle("d2 of the given 2-cochain is nonzero")
-    return solve_linear(cx.d1, col)
+    row_degree, blocks = cx._blocks(1)
+    return _solve_by_blocks(ring, row_degree, blocks, cx.cochain_dim(1), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +284,8 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
     d1_σ is K_σ = (σ⊗I)·kernel(d1), and c is a non-pivot column exactly
     when a kernel vector has its last nonzero entry at c.  So F is read
     from K_σ bottom up, and delta = delta0 - K_σ·x with K_σ[F]·x = delta0[F].
-    d1·y = (σ⁻¹⊗I)·theta is solved one degree block of d1 at a time.
+    y comes from `solve_coboundary` on the cached untwisted complex, which
+    also checks that (σ⁻¹⊗I)·theta is a cocycle.
     """
     if g.ring.kind != "integers":
         raise UnsupportedRing("lifting starts from an integral table")
@@ -280,8 +302,7 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
 
     total, quot = ext.total_ring, ext.quotient_ring
     n = g.dim
-    row_degree, blocks, ker, d2 = _untwisted_complex(
-        quot, n, tuple(sorted(gq.table.items())), gq.dynkin)
+    cx, ker = _untwisted_complex(quot, n, tuple(sorted(gq.table.items())), gq.dynkin)
     gt = base_change(g, total)
     sigma0 = Matrix(total, n, n, tuple(ext.lift_raw(v) for v in sigma_bar.data))
 
@@ -296,10 +317,10 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
 
     # d2_σ·theta = (σ⊗I)·d2·theta_u, so the cocycle check runs untwisted
     theta_u = _transport(inverse(sigma_bar), Matrix.column(quot, theta))
-    rhs = {r: t for r, t in enumerate(theta_u.data) if not quot.is_zero(t)}
-    if _nonzero_product(quot, d2, {(r, 0): t for r, t in rhs.items()}):
-        raise AssertionError("lift defect failed the cocycle identity")
-    y = _solve_by_blocks(quot, row_degree, blocks, n * n, rhs)
+    try:
+        y = solve_coboundary(cx, theta_u)
+    except NotACocycle:
+        raise AssertionError("lift defect failed the cocycle identity") from None
     if y is None:
         raise AssertionError("no primitive despite a perfect Killing form")
 
@@ -317,13 +338,11 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
                              "non-pivot columns")
     delta = delta - ker_s @ x
 
-    lifted = tuple(
-        total.sub(sigma0.raw(a, b), ext.j_embed(delta.raw(a * n + b, 0)))
-        for a in range(n) for b in range(n))
-    sigma = Matrix(total, n, n, lifted)
+    # delta's row a*n + b corrects entry (a, b)
+    sigma = Matrix(total, n, n, tuple(total.sub(s, ext.j_embed(d))
+                                      for s, d in zip(sigma0.data, delta.data)))
 
-    if any(ext.reduce_raw(sigma.raw(a, b)) != sigma_bar.raw(a, b)
-           for a in range(n) for b in range(n)):
+    if any(ext.reduce_raw(v) != w for v, w in zip(sigma.data, sigma_bar.data)):
         raise AssertionError("corrected lift does not reduce to sigma_bar")
     if not is_lie_automorphism(gt, sigma):
         raise AssertionError("corrected lift failed exact verification")

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-import numpy as np
-
 from .matrices import (
     DimensionMismatch,
     Matrix,
@@ -129,7 +127,12 @@ class LieAlgebra:
     # -- validation --------------------------------------------------------
     def _check_jacobi(self):
         """Raise ValueError naming the first failing triple (i, j, k)."""
-        _adjoint_complex(self)
+        pairs, _, d0, d1 = _adjoint_complex(self)
+        bad = _nonzero_product(self.ring, d1.items(), d0)
+        if bad:
+            # J(x, y, m) is alternating, so the failing triple is sorted(x, y, m)
+            raise ValueError("Jacobi fails on triple (%d,%d,%d)" % min(
+                tuple(sorted(pairs[r % len(pairs)] + (m,))) for r, m in bad))
 
 
 @dataclass(frozen=True)
@@ -189,9 +192,10 @@ def _adjoint_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> tuple:
     1-cochain f sits at a*dim + i for the coefficient of b_a in f(b_i), a
     2-cochain at a*len(pairs) + q for the pair q = (i, j), i < j.
 
-    (d1 d0 m)(x, y) = [x,[y,m]] - [y,[x,m]] - [[x,y],m]: a nonzero d1∘d0
-    raises ValueError naming the first triple that breaks Jacobi, or, when
-    twisted, NotAutomorphism naming the first failing (x, y, m), x < y.
+    (d1 d0 m)(x, y) = [x,[y,m]] - [y,[x,m]] - [[x,y],m]: untwisted, the
+    Jacobi identity, certified once per table by `LieAlgebra._check_jacobi`;
+    twisted, a nonzero d1∘d0 raises NotAutomorphism naming the first
+    failing (x, y, m), x < y.
     """
     ring, n, twisted = g.ring, g.dim, twist is not None
     mul, neg = ring.mul, ring.neg
@@ -221,22 +225,17 @@ def _adjoint_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> tuple:
                     yield (a * np_ + q, a * n + k), neg(c)
 
     d1 = _summed(ring, d1_terms())
-    bad = _nonzero_product(ring, d1.items(), d0)
+    bad = twisted and _nonzero_product(ring, d1.items(), d0)
     if bad:
-        witnesses = [pairs[r % np_] + (m,) for r, m in bad]    # (x, y, m)
-        if twisted:
-            raise NotAutomorphism("the twist is not an automorphism: d1∘d0 is "
-                                  "nonzero at (x, y, m) = (%d,%d,%d)" % min(witnesses))
-        # J(x, y, m) is alternating, so the failing triple is sorted(x, y, m)
-        raise ValueError("Jacobi fails on triple (%d,%d,%d)"
-                         % min(tuple(sorted(w)) for w in witnesses))
+        raise NotAutomorphism("the twist is not an automorphism: d1∘d0 is "
+                              "nonzero at (x, y, m) = (%d,%d,%d)"
+                              % min(pairs[r % np_] + (m,) for r, m in bad))
     return pairs, acts, d0, d1
 
 
-def _dense(ring: RingSpec, ncols: int, entries: dict, rows=None) -> Matrix:
+def _dense(ring: RingSpec, ncols: int, entries: dict, rows) -> Matrix:
     """A sparse map {(row, col): raw} as a Matrix on the given rows, in
-    order; without rows, only its nonempty rows (the kernel is the same)."""
-    rows = sorted({r for r, _ in entries}) if rows is None else rows
+    order; every row of entries must be among them."""
     at = {r: t for t, r in enumerate(rows)}
     flat = [ring.zero()] * (len(rows) * ncols)
     for (r, c), v in entries.items():
@@ -244,12 +243,11 @@ def _dense(ring: RingSpec, ncols: int, entries: dict, rows=None) -> Matrix:
     return Matrix(ring, len(rows), ncols, tuple(flat))
 
 
-def killing_form(g: LieAlgebra) -> BilinearForm:
-    """Gram[i][j] = trace(ad(b_i) ad(b_j)), by sparse index contraction:
-    each entry ad(b_i)[a, b] meets the entries ad(b_j)[b, a]."""
-    ring = g.ring
-    add, mul, n = ring.add, ring.mul, g.dim
-    entries = _ad_entries(g)
+def _trace_gram(ring: RingSpec, n: int, entries: list) -> Matrix:
+    """Gram[i][j] = trace(M_i M_j) of n matrices given by their nonzero
+    entries (i, a, b, v), M_i[a, b] = v, by sparse index contraction: each
+    entry M_i[a, b] meets the entries M_j[b, a]."""
+    add, mul = ring.add, ring.mul
     at: dict = {}
     for j, a, b, w in entries:
         at.setdefault((a, b), []).append((j, w))
@@ -257,16 +255,22 @@ def killing_form(g: LieAlgebra) -> BilinearForm:
     for i, a, b, v in entries:
         for j, w in at.get((b, a), ()):
             gram[i * n + j] = add(gram[i * n + j], mul(v, w))
-    return BilinearForm(g, Matrix(ring, n, n, tuple(gram)))
+    return Matrix(ring, n, n, tuple(gram))
+
+
+def killing_form(g: LieAlgebra) -> BilinearForm:
+    """Gram[i][j] = trace(ad(b_i) ad(b_j)), the trace form of ad."""
+    return BilinearForm(g, _trace_gram(g.ring, g.dim, _ad_entries(g)))
 
 
 def trace_form(realization, ring: RingSpec) -> BilinearForm:
-    """Gram[i][j] = trace(M_i M_j) for a matrix realization, over ring."""
-    stack = realization.stack_numpy()
-    gram_int = np.einsum('aij,bji->ab', stack, stack)
+    """Gram[i][j] = trace(M_i M_j) for a matrix realization, over ring:
+    contracted over the integers, then mapped to ring."""
+    mats = realization.matrices
+    entries = [(i, *divmod(k, m.ncols), v) for i, m in enumerate(mats)
+               for k, v in enumerate(m.data) if v]
     alg = realization.presentation.to_lie_algebra(ring)
-    gram = Matrix.from_numpy(ZZ, gram_int).map_to_ring(ring)
-    return BilinearForm(alg, gram)
+    return BilinearForm(alg, _trace_gram(ZZ, len(mats), entries).map_to_ring(ring))
 
 
 def _discriminant(f: BilinearForm):
@@ -352,8 +356,9 @@ def _degree_blocks(ring: RingSpec, degrees: list, entries: dict) -> tuple:
 
 
 def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
-    """kernel(_dense(ring, len(degrees), entries)), entry for entry, taken
-    one `_degree_blocks` block at a time.
+    """The kernel of the map {(row, col): raw} with len(degrees) columns,
+    entry for entry as `matrices.kernel` gives it, taken one
+    `_degree_blocks` block at a time.
 
     A column is a pivot of the whole map iff it is one of its block, and
     the reduced-echelon kernel basis is unique, so the free column f gives

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import lieform
-from lieform import (DynkinType, Matrix, NotClassical, PrimeField, QQ, ZZ,
-                     chevalley_involution, chevalley_presentation,
+from lieform import (DualNumbers, DynkinType, IntegersModPk, Matrix, NotClassical,
+                     PrimeField, QQ, ZZ, chevalley_involution, chevalley_presentation,
                      is_lie_automorphism, kernel, matrix_realization,
                      torus_automorphism, triple_flip, verify_jacobi)
 from lieform.chevalley import JacobiFailure, _root_data
@@ -312,6 +312,57 @@ def test_triple_flip_every_positive_root_b2():
     for alpha in pres.root_system.positive_roots:
         assert is_lie_automorphism(g, triple_flip(pres, F5, alpha))
 
+
+
+# -- the monomial builders against dim x dim row lists through from_rows,
+# the construction they replaced
+
+def _from_rows_reference(pres, ring, kind, arg):
+    rank, dim, rs = pres.rank, pres.dim, pres.root_system
+    rows = [[ring.zero()] * dim for _ in range(dim)]
+    mone, one = ring.coerce(-1), ring.one()
+    if kind == "torus":
+        tval, lam = arg
+        for i in range(rank):
+            rows[i][i] = one
+        for k, rho in enumerate(rs.roots):
+            e = sum(l * c for l, c in zip(lam, rho))
+            base, e = (tval, e) if e >= 0 else (ring.inv(tval), -e)
+            v = one
+            for _ in range(e):
+                v = ring.mul(v, base)
+            rows[rank + k][rank + k] = v
+        return Matrix.from_rows(ring, rows)
+    for i in range(rank):
+        rows[i][i] = mone
+    odd = None if kind == "involution" else next(i for i, c in enumerate(arg) if c % 2)
+    for k, (rho, nk) in enumerate(zip(rs.roots, rs.neg_index.tolist())):
+        rows[rank + nk][rank + k] = one if odd is not None and rho[odd] % 2 else mone
+    return Matrix.from_rows(ring, rows)
+
+
+MONOMIAL_RINGS = [PrimeField(7), QQ, IntegersModPk(5, 2), DualNumbers(F5)]
+SMALL_TYPES = [DynkinType(s, r) for s, r in (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2))]
+
+
+@pytest.mark.parametrize("ring", MONOMIAL_RINGS, ids=str)
+@pytest.mark.parametrize("t", SMALL_TYPES + [DynkinType("E", r) for r in (6, 7, 8)],
+                         ids=str)
+def test_monomial_builders_equal_the_from_rows_reference(t, ring):
+    pres = chevalley_presentation(t)
+    rng = random.Random(t.name)
+    positive = pres.root_system.positive_roots
+    roots = positive if t.series != "E" else rng.sample(positive, 3)
+    tval = ring.coerce(2)
+    lam = tuple(rng.randint(-2, 2) for _ in range(t.rank))
+    cases = [(chevalley_involution(pres, ring), ("involution", None)),
+             (torus_automorphism(pres, ring, 2, lam=lam), ("torus", (tval, lam))),
+             (torus_automorphism(pres, ring, 2), ("torus", (tval, (1,) * t.rank)))]
+    cases += [(triple_flip(pres, ring, alpha), ("flip", alpha)) for alpha in roots]
+    for got, (kind, arg) in cases:
+        assert got == _from_rows_reference(pres, ring, kind, arg)
 
 # sha256 of repr((labels, sorted(table.items()), sorted(nconstants.items())))
 # per table type, taken from the tuple-loop construction this one replaced

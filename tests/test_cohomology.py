@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from lieform import (DimensionTooLarge, DualNumbers, DynkinType,
                      ce_complex, center_basis, chevalley_involution,
                      chevalley_presentation, cohomology_dim,
                      derivation_algebra, inverse, is_lie_automorphism,
-                     lift_automorphism, solve_coboundary, solve_linear,
+                     lift_automorphism, rank, solve_coboundary, solve_linear,
                      square_zero_extension, torus_automorphism, triple_flip)
 
 F3 = PrimeField(3)
@@ -322,12 +323,10 @@ def test_block_solve_equals_the_dense_solve(name, p, monkeypatch):
     # the lift solves d1·y = theta_u one degree block of d1 at a time; each
     # system it meets, an rhs on a row d1 never reaches, rhs in the image
     # and random rhs must give what the dense solve on the whole d1 gives
-    from lieform.liealg import _dense
     fp = PrimeField(p)
     pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
     n = pres.dim
-    d1 = cohomology._sparse_complex(pres.to_lie_algebra(fp), None)[3]
-    dense = _dense(fp, n * n, d1, range(n * n * (n - 1) // 2))
+    dense = ce_complex(pres.to_lie_algebra(fp)).d1
     real, seen = cohomology._solve_by_blocks, []
 
     def spy(ring, row_degree, blocks, ncols, rhs):
@@ -372,11 +371,12 @@ def test_corrupted_d2_fails_the_cocycle_check(monkeypatch):
     real = cohomology._untwisted_complex
 
     def corrupted(ring, dim, table, dynkin):
-        row_degree, blocks, ker, d2 = real(ring, dim, table, dynkin)
+        cx, ker = real(ring, dim, table, dynkin)
+        d0, d1, d2 = cx.maps
         entries = dict(d2)
         for c in range(dim * dim * (dim - 1) // 2):
             entries[(c, c)] = ring.add(entries.get((c, c), ring.zero()), 1)
-        return row_degree, blocks, ker, tuple(entries.items())
+        return dataclasses.replace(cx, maps=(d0, d1, entries)), ker
 
     monkeypatch.setattr(cohomology, "_untwisted_complex", corrupted)
     g = SL3.to_lie_algebra(ZZ)
@@ -384,6 +384,47 @@ def test_corrupted_d2_fails_the_cocycle_check(monkeypatch):
     with pytest.raises(AssertionError, match="cocycle identity"):
         lift_automorphism(g, ext, torus_automorphism(SL3, F5, 2))
 
+
+# -- the block readers against the dense reference
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2097169])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_block_readers_equal_the_dense_reference(name, p):
+    fp = PrimeField(p)
+    pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
+    g = pres.to_lie_algebra(fp)
+    rng = random.Random(p * pres.dim)
+    plain = ce_complex(g)
+    # d_σ = (σ⊗I)·d·(σ⁻¹⊗I) has the rank of d, so the dense ranks of the
+    # untwisted complex are the reference for every twist
+    ranks = [rank(plain.d0), rank(plain.d1), rank(plain.d2)]
+    if p > 3:
+        s = _seeded_automorphism(pres, fp, rng)
+    else:    # F_2 and F_3 have no torus parameter t with 2 <= t <= p - 2
+        roots = pres.root_system.positive_roots
+        s = triple_flip(pres, fp, rng.choice(roots)) @ triple_flip(pres, fp, rng.choice(roots))
+    for cx in (plain, ce_complex(g, twist=chevalley_involution(pres, fp)),
+               ce_complex(g, twist=s)):
+        assert [cohomology_dim(cx, k) for k in (0, 1, 2)] == [
+            cx.cochain_dim(k) - ranks[k] - (ranks[k - 1] if k else 0) for k in (0, 1, 2)]
+        n1, n2 = cx.cochain_dim(1), cx.cochain_dim(2)
+        image = cx.d1 @ Matrix(fp, n1, 1, tuple(rng.randrange(p) for _ in range(n1)))
+        for theta in (image, Matrix.zeros(fp, n2, 1)):
+            assert solve_coboundary(cx, theta) == solve_linear(cx.d1, theta)
+        # d2·(image + e_c) = d2·e_c, nonzero for a column c that d2's
+        # map (the dense view's nonzero entries) reaches
+        c = min(c for _, c in cx.maps[2])
+        bad = image + Matrix(fp, n2, 1, tuple(int(r == c) for r in range(n2)))
+        with pytest.raises(NotACocycle):
+            solve_coboundary(cx, bad)
+
+
+def test_block_readers_leave_the_dense_views_unbuilt():
+    cx = ce_complex(SL3.to_lie_algebra(F5))
+    assert [cohomology_dim(cx, k) for k in (0, 1, 2)] == [0, 0, 0]
+    assert solve_coboundary(cx, [0] * cx.cochain_dim(2)).is_zero()
+    assert not {"d0", "d1", "d2"} & set(vars(cx))
+    assert cx.d1.nrows == cx.cochain_dim(2) and "d1" in vars(cx)
 
 def test_non_automorphism_twist_is_refused():
     # x·m = [2x, m] is not an action: d1∘d0 picks up 4[[x,y],m] - 2[[x,y],m]

@@ -198,6 +198,27 @@ def test_presentations_skip_the_second_jacobi_check(monkeypatch):
         LieAlgebra(QQ, 3, dict(SL2.table))
 
 
+def test_certified_tables_skip_the_d1_d0_product(monkeypatch):
+    # the d1∘d0 Jacobi product runs once per table, in the constructor;
+    # derivations, the centre and the cochain complex of a presentation's
+    # algebra (check=False, certified by verify_jacobi) never run it
+    from lieform import ce_complex
+    g = chevalley_presentation(DynkinType("B", 2)).to_lie_algebra(F7)
+    d0 = lieform.liealg._adjoint_complex(g)[2]
+    real, rights = lieform.liealg._nonzero_product, []
+
+    def spy(ring, left, right):
+        rights.append(right)
+        return real(ring, left, right)
+
+    monkeypatch.setattr(lieform.liealg, "_nonzero_product", spy)
+    derivation_algebra(g)
+    center_basis(g)
+    ce_complex(g)
+    assert d0 not in rights
+    LieAlgebra(F7, g.dim, g.table, dynkin=g.dynkin)
+    assert rights[-1] == d0
+
 def test_killing_rank_drops_at_bad_primes():
     g3 = chevalley_presentation(DynkinType("A", 2)).to_lie_algebra(F3)
     assert rank(killing_form(g3).gram) < 8   # p = 3 divides n + 1
