@@ -6,22 +6,6 @@ with automorphism lifting, and weight-module decompositions at a prime.
 
 from __future__ import annotations
 
-import os as _os
-import sys as _sys
-
-# lieform does no floating-point BLAS work, yet OpenBLAS starts one thread
-# per extra core when numpy loads, and that thread spins under load.  Load
-# numpy with one BLAS thread unless the caller chose a count, then restore
-# the environment so that no child process or later code sees the change.
-if "numpy" not in _sys.modules:
-    _saved = _os.environ.get("OPENBLAS_NUM_THREADS")
-    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    try:
-        import numpy as _numpy  # noqa: F401
-    finally:
-        if _saved is None:
-            del _os.environ["OPENBLAS_NUM_THREADS"]
-
 __version__ = "0.1.0"
 
 from .rings import (Integers, Rationals, PrimeField, IntegersModPk,

@@ -10,27 +10,27 @@ N(-a,-b) = -N(a,b), the norm-ratio rotation rule for zero-sum triples, and
 one Jacobi identity per remaining special pair.
 
 Roots are named by their index in `RootSystem.roots`.  The root system
-gives the index arrays: `root_matrix`, `neg_index` and `sum_index` (a + b,
-or -1), the last from one searchsorted over the integer keys
-sum_j coords_j * base**j of all sums.  `_root_data` derives norms, string
-lengths, Cartan pairings and coroots as whole arrays; the sign recursion
-runs on index pairs and raises on any inexact division; `_check_constants`
-compares whole arrays (N != 0 exactly where a + b is a root, |N| = p + 1,
+gives the index tables: `neg_index` and `sum_index` (a + b, or -1), the
+latter from integer keys sum_j coords_j * base**j of the roots, and the
+pairs with a root sum.  `_root_data` derives norms, string lengths,
+Cartan pairings and coroots; the sign recursion runs on index pairs and
+raises on any inexact division; `_check_constants` checks the sparse
+constants (N != 0 exactly where a + b is a root, |N| = p + 1,
 antisymmetry, negation rule); `verify_jacobi` then certifies the Jacobi
-identity on every sorted triple of basis indices, chunked by output index.
-All checks raise AssertionError (or its subclass JacobiFailure), so
-`python -O` keeps them.
+identity on every sorted triple of basis indices, in plain Python for a
+small table and in numpy for a large one.  All checks raise
+AssertionError (or its subclass JacobiFailure), so `python -O` keeps them.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, combinations
 
-import numpy as np
-
-from .matrices import Matrix
+from .matrices import Matrix, _numpy
 from .rings import RingSpec, Scalar, ZZ
 from .roots import DynkinType, InvalidRank, RootSystem, build_root_system
 
@@ -60,10 +60,9 @@ class ChevalleyPresentation:
         """N(alpha, beta) keyed by both roots, for every pair whose sum is
         a root, read off the table: [X_a, X_b] = N(a, b) X_(a+b)."""
         roots, r = self.root_system.roots, self.rank
-        a, b = np.nonzero(self.root_system.sum_index >= 0)
         return {(roots[x], roots[y]): (self.table[(r + x, r + y)][0][1] if x < y
                                        else -self.table[(r + y, r + x)][0][1])
-                for x, y in zip(a.tolist(), b.tolist())}
+                for x, ys in enumerate(self.root_system._partners) for y in ys}
 
     def root_basis_index(self, coords: tuple) -> int:
         return self.rank + self.root_system.root_index(coords)
@@ -90,30 +89,44 @@ def _special_pairs(rs: RootSystem) -> dict:
     """Per non-simple positive root index g, in increasing g: the index
     pairs (a, b) of positive roots with a + b = g and a < b, by a."""
     npos = len(rs.positive_roots)
-    s = rs.sum_index[:npos, :npos]
-    a, b = np.nonzero(np.triu(s >= 0, 1))
-    out: dict = {}
-    for g, x, y in sorted(zip(s[a, b].tolist(), a.tolist(), b.tolist())):
-        out.setdefault(g, []).append((x, y))
-    return out
+    out = defaultdict(list)
+    for a in range(npos):
+        for b in rs._partners[a]:
+            if a < b < npos:
+                out[rs.sum_index[a][b]].append((a, b))
+    return dict(sorted(out.items()))
 
 
 def _root_data(rs: RootSystem) -> tuple:
     """Norms, string lengths p(a, b) (largest q with b - q a a root),
-    Cartan pairings <root k, alpha_i^vee> and coroot coordinates."""
-    r, s, neg = rs.root_matrix, rs.sum_index, rs.neg_index
-    cartan = np.array(rs.cartan, dtype=np.int64)
-    d = np.array(rs.symmetrizer, dtype=np.int64)
-    norms = np.einsum("ki,ij,kj->k", r, d[:, None] * cartan, r)
-    strings = np.zeros(s.shape, dtype=np.int64)
-    cur = np.broadcast_to(np.arange(len(s)), s.shape)  # b - q a, or -1
-    for _ in range(3):  # root strings have at most 4 roots
-        cur = np.where(cur >= 0, s[neg[:, None], cur], -1)
-        strings += cur >= 0
-    coroots, rem = np.divmod(2 * d * r, norms[:, None])
-    if rem.any():
-        raise AssertionError("coroots of %s are not integral" % (rs.dynkin,))
-    return norms, strings, r @ cartan.T, coroots
+    Cartan pairings <root k, alpha_i^vee> and coroot coordinates, per root
+    index; a root's negative has its norm and the negated pairings and
+    coroot."""
+    d, half = rs.symmetrizer, len(rs.positive_roots)
+    pairings = [tuple(sum(c * x for c, x in zip(row, r)) for row in rs.cartan)
+                for r in rs.positive_roots]
+    norms = [sum(di * x * p for di, x, p in zip(d, r, pr))
+             for r, pr in zip(rs.positive_roots, pairings)]
+    coroots = []
+    for r, nrm in zip(rs.positive_roots, norms):
+        coroot = [divmod(2 * dj * x, nrm) for dj, x in zip(d, r)]
+        if any(rem for _, rem in coroot):
+            raise AssertionError("coroots of %s are not integral" % (rs.dynkin,))
+        coroots.append(tuple(m for m, _ in coroot))
+    pairings += [tuple(-x for x in p) for p in pairings]
+    coroots += [tuple(-x for x in c) for c in coroots]
+    # p(a, b) >= 1 exactly where b - a is a root; root strings have at
+    # most 4 roots
+    s, neg = rs.sum_index, rs.neg_index
+    strings = [[0] * (2 * half) for _ in range(2 * half)]
+    for a, row in enumerate(strings):
+        down = s[neg[a]]                   # c -> the index of root c - a
+        for b in rs._partners[neg[a]]:
+            q, c = 0, down[b]
+            while c >= 0:
+                q, c = q + 1, down[c]
+            row[b] = q
+    return norms * 2, strings, pairings, coroots
 
 
 def _exact(num: int, den: int) -> int:
@@ -126,7 +139,7 @@ def _exact(num: int, den: int) -> int:
 def _sign_constants(rs: RootSystem, norms, strings) -> dict:
     """N(a, b) for all root index pairs with a + b a root, by the
     extraspecial-pair recursion; keys in the order they are set."""
-    s, neg, nrm = rs.sum_index.tolist(), rs.neg_index.tolist(), norms.tolist()
+    s, neg, nrm = rs.sum_index, rs.neg_index, norms
     nab: dict = {}
 
     def set_orbit(a, b, val):
@@ -147,7 +160,7 @@ def _sign_constants(rs: RootSystem, norms, strings) -> dict:
 
     for g, pairs in _special_pairs(rs).items():  # height-increasing
         a0, b0 = pairs[0]  # extraspecial
-        set_orbit(a0, b0, int(strings[a0, b0]) + 1)
+        set_orbit(a0, b0, strings[a0][b0] + 1)
         na0 = neg[a0]
         for xi, eta in pairs[1:]:
             # Jacobi on (X_{-a0}, X_xi, X_eta); every term lands in the
@@ -162,20 +175,32 @@ def _sign_constants(rs: RootSystem, norms, strings) -> dict:
     return nab
 
 
-def _check_constants(rs: RootSystem, n: np.ndarray, strings: np.ndarray) -> None:
-    """Whole-array checks of the constant matrix n[a, b] = N(a, b); each
-    failure names the first failing pair of roots."""
+def _check_constants(rs: RootSystem, nab: dict, strings: list) -> None:
+    """The rules on the constants N(a, b) = nab.get((a, b), 0), in order;
+    a failure names the least failing pair of root indices."""
     s, neg = rs.sum_index, rs.neg_index
-    for bad, rule in (
-        ((n != 0) != (s >= 0), "N != 0 exactly where a + b is a root"),
-        ((np.abs(n) != strings + 1) & (s >= 0), "|N(a, b)| = p + 1"),
-        (n != -n.T, "N(b, a) = -N(a, b)"),
-        (n[np.ix_(neg, neg)] != -n, "N(-a, -b) = -N(a, b)"),
-    ):
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
+    n = {key: v for key, v in nab.items() if v}
+
+    def check(rule: str, bad: list) -> None:
+        if bad:
+            a, b = min(bad)
             raise AssertionError("%s fails for %s at (%s, %s)" % (
                 rule, rs.dynkin, rs.roots[a], rs.roots[b]))
+
+    extra = [(a, b) for a, b in n if s[a][b] < 0]
+    # n holds every pair with a root sum iff it holds as many as there are
+    missing = [] if len(n) - len(extra) == sum(map(len, rs._partners)) else [
+        (a, b) for a, row in enumerate(rs._partners) for b in row if (a, b) not in n]
+    check("N != 0 exactly where a + b is a root", extra + missing)
+    # so the pairs of n are now those with a root sum
+    check("|N(a, b)| = p + 1",
+          [(a, b) for (a, b), v in n.items() if abs(v) != strings[a][b] + 1])
+    check("N(b, a) = -N(a, b)",
+          [key for (a, b), v in n.items() if n.get((b, a)) != -v
+           for key in ((a, b), (b, a))])
+    check("N(-a, -b) = -N(a, b)",
+          [key for (a, b), v in n.items() if n.get((neg[a], neg[b])) != -v
+           for key in ((a, b), (neg[a], neg[b]))])
 
 
 @lru_cache(maxsize=None)
@@ -183,35 +208,52 @@ def chevalley_presentation(t: DynkinType) -> ChevalleyPresentation:
     if t.rank > 8:
         raise InvalidRank("structure constants capped at rank 8, got %s" % (t,))
     rs = build_root_system(t)
-    rank, nroots, roots = t.rank, len(rs.roots), rs.roots
+    rank, roots = t.rank, rs.roots
     norms, strings, pairings, coroots = _root_data(rs)
     nab = _sign_constants(rs, norms, strings)
-    n = np.zeros((nroots, nroots), dtype=np.int64)
-    ka, kb = np.array(list(nab), dtype=np.int64).reshape(-1, 2).T
-    n[ka, kb] = list(nab.values())
-    _check_constants(rs, n, strings)
+    _check_constants(rs, nab, strings)
 
     # assemble the full bracket table: [H_i, X_k], then [X_k1, X_k2], k1 < k2
     table: dict = {}
-    hi, hk = np.nonzero(pairings.T)
-    for i, k, c in zip(hi.tolist(), (hk + rank).tolist(), pairings[hk, hi].tolist()):
-        table[(i, k)] = ((k, c),)
-    cor = [tuple((m, c) for m, c in enumerate(row) if c) for row in coroots.tolist()]
-    s = rs.sum_index
-    zero_sum = rs.neg_index == np.arange(nroots)[:, None]
-    k1, k2 = np.nonzero(np.triu((s >= 0) | zero_sum, 1))
-    for a, b, g, v in zip(k1.tolist(), k2.tolist(), s[k1, k2].tolist(),
-                          n[k1, k2].tolist()):
-        # g < 0 is the zero sum, and a indexes the positive root of it
-        table[(rank + a, rank + b)] = ((rank + g, v),) if g >= 0 else cor[a]
+    for i in range(rank):
+        for k, row in enumerate(pairings, rank):
+            if row[i]:
+                table[(i, k)] = ((k, row[i]),)
+    for a, row in enumerate(rs._partners):
+        na = rs.neg_index[a]
+        # a < na: a is positive, and [X_a, X_-a] is the coroot H_a
+        for b in sorted(row + (na,)) if a < na else row:
+            if b > a:
+                table[(rank + a, rank + b)] = (
+                    ((rank + rs.sum_index[a][b], nab[(a, b)]),) if b != na
+                    else tuple((m, c) for m, c in enumerate(coroots[a]) if c))
     labels = tuple("H%d" % (i + 1) for i in range(rank)) + tuple(
         "X[%s]" % ",".join(str(c) for c in rho) for rho in roots)
-    pres = ChevalleyPresentation(t, rs, rank + nroots, labels, table)
+    pres = ChevalleyPresentation(t, rs, rank + len(roots), labels, table)
     verify_jacobi(pres)
     return pres
 
 
-def _join(ptr: np.ndarray, idx: np.ndarray) -> tuple:
+def _jacobi_defect_plain(terms: list, dim: int):
+    """The least (key, sum) of the Jacobi join with a nonzero sum, or None:
+    a loop over the table terms [y, z] ∋ c e_m grouped by m."""
+    by_m = defaultdict(list)
+    for y, z, m, c in terms:
+        by_m[m].append((y, z, c))
+    sums: dict = defaultdict(int)
+    for i, j, l, c in terms:
+        for x, m, v in ((i, j, c), (j, i, -c)):        # [x, e_m] ∋ v e_l
+            for y, z, w in by_m.get(m, ()):
+                if x < y:
+                    sums[((y * dim + x) * dim + l) * dim + z] += v * w
+                elif x > z:
+                    sums[((z * dim + y) * dim + l) * dim + x] += v * w
+                elif x != y and x != z:
+                    sums[((x * dim + y) * dim + l) * dim + z] -= v * w
+    return min(((key, v) for key, v in sums.items() if v), default=None)
+
+
+def _join(np, ptr, idx) -> tuple:
     """All index pairs (q, t) with ptr[idx[q]] <= t < ptr[idx[q] + 1]."""
     lo = ptr[idx]
     cnt = ptr[idx + 1] - lo
@@ -219,34 +261,21 @@ def _join(ptr: np.ndarray, idx: np.ndarray) -> tuple:
     return q, np.arange(len(q)) - np.repeat(np.cumsum(cnt) - cnt, cnt) + lo[q]
 
 
-# products per chunk of the Jacobi check; bounds its working memory
+# products per chunk of the numpy Jacobi join; bounds its working memory
 _JACOBI_CHUNK = 8192
 
 
-def verify_jacobi(pres: ChevalleyPresentation) -> int:
-    """Check the Jacobi identity exactly over the integers on every sorted
-    triple a < b < c of basis indices; returns dim*(dim-1)/2, the number of
-    pairs that [ad a, ad b] = ad[a, b] would check.
-
-    J(a,b,c)_l = sum_m C[b,c,m] C[a,m,l] - C[a,c,m] C[b,m,l]
-    + C[a,b,m] C[c,m,l].  Each term is a stored table term [y, z] ∋ c e_m,
-    y < z, times an ad entry [x, e_m] ∋ v e_l with x not in {y, z}, and
-    its sign is -1 exactly when y < x < z.  Triples with a repeated index
-    vanish by antisymmetry, so the sorted triples certify every pair.  The
-    terms are one join on m, chunked by output index l (whole groups of l,
-    at most _JACOBI_CHUNK products each), summed per key
-    ((b*dim + a)*dim + l)*dim + c.  A nonzero sum raises JacobiFailure
-    with the smallest failing key: pair (a, b) and entry (l, c) of the
-    defect [ad a, ad b] - ad[a, b], whose value is J(a,b,c)_l.
-    """
-    dim = pres.dim
-    ty, tz, tm, tc = np.array([(i, j, k, c) for (i, j), terms in pres.table.items()
-                               for k, c in terms], dtype=np.int64).reshape(-1, 4).T
+def _jacobi_defect_numpy(terms: list, dim: int, name: str):
+    """As `_jacobi_defect_plain`, in int64 arrays: one join on m, chunked
+    by output index l (whole groups of l, at most _JACOBI_CHUNK products
+    each)."""
+    np = _numpy()
+    ty, tz, tm, tc = np.array(terms, dtype=np.int64).reshape(-1, 4).T
     # keys are below dim^4; a key sums at most 3*dim products of two
     # constants, and |c| <= 6 up to rank 8
     cmax = int(np.abs(tc).max(initial=0))
     if dim ** 4 >= 2 ** 63 or 3 * dim * cmax * cmax >= 2 ** 63:
-        raise OverflowError("Jacobi check of %s exceeds int64" % (pres.dynkin.name,))
+        raise OverflowError("Jacobi check of %s exceeds int64" % (name,))
     order = np.argsort(tm, kind="stable")                # table terms by m
     ty, tz, tm, tc = ty[order], tz[order], tm[order], tc[order]
     tptr = np.searchsorted(tm, np.arange(dim + 1))
@@ -262,7 +291,7 @@ def verify_jacobi(pres: ChevalleyPresentation) -> int:
         hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _JACOBI_CHUNK,
                                              side="right")) - 1)
         s = slice(lptr[lo], lptr[hi])
-        q, t = _join(tptr, am[s])
+        q, t = _join(np, tptr, am[s])
         x, y, z = ax[s][q], ty[t], tz[t]
         keep = (x != y) & (x != z)
         q, t, x, y, z = q[keep], t[keep], x[keep], y[keep], z[keep]
@@ -277,6 +306,44 @@ def verify_jacobi(pres: ChevalleyPresentation) -> int:
         if bad.size and (best is None or keys[bad[0]] < best[0]):
             best = int(keys[bad[0]]), int(sums[bad[0]])
         lo = hi
+    return best
+
+
+# join products from which the numpy join is the faster, its import
+# (0.1-0.15 s) included; with numpy already loaded, from a sixteenth of that
+_NUMPY_JACOBI_PRODUCTS = 20_000
+
+
+def verify_jacobi(pres: ChevalleyPresentation) -> int:
+    """Check the Jacobi identity exactly over the integers on every sorted
+    triple a < b < c of basis indices; returns dim*(dim-1)/2, the number of
+    pairs that [ad a, ad b] = ad[a, b] would check.
+
+    J(a,b,c)_l = sum_m C[b,c,m] C[a,m,l] - C[a,c,m] C[b,m,l]
+    + C[a,b,m] C[c,m,l].  Each term is a stored table term [y, z] ∋ c e_m,
+    y < z, times an ad entry [x, e_m] ∋ v e_l with x not in {y, z}, and
+    its sign is -1 exactly when y < x < z.  Triples with a repeated index
+    vanish by antisymmetry, so the sorted triples certify every pair.  The
+    terms are one join on m, summed per key ((b*dim + a)*dim + l)*dim + c.
+    A nonzero sum raises JacobiFailure with the smallest failing key: pair
+    (a, b) and entry (l, c) of the defect [ad a, ad b] - ad[a, b], whose
+    value is J(a,b,c)_l.
+
+    The join has P = sum_m |terms with output m| * |ad entries at m|
+    products; it runs in plain Python below _NUMPY_JACOBI_PRODUCTS, so a
+    small table loads no numpy, and in numpy from there.
+    """
+    dim = pres.dim
+    terms = [(i, j, k, c) for (i, j), ts in pres.table.items() for k, c in ts]
+    outputs, inputs = [0] * dim, [0] * dim
+    for i, j, k, _ in terms:
+        outputs[k] += 1
+        inputs[i] += 1
+        inputs[j] += 1
+    products = sum(o * n for o, n in zip(outputs, inputs))
+    limit = _NUMPY_JACOBI_PRODUCTS // (16 if "numpy" in sys.modules else 1)
+    best = (_jacobi_defect_numpy(terms, dim, pres.dynkin.name) if products >= limit
+            else _jacobi_defect_plain(terms, dim))
     if best is not None:
         key, val = best
         b, a, l, c = key // dim ** 3, key // dim ** 2 % dim, key // dim % dim, key % dim
@@ -357,25 +424,20 @@ class MatrixRealization:
     def ring(self) -> RingSpec:
         return ZZ
 
-    def stack_numpy(self) -> np.ndarray:
+    def stack_numpy(self):
+        np = _numpy()
         return np.array([m.rows() for m in self.matrices], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
 def matrix_realization(t: DynkinType) -> MatrixRealization:
-    from .liealg import _nonzero_product, _summed
-
-    def commutator(x: dict, y: dict) -> dict:
-        """xy - yx for integer matrices {(row, col): int}, without zeros."""
-        return _summed(ZZ, chain(_nonzero_product(ZZ, x.items(), y).items(),
-                                 _nonzero_product(ZZ, ((k, -v) for k, v in y.items()),
-                                                  x).items()))
+    from .liealg import _commutator, _summed
 
     if t.series not in "ABCD":
         raise NotClassical("no defining realization for series %s" % t.series)
     pres = chevalley_presentation(t)
     rs = pres.root_system
-    roots, neg = rs.roots, rs.neg_index.tolist()
+    roots, neg = rs.roots, rs.neg_index
     trip, m = _simple_triples(t)
     rank = t.rank
     imgs = [None] * len(roots)
@@ -387,7 +449,7 @@ def matrix_realization(t: DynkinType) -> MatrixRealization:
         nval = pres.table[(rank + a, rank + b)][0][1]
         # X_g = [X_a, X_b] / N(a, b) and X_-g = -[X_-a, X_-b] / N(a, b)
         for x, y, z, sign in ((a, b, g, 1), (neg[a], neg[b], neg[g], -1)):
-            prod = commutator(imgs[x], imgs[y])
+            prod = _commutator(ZZ, imgs[x], imgs[y])
             if any(v % nval for v in prod.values()):
                 raise AssertionError("realization of %s: [X_a, X_b] is not "
                                      "divisible by N(a, b) at %s" % (t, roots[z]))
@@ -396,7 +458,7 @@ def matrix_realization(t: DynkinType) -> MatrixRealization:
     # full bracket-compatibility check against the abstract constants
     for i, j in combinations(range(pres.dim), 2):
         expect = ((key, -c * v) for k, c in pres.bracket(i, j) for key, v in mats[k].items())
-        if _summed(ZZ, chain(commutator(mats[i], mats[j]).items(), expect)):
+        if _summed(ZZ, chain(_commutator(ZZ, mats[i], mats[j]).items(), expect)):
             raise AssertionError("realization bracket mismatch at (%d,%d)" % (i, j))
     return MatrixRealization(pres, m, tuple(
         Matrix(ZZ, m, m, tuple(d.get((r, c), 0) for r in range(m) for c in range(m)))
@@ -415,7 +477,7 @@ def _monomial(pres: ChevalleyPresentation, ring: RingSpec, h, xs: list,
     flat = [ring.zero()] * (dim * dim)
     for i in range(rank):
         flat[i * dim + i] = h
-    to = pres.root_system.neg_index.tolist() if swap else range(len(xs))
+    to = pres.root_system.neg_index if swap else range(len(xs))
     for k, (t, v) in enumerate(zip(to, xs)):
         flat[(rank + t) * dim + rank + k] = v
     return Matrix(ring, dim, dim, tuple(flat))

@@ -12,7 +12,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .chevalley import chevalley_presentation, matrix_realization
-from .liealg import BilinearForm, _discriminant, killing_form, trace_form
+from .liealg import (BilinearForm, _commutator, _discriminant, killing_form,
+                     trace_form)
 from .matrices import Matrix
 from .rings import PrimeField, ZZ
 from .roots import DynkinType, InvalidRank
@@ -149,7 +150,9 @@ def b_series_kernel_witness(n: int, p: int = 2) -> KernelWitness:
     The ideal and nilpotency checks run in the matrix image, where the
     span of the E_{0,i} coincides with the reduction of the short-root
     basis vectors; the radical check runs on the integral Killing Gram
-    (short-root columns are even).
+    (short-root columns are even).  Each commutator with an E_{0,i} is
+    the sparse product of its one entry with the other matrix's nonzero
+    entries.
     """
     if not 1 <= n <= 8:
         raise InvalidRank("witness computed for 1 <= n <= 8, got %d" % n)
@@ -166,15 +169,16 @@ def b_series_kernel_witness(n: int, p: int = 2) -> KernelWitness:
         rows = [[0] * m for _ in range(m)]
         rows[0][i] = 1
         witness.append(Matrix.from_rows(f2, rows))
-    mats2 = [mat.map_to_ring(f2) for mat in rl.matrices]
+    # the nonzero entries mod 2 of each realization matrix and witness
+    mats2 = [{divmod(k, m): v % 2 for k, v in enumerate(mat.data) if v % 2}
+             for mat in rl.matrices]
+    wits = [{(0, i): 1} for i in range(1, m)]
 
-    def in_span(mat: Matrix) -> bool:
-        return all(mat.raw(a, b) == 0 for a in range(m) for b in range(m)
-                   if (a, b) not in support)
+    def in_span(entries: dict) -> bool:
+        return all(key in support for key in entries)
 
-    ideal_ok = all(in_span(b @ w - w @ b) for b in mats2 for w in witness)
-    nilpotent_ok = all((w1 @ w2 - w2 @ w1).is_zero()
-                       for w1 in witness for w2 in witness)
+    ideal_ok = all(in_span(_commutator(f2, b, w)) for b in mats2 for w in wits)
+    nilpotent_ok = all(not _commutator(f2, w1, w2) for w1 in wits for w2 in wits)
 
     # short roots = minimal norm; their realization matrices reduce into
     # the witness span, and their integral Gram columns vanish mod 2

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from .matrices import (
@@ -184,6 +184,14 @@ def _nonzero_product(ring: RingSpec, left, right: dict) -> dict:
                           for c, w in by_row.get(m, ())))
 
 
+def _commutator(ring: RingSpec, x: dict, y: dict) -> dict:
+    """xy - yx for sparse matrices {(row, col): raw}, zeros dropped."""
+    neg = ring.neg
+    return _summed(ring, chain(_nonzero_product(ring, x.items(), y).items(),
+                               _nonzero_product(ring, ((k, neg(v)) for k, v in y.items()),
+                                                x).items()))
+
+
 def _adjoint_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> tuple:
     """(pairs, acts, d0, d1) of the Chevalley–Eilenberg complex of g with
     coefficients in g, x acting by bracketing with twist(x), over any ring
@@ -281,19 +289,24 @@ def _discriminant(f: BilinearForm):
     pattern is one block, the whole Gram."""
     gram, ring, n = f.gram, f.gram.ring, f.gram.nrows
     wt = _weights(f.algebra)
-    if any(not ring.is_zero(v) and wt[k % n] != tuple(-x for x in wt[k // n])
-           for k, v in enumerate(gram.data)):
-        wt = [()] * n
     blocks: dict = defaultdict(list)
     for i, w in enumerate(wt):
         blocks[w].append(i)
+    cells = {w: tuple(gram.raw(r, c) for r in rows
+                      for c in blocks.get(tuple(-x for x in w), ()))
+             for w, rows in blocks.items()}
+    # the pattern holds when every entry outside the cells D_d x D_-d is
+    # zero; raw values are canonical, so zeros are counted by equality
+    zero = ring.zero()
+    zeros_in = sum(cell.count(zero) for cell in cells.values())
+    if gram.data.count(zero) - zeros_in != n * n - sum(map(len, cells.values())):
+        wt, blocks, cells = [()] * n, {(): range(n)}, {(): gram.data}
     out = ring.one() if sum(map(any, wt)) // 2 % 2 == 0 else ring.neg(ring.one())
     for w, rows in blocks.items():
         cols = blocks.get(tuple(-x for x in w), ())
         if len(cols) != len(rows):
             return ring.zero()
-        block = tuple(gram.raw(r, c) for r in rows for c in cols)
-        out = ring.mul(out, det(Matrix(ring, len(rows), len(cols), block)))
+        out = ring.mul(out, det(Matrix(ring, len(rows), len(cols), cells[w])))
     return out
 
 
@@ -313,15 +326,17 @@ def _weights(g: LieAlgebra) -> list:
     """The root-lattice weight of each basis vector, as a tuple: 0 for H_i
     and alpha for X_alpha when g carries a `dynkin` label whose Chevalley
     basis order grades its table, [b_i, b_j] ∋ c b_k only if
-    wt(k) = wt(i) + wt(j); otherwise the empty tuple for every vector."""
+    wt(k) = wt(i) + wt(j); otherwise the empty tuple for every vector.
+    The grading is checked on the root keys, which add as the weights do
+    and are one-to-one on sums of two weights."""
     t = g.dynkin
     if isinstance(t, DynkinType):
-        roots = build_root_system(t).roots
-        if g.dim == t.rank + len(roots):
-            wt = [(0,) * t.rank] * t.rank + list(roots)
-            if all(wt[k] == tuple(x + y for x, y in zip(wt[i], wt[j]))
+        rs = build_root_system(t)
+        if g.dim == t.rank + len(rs.roots):
+            key = (0,) * t.rank + rs._keys
+            if all(key[k] == key[i] + key[j]
                    for (i, j), terms in g.table.items() for k, _ in terms):
-                return wt
+                return [(0,) * t.rank] * t.rank + list(rs.roots)
     return [()] * g.dim
 
 

@@ -12,12 +12,13 @@ the elimination's pivots.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .rings import (
     PrimeField,
@@ -29,6 +30,28 @@ from .rings import (
     convert_raw,
     pvaluation,
 )
+
+
+_NUMPY_LOCK = threading.Lock()
+
+
+def _numpy():
+    """numpy, imported on first use.  lieform does no floating-point BLAS
+    work, yet OpenBLAS starts one thread per extra core when numpy loads,
+    and that thread spins under load.  So numpy loads with one BLAS thread
+    unless the caller chose a count, and the environment is then restored,
+    so that no child process or later code sees the change."""
+    with _NUMPY_LOCK:
+        np = sys.modules.get("numpy")
+        if np is None:
+            saved = os.environ.get("OPENBLAS_NUM_THREADS")
+            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+            try:
+                import numpy as np
+            finally:
+                if saved is None:
+                    del os.environ["OPENBLAS_NUM_THREADS"]
+        return np
 
 
 class DimensionMismatch(Exception):
@@ -185,11 +208,12 @@ class Matrix:
         return Matrix(dst, self.nrows, self.ncols,
                       tuple(convert_raw(v, src, dst) for v in self.data))
 
-    def to_numpy(self) -> np.ndarray:
+    def to_numpy(self):
+        np = _numpy()
         return np.array(self.data, dtype=np.int64).reshape(self.nrows, self.ncols)
 
     @staticmethod
-    def from_numpy(ring: RingSpec, arr: np.ndarray) -> "Matrix":
+    def from_numpy(ring: RingSpec, arr) -> "Matrix":
         return Matrix(ring, arr.shape[0], arr.shape[1], tuple(arr.reshape(-1).tolist()))
 
     def __str__(self) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 
@@ -280,7 +281,7 @@ class IntegersModPk(RingSpec):
         if self.k < 1:
             raise ValueError("exponent must be >= 1")
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p ** self.k
 

@@ -13,8 +13,6 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable
 
-import numpy as np
-
 from .matrices import _bareiss_det_int
 
 
@@ -181,44 +179,52 @@ class RootSystem:
             cur = tuple(c - a for a, c in zip(alpha, cur))
         return q
 
-    # -- index data: roots as rows of read-only int64 arrays, in `roots` order
+    # -- index data, in `roots` order: roots named by their index
 
-    @cached_property
-    def root_matrix(self) -> np.ndarray:
+    @property
+    def root_matrix(self) -> tuple:
         """Row k holds the coordinates of roots[k]."""
-        return _frozen(np.array(self.roots, dtype=np.int64).reshape(-1, self.rank))
+        return self.roots
 
     @cached_property
-    def neg_index(self) -> np.ndarray:
+    def neg_index(self) -> tuple:
         """neg_index[k] is the index of -roots[k]."""
         n = len(self.roots)
-        return _frozen((np.arange(n) + n // 2) % n)
+        return tuple((k + n // 2) % n for k in range(n))
 
     @cached_property
-    def sum_index(self) -> np.ndarray:
-        """sum_index[a, b] is the index of roots[a] + roots[b], or -1 when
+    def _keys(self) -> tuple:
+        """sum_j coords_j * base**j for each root.  With base = 4*c + 1, c
+        the largest root coordinate (6, in E8), the key is one-to-one on
+        vectors with coordinates in [-2c, 2c], so on all sums of two roots,
+        and the key of a sum is the sum of the keys."""
+        base = 4 * max(max(r) for r in self.positive_roots) + 1
+        powers = [base ** j for j in range(self.rank)]
+        return tuple(sum(c * w for c, w in zip(r, powers)) for r in self.roots)
+
+    @cached_property
+    def sum_index(self) -> tuple:
+        """sum_index[a][b] is the index of roots[a] + roots[b], or -1 when
         that sum is not a root (zero included).
 
-        Each vector is keyed by sum_j coords_j * base**j.  With base =
-        4*c + 1, c the largest root coordinate (6, in E8), the key is
-        one-to-one on vectors with coordinates in [-2c, 2c], so on all
-        sums of two roots; one searchsorted over the sorted root keys then
-        finds every sum at once.
-        """
-        r = self.root_matrix
-        base = 4 * int(np.abs(r).max()) + 1
-        if base ** self.rank >= 2 ** 63:
-            raise OverflowError("root keys of %s exceed int64" % (self.dynkin,))
-        key = r @ base ** np.arange(self.rank, dtype=np.int64)
-        order = np.argsort(key)
-        sums = key[:, None] + key[None, :]
-        at = np.searchsorted(key[order], sums).clip(max=len(key) - 1)
-        return _frozen(np.where(key[order][at] == sums, order[at], -1))
+        Rows of positive roots are key lookups; the row of -a is the row
+        of a with both the columns and the entries negated."""
+        keys = self._keys
+        at = {k: i for i, k in enumerate(keys)}.get
+        half = len(keys) // 2
+        neg = (self.neg_index + (-1,)).__getitem__   # -1, no root, stays -1
+        rows = [tuple([at(ka + kb, -1) for kb in keys]) for ka in keys[:half]]
+        return tuple(rows + [tuple(map(neg, r[half:] + r[:half])) for r in rows])
 
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    @cached_property
+    def _partners(self) -> tuple:
+        """Per root index a, the indices b with roots[a] + roots[b] a root,
+        in increasing order."""
+        half = len(self.roots) // 2
+        pos = [tuple([b for b, g in enumerate(row) if g >= 0])
+               for row in self.sum_index[:half]]
+        neg = self.neg_index
+        return tuple(pos + [tuple(sorted([neg[b] for b in row])) for row in pos])
 
 
 def _reflect(cartan: tuple, i: int, coords: tuple) -> tuple:

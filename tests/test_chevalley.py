@@ -149,11 +149,19 @@ def _corrupted(pres, rng):
     return dataclasses.replace(pres, table={**pres.table, key: tuple(terms)})
 
 
-@pytest.mark.parametrize("chunk", [None, 64], ids=["one-chunk", "small-chunks"])
+def _force_join(monkeypatch, join):
+    """Make verify_jacobi run its plain or its numpy join at every size."""
+    limit = 10 ** 12 if join == "plain" else 0
+    monkeypatch.setattr(lieform.chevalley, "_NUMPY_JACOBI_PRODUCTS", limit)
+
+
+@pytest.mark.parametrize("mode", ["one-chunk", "small-chunks", "plain"],
+                         ids=str)
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C2", "G2", "B3", "D4"])
-def test_jacobi_matches_the_triple_loop_reference(name, chunk, monkeypatch):
-    if chunk is not None:       # failures then spread over many chunks
-        monkeypatch.setattr(lieform.chevalley, "_JACOBI_CHUNK", chunk)
+def test_jacobi_matches_the_triple_loop_reference(name, mode, monkeypatch):
+    _force_join(monkeypatch, "plain" if mode == "plain" else "numpy")
+    if mode == "small-chunks":  # failures then spread over many chunks
+        monkeypatch.setattr(lieform.chevalley, "_JACOBI_CHUNK", 64)
     pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
     rng = random.Random(name)
     cases = [pres] + [_corrupted(pres, rng) for _ in range(6)]
@@ -168,6 +176,25 @@ def test_jacobi_matches_the_triple_loop_reference(name, chunk, monkeypatch):
                 verify_jacobi(case)
             assert str(err.value) == want
     assert _reference_jacobi(pres) is None and failed >= 3
+
+
+@pytest.mark.parametrize("name", ["E6", "E7"])
+def test_jacobi_joins_agree_on_large_tables(name, monkeypatch):
+    pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
+    rng = random.Random(name)
+    cases = [pres] + [_corrupted(pres, rng) for _ in range(4)]
+    results = {}
+    for join in ("plain", "numpy"):
+        _force_join(monkeypatch, join)
+        results[join] = []
+        for case in cases:
+            try:
+                results[join].append(verify_jacobi(case))
+            except JacobiFailure as exc:
+                results[join].append(str(exc))
+    assert results["plain"] == results["numpy"]
+    assert results["plain"][0] == pres.dim * (pres.dim - 1) // 2
+    assert sum(isinstance(r, str) for r in results["plain"]) >= 2
 
 
 def test_jacobi_check_memory_is_bounded():
@@ -336,7 +363,7 @@ def _from_rows_reference(pres, ring, kind, arg):
     for i in range(rank):
         rows[i][i] = mone
     odd = None if kind == "involution" else next(i for i, c in enumerate(arg) if c % 2)
-    for k, (rho, nk) in enumerate(zip(rs.roots, rs.neg_index.tolist())):
+    for k, (rho, nk) in enumerate(zip(rs.roots, rs.neg_index)):
         rows[rank + nk][rank + k] = one if odd is not None and rho[odd] % 2 else mone
     return Matrix.from_rows(ring, rows)
 
@@ -448,7 +475,7 @@ def test_root_data_arrays_match_tuple_definitions(t):
         assert tuple(coroots[a]) == rs.coroot_coords(alpha)
         assert tuple(pairings[a]) == tuple(rs.pairing(alpha, i) for i in range(rs.rank))
         for b, beta in enumerate(rs.roots):
-            assert strings[a, b] == rs.string_p(alpha, beta)
+            assert strings[a][b] == rs.string_p(alpha, beta)
 
 
 # Fault injection in a `python -O` child: the construction checks are

@@ -172,6 +172,21 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "False"
 
 
+def test_numpy_loads_only_for_a_large_jacobi_join():
+    # A2 and its derivations stay below the numpy join's size; E8 does not
+    code = ("import contextlib, io, sys\n"
+            "import lieform.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = lieform.cli.main(['verify', '--suite', 'derivations',\n"
+            "                             '--type', 'A2', '--prime', '7'])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+            "lieform.chevalley_presentation(lieform.DynkinType('E', 8))\n"
+            "print('numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False", "True"]
+
+
 def _numpy_on_openblas():
     import numpy
     try:
@@ -185,10 +200,12 @@ def _numpy_on_openblas():
                     reason="counts OpenBLAS threads in /proc/self/status")
 @pytest.mark.parametrize("user_value", [None, "2"])
 def test_import_starts_no_blas_thread_pool(user_value):
-    # one thread unless the caller set a count, and os.environ left as found
+    # one thread unless the caller set a count, and os.environ left as found,
+    # once the Jacobi check of a large table has loaded numpy
     code = ("import os\n"
             "before = dict(os.environ)\n"
             "import lieform\n"
+            "lieform.chevalley_presentation(lieform.DynkinType('E', 8))\n"
             "threads = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
             "               if line.startswith('Threads:'))\n"
             "want = min(int(os.environ.get('OPENBLAS_NUM_THREADS', '1')),\n"
@@ -202,6 +219,32 @@ def test_import_starts_no_blas_thread_pool(user_value):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["True", "True", str(user_value)]
+
+
+def test_concurrent_first_numpy_loads_get_the_loaded_module():
+    # four threads on two cores race to load numpy; none may see the
+    # module while it is still initializing, and os.environ ends as found
+    code = ("import os, sys, threading\n"
+            "from lieform.matrices import _numpy\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier = threading.Barrier(4)\n"
+            "ready = []\n"
+            "def load():\n"
+            "    barrier.wait(timeout=30)\n"
+            "    np = _numpy()\n"
+            "    ready.append(not getattr(np.__spec__, '_initializing', False))\n"
+            "threads = [threading.Thread(target=load) for _ in range(4)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(timeout=60)\n"
+            "print(sum(t.is_alive() for t in threads), ready.count(True),\n"
+            "      'OPENBLAS_NUM_THREADS' in os.environ)\n")
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["0", "4", "False"]
 
 
 def test_verify_derivations_f4_within_two_gigabytes():
