@@ -5,29 +5,23 @@ Cochain spaces are flattened: a 1-cochain f sits at index a*dim + i for
 the coefficient of basis vector a in f(e_i); 2- and 3-cochains use the
 lexicographic index of the argument pair or triple in the same way.
 
-`CochainComplex` keeps d0, d1, d2 as sparse {(row, col): raw} maps with
-the zeros dropped.  d0 and d1 come from `liealg._adjoint_complex`, the one
-builder that also gives the centre and the derivations; only d2 is built
-here, for dim <= 20, from the same action entries, and d2∘d1 = 0 is
-checked on the sparse entries.  Untwisted, a Chevalley algebra's complex
-is block diagonal by root-lattice degree: `cohomology_dim` sums block
-ranks, and `solve_coboundary` tests d2 only on the columns where its
-cochain is nonzero and solves only in the d1 blocks that it meets.  The
-dense d0, d1, d2 are views, built only when read.
+d0 and d1 come from `liealg._adjoint_complex`, the one builder that also
+gives the centre and the derivations; only d2 is built here, for
+dim <= 20, from the same action entries.  Untwisted, a Chevalley
+algebra's complex is block diagonal by root-lattice degree.
 
 The action on coefficients may be twisted through an automorphism σ,
 x·m = [σx, m], which is what the obstruction calculus for lifting needs.
 Since ad(σx) = σ ad(x) σ⁻¹, twisting is a conjugation:
 d_σ = (σ⊗I)·d·(σ⁻¹⊗I), where σ⊗I acts on the coefficient index a of a
-cochain index a*m + q.  `lift_automorphism` therefore never builds a
-twisted complex.  It calls `solve_coboundary` on the untwisted complex,
-kept with kernel(d1) per (quotient field, dim, bracket table, `dynkin`
-label) in an `lru_cache`, and transports its data through σ⊗I.
+cochain index a*m + q.  So every complex is read through the untwisted
+one's degree blocks: `cohomology_dim` sums its block ranks, and one
+solve, `_solve`, serves every σ, also for `lift_automorphism`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -51,8 +45,9 @@ class NotACocycle(Exception):
 @dataclass(frozen=True)
 class CochainComplex:
     """d0, d1, d2 as sparse `maps` {(row, col): raw} without zeros, with
-    the `degrees` of their columns.  The dense d0, d1, d2, the degree
-    blocks and d2 by column are built on first use and kept."""
+    the `degrees` of the untwisted columns; a twisted complex keeps the
+    `untwisted` one that it conjugates.  The dense views d0, d1, d2, the
+    degree blocks, d2 by column and kernel(d1) are built on first use."""
 
     algebra: LieAlgebra
     twist: Optional[Matrix]
@@ -60,6 +55,7 @@ class CochainComplex:
     triples: tuple
     maps: tuple = field(compare=False, repr=False)
     degrees: tuple = field(compare=False, repr=False)
+    untwisted: Optional[CochainComplex] = field(default=None, compare=False, repr=False)
 
     def cochain_dim(self, degree: int) -> int:
         n = self.algebra.dim
@@ -87,58 +83,95 @@ class CochainComplex:
             split[k] = _degree_blocks(self.algebra.ring, self.degrees[k], self.maps[k])
         return split[k]
 
+    @cached_property
+    def _d1_kernel(self) -> Matrix:
+        return _graded_kernel(self.algebra.ring, self.degrees[1], self.maps[1])
+
+
+def _automorphism_inverse(g: LieAlgebra, sigma: Matrix) -> Matrix:
+    """σ⁻¹, refused unless σ is an automorphism of g.  For an invertible
+    σ, (d1_σ d0_σ m)(x, y) = [[σx, σy] - σ[x, y], m]: the witness is the
+    first (x, y, m) on which a `_bracket_defect` acts, else the first pair
+    whose defect is nonzero, and so central."""
+    ring, n = g.ring, g.dim
+    if (sigma.nrows, sigma.ncols) != (n, n):
+        raise ValueError("twist must be a dim x dim matrix")
+    s_inv = solve_linear(sigma, Matrix.identity(ring, n))
+    if s_inv is None:
+        raise NotAutomorphism("the twist is not an automorphism: it is singular")
+    pairs = tuple(combinations(range(n), 2))
+    defects = [(pairs[q], d) for q, d in _bracket_defect(g, sigma) if d]
+    acting = [xy + (m,) for xy, d in defects for m in range(n)
+              if _summed(ring, ((k, ring.mul(v, c)) for a, v in d.items()
+                                for k, c in g.bracket_basis(a, m)))]
+    if defects:
+        raise NotAutomorphism("the twist is not an automorphism: " + (
+            "d1∘d0 is nonzero at (x, y, m) = (%d,%d,%d)" % acting[0] if acting else
+            "[σx, σy] - σ[x, y] is central and nonzero at (x, y) = (%d,%d)" % defects[0][0]))
+    return s_inv
+
 
 def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
     """The complex behind `ce_complex`.  Untwisted, column degrees follow
     `liealg._weights`: wt(b) at column b of d0, `_slot_degrees` for d1,
-    wt(a) - wt(i) - wt(j) at column (a, (i, j)) of d2.  A twisted complex
-    is one block."""
+    wt(a) - wt(i) - wt(j) at column (a, (i, j)) of d2."""
     ring = g.ring
     if not ring.is_field:
         raise UnsupportedRing("cochain complexes need a field, got %r" % (ring,))
     n = g.dim
     if n > 20:
         raise DimensionTooLarge("dim %d exceeds the supported bound 20" % n)
-    pairs, acts, d0, d1 = _adjoint_complex(g, twist)
+    if twist is not None:
+        s_inv = _automorphism_inverse(g, twist)
+    pairs, acts, d0, d1 = _adjoint_complex(g)
     triples = tuple(combinations(range(n), 3))
     pidx = {pr: q for q, pr in enumerate(pairs)}
     np_, nt = len(pairs), len(triples)
     neg = ring.neg
 
     def d2_terms():
+        # sign·(b_m·f(pr) - f([pr], b_m)) for each m and the pair pr it leaves
         for tq, (i, j, k) in enumerate(triples):
-            for act, pr, sign in ((acts[i], (j, k), 1), (acts[j], (i, k), -1),
-                                  (acts[k], (i, j), 1)):
+            for m, pr, sign in ((i, (j, k), 1), (j, (i, k), -1), (k, (i, j), 1)):
                 col = pidx[pr]
-                for a, b, v in act:
+                for a, b, v in acts[m]:
                     yield (a * nt + tq, b * np_ + col), v if sign > 0 else neg(v)
-            for sign, pr, m in ((-1, (i, j), k), (1, (i, k), j), (-1, (j, k), i)):
                 for l, c in g.bracket_basis(*pr):
-                    if l == m:
-                        continue
-                    # f(b_l, b_m) = -f(b_m, b_l): the stored pair is ordered
-                    col = pidx[(l, m)] if l < m else pidx[(m, l)]
-                    v = c if (sign > 0) == (l < m) else neg(c)
-                    for a in range(n):
-                        yield (a * nt + tq, a * np_ + col), v
+                    if l != m:
+                        # f(b_l, b_m) = -f(b_m, b_l): the stored pair is ordered
+                        v = c if (sign < 0) == (l < m) else neg(c)
+                        for a in range(n):
+                            yield (a * nt + tq, a * np_ + pidx[min(l, m), max(l, m)]), v
 
     d2 = _summed(ring, d2_terms())
     bad = _nonzero_product(ring, d2.items(), d1)
     if bad:
         raise AssertionError("d2∘d1 is nonzero at %s" % (min(bad),))
-    wt = _weights(g) if twist is None else [()] * n
+    wt = _weights(g)
     d2_degrees = [tuple(x - y - z for x, y, z in zip(wt[a], wt[i], wt[j]))
                   for a in range(n) for i, j in pairs]
-    return CochainComplex(g, twist, pairs, triples, (d0, d1, d2),
-                          (wt, _slot_degrees(wt), d2_degrees))
+    plain = CochainComplex(g, None, pairs, triples, (d0, d1, d2),
+                           (wt, _slot_degrees(wt), d2_degrees))
+    if twist is None:
+        return plain
+
+    def kron(s, m):     # s⊗I_m: s[a2, a] at (a2*m + q, a*m + q)
+        return {(k // n * m + q, k % n * m + q): v for k, v in enumerate(s.data)
+                if not ring.is_zero(v) for q in range(m)}
+
+    # d_k's rows are a*m_row + q and its columns b*m_col + q'
+    maps = tuple(_nonzero_product(ring, kron(twist, m_row).items(),
+                                  _nonzero_product(ring, d.items(), kron(s_inv, m_col)))
+                 for d, m_row, m_col in zip((d0, d1, d2), (n, np_, nt), (1, n, np_)))
+    return replace(plain, twist=twist, maps=maps, untwisted=plain)
 
 
 def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
     """Differentials d0, d1, d2 of the coefficient module g, the action of
-    x being bracketing with twist(x).  Exact over the base field; d2∘d1 = 0
-    is checked on construction, and d1∘d0 = 0 for a twist (untwisted, it is
-    the Jacobi identity that g's table was certified with).
-    """
+    x being bracketing with twist(x), an automorphism over g's ring checked
+    before anything is built.  Exact over the base field; d2∘d1 = 0 is
+    checked on construction, and d1∘d0 = 0 is the Jacobi identity of g's
+    table."""
     return _complex(g, twist)
 
 
@@ -147,7 +180,7 @@ def _untwisted_complex(ring: RingSpec, dim: int, table: tuple, dynkin):
     """(the untwisted complex, kernel(d1)) of the algebra with this sorted
     table and `dynkin` label."""
     cx = _complex(LieAlgebra(ring, dim, dict(table), dynkin=dynkin, check=False), None)
-    return cx, _graded_kernel(ring, cx.degrees[1], cx.maps[1])
+    return cx, cx._d1_kernel
 
 
 def _solve_by_blocks(ring: RingSpec, row_degree: dict, blocks: dict, ncols: int,
@@ -174,30 +207,33 @@ def _solve_by_blocks(ring: RingSpec, row_degree: dict, blocks: dict, ncols: int,
 
 
 def cohomology_dim(cx: CochainComplex, degree: int) -> int:
-    """cochain_dim - rank d_degree - rank d_(degree-1), by degree blocks."""
+    """cochain_dim - rank d_degree - rank d_(degree-1), by the degree
+    blocks of the untwisted complex: conjugation keeps rank."""
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
+    plain = cx.untwisted or cx
     return cx.cochain_dim(degree) - sum(
         rank(block) for k in range(max(degree - 1, 0), degree + 1)
-        for _, _, block in cx._blocks(k)[1].values())
+        for _, _, block in plain._blocks(k)[1].values())
 
 
-def solve_coboundary(cx: CochainComplex, theta: Union[Matrix, Sequence]) -> Optional[Matrix]:
-    """A 1-cochain delta with d1(delta) = theta, or None if none exists.
+def _solve(cx: CochainComplex, ker: Optional[Matrix], sigma: Optional[Matrix],
+           theta: Matrix) -> Optional[Matrix]:
+    """solve_linear(d1_σ, theta), or None, on the untwisted complex cx,
+    ker = kernel(d1) read only for a twist σ.  theta is a cocycle iff
+    (σ⁻¹⊗I)·theta is, and delta0 = (σ⊗I)·y solves d1_σ·delta0 = theta for
+    d1·y = (σ⁻¹⊗I)·theta.  `solve_linear` answers zero at the non-pivot
+    columns F of d1_σ, where the vectors of its kernel K_σ = (σ⊗I)·ker can
+    end.  So F is read from K_σ bottom up, and delta = delta0 - K_σ·x with
+    K_σ[F]·x = delta0[F]."""
+    ring, n = cx.algebra.ring, cx.algebra.dim
 
-    Free coordinates pivot to zero, so the answer is deterministic; the
-    zero cocycle always comes back as the zero cochain.
-    """
-    ring, want = cx.algebra.ring, cx.cochain_dim(2)
-    if isinstance(theta, Matrix):
-        if (theta.nrows, theta.ncols) != (want, 1):
-            raise ValueError("expected a %d x 1 column" % want)
-        if theta.ring != ring:
-            raise RingMismatch("%r vs %r" % (ring, theta.ring))
-    elif len(theta) != want:
-        raise ValueError("expected %d cochain coordinates" % want)
-    else:
-        theta = Matrix.column(ring, list(theta))
+    def transport(s, v):    # (s⊗I)·v: s acts on the index a of each row a*m + q
+        return Matrix(ring, v.nrows, v.ncols,
+                      (s @ Matrix(ring, n, len(v.data) // n, v.data)).data)
+
+    if sigma is not None:
+        theta = transport(inverse(sigma), theta)
     rhs = {r: t for r, t in enumerate(theta.data) if not ring.is_zero(t)}
     # d2·theta sums the d2 columns in theta's support, and no others
     columns, mul = cx._d2_columns, ring.mul
@@ -205,7 +241,33 @@ def solve_coboundary(cx: CochainComplex, theta: Union[Matrix, Sequence]) -> Opti
                       for r, v in columns.get(c, ()))):
         raise NotACocycle("d2 of the given 2-cochain is nonzero")
     row_degree, blocks = cx._blocks(1)
-    return _solve_by_blocks(ring, row_degree, blocks, cx.cochain_dim(1), rhs)
+    y = _solve_by_blocks(ring, row_degree, blocks, cx.cochain_dim(1), rhs)
+    if y is None or sigma is None:
+        return y
+    delta, ker_s = transport(sigma, y), transport(sigma, ker)
+    free = [ker_s.nrows - 1 - c for c in pivots(Matrix.from_rows(
+        ring, [ker_s.col(t)[::-1] for t in range(ker_s.ncols)]))]
+    x = solve_linear(Matrix.from_rows(ring, [ker_s.row(r) for r in free]),
+                     Matrix.column(ring, [delta.data[r] for r in free]))
+    if x is None:
+        raise AssertionError("the kernel of d1_σ is singular on its non-pivot columns")
+    return delta - ker_s @ x
+
+
+def solve_coboundary(cx: CochainComplex, theta: Union[Matrix, Sequence]) -> Optional[Matrix]:
+    """A 1-cochain delta with d1(delta) = theta, or None if none exists:
+    the one `solve_linear(cx.d1, theta)` gives, whose free coordinates
+    pivot to zero, so the zero cocycle comes back as the zero cochain."""
+    ring, want = cx.algebra.ring, cx.cochain_dim(2)
+    if not isinstance(theta, Matrix):
+        theta = Matrix.column(ring, list(theta))
+    if (theta.nrows, theta.ncols) != (want, 1):
+        raise ValueError("expected a %d x 1 column" % want)
+    if theta.ring != ring:
+        raise RingMismatch("%r vs %r" % (ring, theta.ring))
+    if cx.untwisted is None:
+        return _solve(cx, None, None, theta)
+    return _solve(cx.untwisted, cx.untwisted._d1_kernel, cx.twist, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +322,6 @@ def square_zero_extension(total: RingSpec) -> SquareZeroExtension:
         "square-zero extension needs Z/p^2 or dual numbers, got %r" % (total,))
 
 
-def _transport(s: Matrix, v: Matrix) -> Matrix:
-    """(s⊗I)·v: s acts on the coefficient index a of each row a*m + q."""
-    n = s.nrows
-    blocks = Matrix(v.ring, n, len(v.data) // n, v.data)
-    return Matrix(v.ring, v.nrows, v.ncols, (s @ blocks).data)
-
-
 def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
                       sigma_bar: Matrix) -> Matrix:
     """Lift an automorphism through the extension when the Killing form
@@ -274,18 +329,9 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
 
     The input algebra must live over the integers; it is reduced to both
     levels of the extension.  The defect theta of the naive entrywise lift
-    (`liealg._bracket_defect`, as in `is_lie_automorphism`) lies in J and
-    is a 2-cocycle for the action twisted by sigma_bar; its primitive
-    corrects the lift, and the result is re-verified exactly.
-
-    The primitive is the solution delta of d1_σ·delta = theta that is zero
-    at the non-pivot columns F of d1_σ, found without building d1_σ: a
-    solution is delta0 = (σ⊗I)·y with d1·y = (σ⁻¹⊗I)·theta, the kernel of
-    d1_σ is K_σ = (σ⊗I)·kernel(d1), and c is a non-pivot column exactly
-    when a kernel vector has its last nonzero entry at c.  So F is read
-    from K_σ bottom up, and delta = delta0 - K_σ·x with K_σ[F]·x = delta0[F].
-    y comes from `solve_coboundary` on the cached untwisted complex, which
-    also checks that (σ⁻¹⊗I)·theta is a cocycle.
+    (`liealg._bracket_defect`) lies in J and is a 2-cocycle for the action
+    twisted by sigma_bar; its primitive from `_solve` corrects the lift,
+    and the result is re-verified exactly.
     """
     if g.ring.kind != "integers":
         raise UnsupportedRing("lifting starts from an integral table")
@@ -315,28 +361,12 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
                                      "modulo J")
             theta[a * np_ + q] = ext.j_extract(d)
 
-    # d2_σ·theta = (σ⊗I)·d2·theta_u, so the cocycle check runs untwisted
-    theta_u = _transport(inverse(sigma_bar), Matrix.column(quot, theta))
     try:
-        y = solve_coboundary(cx, theta_u)
+        delta = _solve(cx, ker, sigma_bar, Matrix.column(quot, theta))
     except NotACocycle:
         raise AssertionError("lift defect failed the cocycle identity") from None
-    if y is None:
+    if delta is None:
         raise AssertionError("no primitive despite a perfect Killing form")
-
-    delta = _transport(sigma_bar, y)
-    ker_s = _transport(sigma_bar, ker)
-    last = ker_s.nrows - 1
-    bottom_up = Matrix(quot, ker_s.ncols, ker_s.nrows,
-                       tuple(ker_s.raw(last - r, t) for t in range(ker_s.ncols)
-                             for r in range(ker_s.nrows)))
-    free = [last - c for c in pivots(bottom_up)]
-    x = solve_linear(Matrix.from_rows(quot, [ker_s.row(r) for r in free]),
-                     Matrix.column(quot, [delta.data[r] for r in free]))
-    if x is None:
-        raise AssertionError("the kernel of d1_σ is singular on its "
-                             "non-pivot columns")
-    delta = delta - ker_s @ x
 
     # delta's row a*n + b corrects entry (a, b)
     sigma = Matrix(total, n, n, tuple(total.sub(s, ext.j_embed(d))

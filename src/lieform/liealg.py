@@ -16,8 +16,9 @@ is one block of degree 0.  The Killing Gram is graded too, and
 `is_perfect` reads its determinant one degree block at a time, over every
 ring.  `ad_matrix` and `casimir_operator` read the same sparse ad
 entries.  `_bracket_defect` is the one bracket defect [s x, s y] - s[x, y]
-on basis pairs: `is_lie_automorphism` tests it for zero, and it is the
-obstruction cocycle of `cohomology.lift_automorphism`.
+on basis pairs: `is_lie_automorphism` tests it for zero, `cohomology`
+refuses a twist by it, and it is the obstruction cocycle of
+`cohomology.lift_automorphism`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Optional
 
 from .matrices import (
     DimensionMismatch,
@@ -192,31 +192,17 @@ def _commutator(ring: RingSpec, x: dict, y: dict) -> dict:
                                                 x).items()))
 
 
-def _adjoint_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> tuple:
+def _adjoint_complex(g: LieAlgebra) -> tuple:
     """(pairs, acts, d0, d1) of the Chevalley–Eilenberg complex of g with
-    coefficients in g, x acting by bracketing with twist(x), over any ring
-    and in any dimension.  acts[i] lists the nonzero entries (a, b, v) of
-    the action of b_i; d0 and d1 are sparse maps {(row, col): raw}.  A
-    1-cochain f sits at a*dim + i for the coefficient of b_a in f(b_i), a
-    2-cochain at a*len(pairs) + q for the pair q = (i, j), i < j.
-
-    (d1 d0 m)(x, y) = [x,[y,m]] - [y,[x,m]] - [[x,y],m]: untwisted, the
-    Jacobi identity, certified once per table by `LieAlgebra._check_jacobi`;
-    twisted, a nonzero d1∘d0 raises NotAutomorphism naming the first
-    failing (x, y, m), x < y.
-    """
-    ring, n, twisted = g.ring, g.dim, twist is not None
-    mul, neg = ring.mul, ring.neg
-    if twisted and (twist.nrows, twist.ncols) != (n, n):
-        raise ValueError("twist must be a dim x dim matrix")
-    # ad(twist b_i) = sum_k twist[k, i] ad(b_k)
-    weights = [[(i, s) for i, s in enumerate(g._raws(twist.row(k)))
-                if not ring.is_zero(s)] if twisted else [(k, ring.one())]
-               for k in range(n)]
-    entries = _summed(ring, (((i, a, b), mul(s, v))
-                             for k, a, b, v in _ad_entries(g) for i, s in weights[k]))
+    coefficients in g, over any ring and in any dimension.  acts[i] lists
+    the nonzero entries (a, b, v) of ad(b_i); d0 and d1 are sparse maps
+    {(row, col): raw}.  A 1-cochain f sits at a*dim + i for the coefficient
+    of b_a in f(b_i), a 2-cochain at a*len(pairs) + q for the pair
+    q = (i, j), i < j.  d1∘d0 = 0 is `LieAlgebra._check_jacobi`."""
+    ring, n, neg = g.ring, g.dim, g.ring.neg
     acts: list = [[] for _ in range(n)]
-    for (i, a, b), v in entries.items():
+    for (i, a, b), v in _summed(ring, (((i, a, b), v)
+                                       for i, a, b, v in _ad_entries(g))).items():
         acts[i].append((a, b, v))
     pairs = tuple(combinations(range(n), 2))
     np_ = len(pairs)
@@ -232,13 +218,7 @@ def _adjoint_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> tuple:
                 for a in range(n):
                     yield (a * np_ + q, a * n + k), neg(c)
 
-    d1 = _summed(ring, d1_terms())
-    bad = twisted and _nonzero_product(ring, d1.items(), d0)
-    if bad:
-        raise NotAutomorphism("the twist is not an automorphism: d1∘d0 is "
-                              "nonzero at (x, y, m) = (%d,%d,%d)"
-                              % min(pairs[r % np_] + (m,) for r, m in bad))
-    return pairs, acts, d0, d1
+    return pairs, acts, d0, _summed(ring, d1_terms())
 
 
 def _dense(ring: RingSpec, ncols: int, entries: dict, rows) -> Matrix:

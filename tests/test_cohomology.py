@@ -1,14 +1,17 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import lieform.cohomology as cohomology
 from lieform import (DimensionTooLarge, DualNumbers, DynkinType,
                      IntegersModPk, LieAlgebra, Matrix, NotACocycle,
-                     NotAutomorphism, NotPerfect, PrimeField, ZZ, base_change,
-                     ce_complex, center_basis, chevalley_involution,
-                     chevalley_presentation, cohomology_dim,
+                     NotAutomorphism, NotPerfect, PrimeField, RingMismatch,
+                     UnsupportedRing, ZZ, base_change, ce_complex, center_basis,
+                     chevalley_involution, chevalley_presentation, cohomology_dim,
                      derivation_algebra, inverse, is_lie_automorphism,
                      lift_automorphism, rank, solve_coboundary, solve_linear,
                      square_zero_extension, torus_automorphism, triple_flip)
@@ -86,8 +89,7 @@ def test_solve_coboundary_zero_gives_zero():
 
 
 def test_solve_coboundary_rejects_non_cocycles():
-    # abelian in degree 2: d2 = 0, so craft the failure on a twisted
-    # complex where d2 is injective on a line
+    # d2 of sl3 is nonzero, so some unit 2-cochain lies outside ker d2
     g = SL3.to_lie_algebra(F5)
     cx = ce_complex(g)
     # find a 2-cochain outside ker d2
@@ -420,17 +422,108 @@ def test_block_readers_equal_the_dense_reference(name, p):
 
 
 def test_block_readers_leave_the_dense_views_unbuilt():
-    cx = ce_complex(SL3.to_lie_algebra(F5))
-    assert [cohomology_dim(cx, k) for k in (0, 1, 2)] == [0, 0, 0]
-    assert solve_coboundary(cx, [0] * cx.cochain_dim(2)).is_zero()
-    assert not {"d0", "d1", "d2"} & set(vars(cx))
-    assert cx.d1.nrows == cx.cochain_dim(2) and "d1" in vars(cx)
+    g = SL3.to_lie_algebra(F5)
+    for cx in (ce_complex(g), ce_complex(g, twist=chevalley_involution(SL3, F5))):
+        assert [cohomology_dim(cx, k) for k in (0, 1, 2)] == [0, 0, 0]
+        assert solve_coboundary(cx, [0] * cx.cochain_dim(2)).is_zero()
+        assert not {"d0", "d1", "d2"} & set(vars(cx))
+        # a twisted complex reads the blocks of the untwisted one it keeps
+        assert not {"d0", "d1", "d2"} & set(vars(cx.untwisted or cx))
+        assert cx.d1.nrows == cx.cochain_dim(2) and "d1" in vars(cx)
+
+
+def test_twisted_ranks_are_the_untwisted_blocks(monkeypatch):
+    # d_σ = (σ⊗I)·d·(σ⁻¹⊗I) has the rank of d, so cohomology_dim of a
+    # twisted complex ranks the degree blocks of the untwisted complex,
+    # not one block of the whole d_σ
+    pres = chevalley_presentation(DynkinType("A", 3))
+    g = pres.to_lie_algebra(F5)
+    blocks = ce_complex(g)._blocks
+    want = [(block.nrows, block.ncols) for degree in (0, 1, 2)
+            for k in range(max(degree - 1, 0), degree + 1)
+            for _, _, block in blocks(k)[1].values()]
+    real, seen = cohomology.rank, []
+
+    def spy(m):
+        seen.append((m.nrows, m.ncols))
+        return real(m)
+
+    monkeypatch.setattr(cohomology, "rank", spy)
+    for s in (chevalley_involution(pres, F5),
+              _seeded_automorphism(pres, F5, random.Random(5))):
+        cx = ce_complex(g, twist=s)
+        seen.clear()
+        assert [cohomology_dim(cx, k) for k in (0, 1, 2)] == [0, 0, 0]
+        assert seen == want
+
 
 def test_non_automorphism_twist_is_refused():
     # x·m = [2x, m] is not an action: d1∘d0 picks up 4[[x,y],m] - 2[[x,y],m]
     g = SL2.to_lie_algebra(F5)
     with pytest.raises(NotAutomorphism, match=r"d1∘d0 is nonzero at \(x, y, m\) = \(0,1,0\)"):
         ce_complex(g, twist=Matrix.identity(F5, 3).scale(2))
+
+
+def test_twist_must_be_an_automorphism():
+    g = SL2.to_lie_algebra(F5)
+    with pytest.raises(NotAutomorphism, match="singular"):
+        ce_complex(g, twist=Matrix.zeros(F5, 3, 3))
+    with pytest.raises(NotAutomorphism, match="singular"):
+        ce_complex(g, twist=Matrix.from_rows(F5, [[1, 0, 0], [0, 1, 0], [1, 0, 0]]))
+    with pytest.raises(ValueError, match="dim x dim"):
+        ce_complex(g, twist=Matrix.identity(F5, 2))
+    with pytest.raises(RingMismatch):
+        ce_complex(g, twist=Matrix.identity(F7, 3))
+    # the Heisenberg algebra [x, y] = z has the centre F·z; for σ = diag(1, 1, 2),
+    # [σx, σy] - σ[x, y] = z - 2z is central, so d1∘d0 = 0, yet σ is no automorphism
+    heis = LieAlgebra(F5, 3, {(0, 1): ((2, 1),)})
+    with pytest.raises(NotAutomorphism, match=r"central and nonzero at \(x, y\) = \(0,1\)"):
+        ce_complex(heis, twist=Matrix.from_rows(F5, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    cx = ce_complex(heis, twist=Matrix.from_rows(F5, [[2, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    assert (cx.d1 @ cx.d0).is_zero() and (cx.d2 @ cx.d1).is_zero()
+
+
+def test_twist_refusals_keep_their_order():
+    # the ring, then the dimension, then the shape, then the automorphism
+    with pytest.raises(UnsupportedRing):
+        ce_complex(SL2.to_lie_algebra(ZZ), twist=Matrix.identity(ZZ, 2))
+    with pytest.raises(DimensionTooLarge):
+        ce_complex(LieAlgebra(F5, 21, {}, check=False), twist=Matrix.identity(F5, 2))
+    with pytest.raises(ValueError):
+        ce_complex(SL2.to_lie_algebra(F5), twist=Matrix.zeros(F5, 2, 3))
+
+
+_REFUSALS = """
+import lieform as L
+assert False  # stripped under -O
+F5 = L.PrimeField(5)
+sl2 = L.chevalley_presentation(L.DynkinType("A", 1)).to_lie_algebra(F5)
+heis = L.LieAlgebra(F5, 3, {(0, 1): ((2, 1),)})
+for g, twist in ((sl2, L.Matrix.zeros(F5, 3, 3)),
+                 (sl2, L.Matrix.from_rows(F5, [[1, 0, 0], [0, 1, 0], [1, 0, 0]])),
+                 (sl2, L.Matrix.identity(F5, 3).scale(2)), (sl2, L.Matrix.identity(F5, 2)),
+                 (heis, L.Matrix.from_rows(F5, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]))):
+    try:
+        L.ce_complex(g, twist=twist)
+    except (L.NotAutomorphism, ValueError) as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_twist_refusals_survive_python_O():
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cohomology.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", _REFUSALS], env=env, check=True,
+                         capture_output=True, encoding="utf-8").stdout
+    head = "NotAutomorphism the twist is not an automorphism: "
+    assert out.splitlines() == [
+        head + "it is singular",
+        head + "it is singular",
+        head + "d1∘d0 is nonzero at (x, y, m) = (0,1,0)",
+        "ValueError twist must be a dim x dim matrix",
+        head + "[σx, σy] - σ[x, y] is central and nonzero at (x, y) = (0,1)"]
 
 
 def test_only_d2_has_the_dimension_bound():
