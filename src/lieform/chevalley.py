@@ -17,18 +17,19 @@ Cartan pairings and coroots; the sign recursion runs on index pairs and
 raises on any inexact division; `_check_constants` checks the sparse
 constants (N != 0 exactly where a + b is a root, |N| = p + 1,
 antisymmetry, negation rule); `verify_jacobi` then certifies the Jacobi
-identity on every sorted triple of basis indices, in plain Python for a
-small table and in numpy for a large one.  All checks raise
-AssertionError (or its subclass JacobiFailure), so `python -O` keeps them.
+identity by checking that ad x is a derivation for the 2*rank generators
+x = X_{±alpha_i}, with a join over every sorted triple of basis indices
+to decide a table that fails the certificate.  All checks are plain
+Python and raise AssertionError (or its subclass JacobiFailure), so
+`python -O` keeps them.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import chain, product
 
 from .matrices import Matrix, _numpy
 from .rings import RingSpec, Scalar, ZZ
@@ -253,106 +254,92 @@ def _jacobi_defect_plain(terms: list, dim: int):
     return min(((key, v) for key, v in sums.items() if v), default=None)
 
 
-def _join(np, ptr, idx) -> tuple:
-    """All index pairs (q, t) with ptr[idx[q]] <= t < ptr[idx[q] + 1]."""
-    lo = ptr[idx]
-    cnt = ptr[idx + 1] - lo
-    q = np.repeat(np.arange(len(idx)), cnt)
-    return q, np.arange(len(q)) - np.repeat(np.cumsum(cnt) - cnt, cnt) + lo[q]
+def _generators(pres: ChevalleyPresentation):
+    """The basis indices of the X_{alpha_i} and then the X_{-alpha_i}, if
+    the table shows that they generate the algebra over Q, else None.
+
+    The table must give [X_{alpha_i}, X_{-alpha_i}] as one nonzero term at
+    H_i and, for each non-simple positive root g with first special pair
+    (a, b), [X_a, X_b] and [X_-a, X_-b] as one nonzero term at X_g and
+    X_-g.  a and b are lower than g, so by induction on height every
+    basis vector is, over Q, a multiple of an iterated bracket of
+    generators."""
+    rs, r = pres.root_system, pres.rank
+    neg = rs.neg_index
+    simple = [rs.root_index(tuple(int(j == i) for j in range(r))) for i in range(r)]
+    steps = [(r + a, r + neg[a], i) for i, a in enumerate(simple)]
+    for g, ((a, b), *_) in _special_pairs(rs).items():
+        steps += [(r + a, r + b, r + g), (r + neg[a], r + neg[b], r + neg[g])]
+    for u, w, target in steps:
+        terms = pres.bracket(u, w)
+        if len(terms) != 1 or terms[0][0] != target or not terms[0][1]:
+            return None
+    return tuple(r + a for a in simple) + tuple(r + neg[a] for a in simple)
 
 
-# products per chunk of the numpy Jacobi join; bounds its working memory
-_JACOBI_CHUNK = 8192
-
-
-def _jacobi_defect_numpy(terms: list, dim: int, name: str):
-    """As `_jacobi_defect_plain`, in int64 arrays: one join on m, chunked
-    by output index l (whole groups of l, at most _JACOBI_CHUNK products
-    each)."""
-    np = _numpy()
-    ty, tz, tm, tc = np.array(terms, dtype=np.int64).reshape(-1, 4).T
-    # keys are below dim^4; a key sums at most 3*dim products of two
-    # constants, and |c| <= 6 up to rank 8
-    cmax = int(np.abs(tc).max(initial=0))
-    if dim ** 4 >= 2 ** 63 or 3 * dim * cmax * cmax >= 2 ** 63:
-        raise OverflowError("Jacobi check of %s exceeds int64" % (name,))
-    order = np.argsort(tm, kind="stable")                # table terms by m
-    ty, tz, tm, tc = ty[order], tz[order], tm[order], tc[order]
-    tptr = np.searchsorted(tm, np.arange(dim + 1))
-    # ad entries [x, e_m] ∋ v e_l, sorted by l
-    ad = np.stack((np.r_[ty, tz], np.r_[tz, ty], np.r_[tm, tm], np.r_[tc, -tc]))
-    ax, am, al, av = ad[:, np.argsort(ad[2], kind="stable")]
-    lptr = np.searchsorted(al, np.arange(dim + 1))
-    # products before each group of l; chunks end on those boundaries
-    before = np.r_[0, np.cumsum(np.diff(tptr)[am])][lptr]
-    best = None
-    lo = 0
-    while lo < dim:
-        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _JACOBI_CHUNK,
-                                             side="right")) - 1)
-        s = slice(lptr[lo], lptr[hi])
-        q, t = _join(np, tptr, am[s])
-        x, y, z = ax[s][q], ty[t], tz[t]
-        keep = (x != y) & (x != z)
-        q, t, x, y, z = q[keep], t[keep], x[keep], y[keep], z[keep]
-        vals = np.where((y < x) & (x < z), -1, 1) * av[s][q] * tc[t]
-        lo3, hi3 = np.minimum(x, y), np.maximum(x, z)
-        keys = (((x + y + z - lo3 - hi3) * dim + lo3) * dim + al[s][q]) * dim + hi3
-        order = np.argsort(keys)
-        keys, vals = keys[order], vals[order]
-        first = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
-        keys, sums = keys[first], np.add.reduceat(vals, first)
-        bad = np.flatnonzero(sums)
-        if bad.size and (best is None or keys[bad[0]] < best[0]):
-            best = int(keys[bad[0]]), int(sums[bad[0]])
-        lo = hi
-    return best
-
-
-# join products from which the numpy join is the faster, its import
-# (0.1-0.15 s) included; with numpy already loaded, from a sixteenth of that
-_NUMPY_JACOBI_PRODUCTS = 20_000
+def _derivation_defect(x: int, rows: dict, by_output: dict) -> bool:
+    """Whether ad x fails to be a derivation of the bracket, that is, some
+    J(x, u, w) = [x, [u, w]] - [[x, u], w] + [[x, w], u], u < w, is
+    nonzero.  rows[i] lists the (j, k, c) with [e_i, e_j] ∋ c e_k and
+    by_output[m] the stored terms (u, w, c), [e_u, e_w] ∋ c e_m, u < w."""
+    sums: dict = defaultdict(int)
+    for m, l, v in rows.get(x, ()):                     # [x, e_m] ∋ v e_l
+        for u, w, c in by_output.get(m, ()):            # [x, [e_u, e_w]]
+            sums[u, w, l] += c * v
+        for w, k, c in rows.get(l, ()):                 # [[x, e_m], e_w]
+            if m < w:
+                sums[m, w, k] -= v * c
+            elif m > w:
+                sums[w, m, k] += v * c
+    return any(sums.values())
 
 
 def verify_jacobi(pres: ChevalleyPresentation) -> int:
-    """Check the Jacobi identity exactly over the integers on every sorted
-    triple a < b < c of basis indices; returns dim*(dim-1)/2, the number of
-    pairs that [ad a, ad b] = ad[a, b] would check.
+    """Check the Jacobi identity exactly over the integers; returns
+    dim*(dim-1)/2, the number of pairs that [ad a, ad b] = ad[a, b] would
+    check.
 
-    J(a,b,c)_l = sum_m C[b,c,m] C[a,m,l] - C[a,c,m] C[b,m,l]
-    + C[a,b,m] C[c,m,l].  Each term is a stored table term [y, z] ∋ c e_m,
-    y < z, times an ad entry [x, e_m] ∋ v e_l with x not in {y, z}, and
-    its sign is -1 exactly when y < x < z.  Triples with a repeated index
-    vanish by antisymmetry, so the sorted triples certify every pair.  The
-    terms are one join on m, summed per key ((b*dim + a)*dim + l)*dim + c.
-    A nonzero sum raises JacobiFailure with the smallest failing key: pair
-    (a, b) and entry (l, c) of the defect [ad a, ad b] - ad[a, b], whose
-    value is J(a,b,c)_l.
+    The certificate is that ad x is a derivation of the bracket for each
+    of the 2*rank generators x = X_{±alpha_i}.  That is enough: the x with
+    ad x a derivation form a linear subspace D, closed under the bracket,
+    since for x in D, ad[x, y] = [ad x, ad y], and a commutator of
+    derivations is a derivation.  `_generators` reads off the table that
+    the generators generate the algebra over Q, so D is all of it, and J
+    vanishes over Q, hence over Z.  Both read the bracket as the
+    antisymmetric extension of the stored terms [y, z], y < z.
 
-    The join has P = sum_m |terms with output m| * |ad entries at m|
-    products; it runs in plain Python below _NUMPY_JACOBI_PRODUCTS, so a
-    small table loads no numpy, and in numpy from there.
+    Where the table does not show generation, or a generator shows a
+    defect, the full join decides, over every sorted triple a < b < c of
+    basis indices: J(a,b,c)_l = sum_m C[b,c,m] C[a,m,l] - C[a,c,m]
+    C[b,m,l] + C[a,b,m] C[c,m,l].  Each term is a stored table term
+    [y, z] ∋ c e_m, y < z, times an ad entry [x, e_m] ∋ v e_l with x not
+    in {y, z}, and its sign is -1 exactly when y < x < z.  Triples with a
+    repeated index vanish by antisymmetry, so the sorted triples certify
+    every pair.  The terms are one join on m, summed per key
+    ((b*dim + a)*dim + l)*dim + c.  A nonzero sum raises JacobiFailure
+    with the smallest failing key: pair (a, b) and entry (l, c) of the
+    defect [ad a, ad b] - ad[a, b], whose value is J(a,b,c)_l.
     """
     dim = pres.dim
-    terms = [(i, j, k, c) for (i, j), ts in pres.table.items() for k, c in ts]
-    outputs, inputs = [0] * dim, [0] * dim
-    for i, j, k, _ in terms:
-        outputs[k] += 1
-        inputs[i] += 1
-        inputs[j] += 1
-    products = sum(o * n for o, n in zip(outputs, inputs))
-    limit = _NUMPY_JACOBI_PRODUCTS // (16 if "numpy" in sys.modules else 1)
-    best = (_jacobi_defect_numpy(terms, dim, pres.dynkin.name) if products >= limit
-            else _jacobi_defect_plain(terms, dim))
-    if best is not None:
-        key, val = best
-        b, a, l, c = key // dim ** 3, key // dim ** 2 % dim, key // dim % dim, key % dim
-        x, y = pres.labels[a], pres.labels[b]
-        raise JacobiFailure(
-            "Jacobi fails at pair (%s, %s) of %s: entry (%s, %s) of "
-            "[ad %s, ad %s] - ad[%s, %s] is %d" % (
-                x, y, pres.dynkin.name, pres.labels[l], pres.labels[c],
-                x, y, x, y, val))
+    rows, by_output = defaultdict(list), defaultdict(list)
+    for (i, j), ts in pres.table.items():
+        for k, c in ts:
+            rows[i].append((j, k, c))
+            rows[j].append((i, k, -c))
+            by_output[k].append((i, j, c))
+    gens = _generators(pres)
+    if gens is None or any(_derivation_defect(x, rows, by_output) for x in gens):
+        best = _jacobi_defect_plain(
+            [(i, j, k, c) for (i, j), ts in pres.table.items() for k, c in ts], dim)
+        if best is not None:
+            key, val = best
+            b, a, l, c = key // dim ** 3, key // dim ** 2 % dim, key // dim % dim, key % dim
+            x, y = pres.labels[a], pres.labels[b]
+            raise JacobiFailure(
+                "Jacobi fails at pair (%s, %s) of %s: entry (%s, %s) of "
+                "[ad %s, ad %s] - ad[%s, %s] is %d" % (
+                    x, y, pres.dynkin.name, pres.labels[l], pres.labels[c],
+                    x, y, x, y, val))
     return dim * (dim - 1) // 2
 
 
@@ -455,8 +442,11 @@ def matrix_realization(t: DynkinType) -> MatrixRealization:
                                      "divisible by N(a, b) at %s" % (t, roots[z]))
             imgs[z] = {k: sign * v // nval for k, v in prod.items()}
     mats = [trip[i][2] for i in range(rank)] + imgs
-    # full bracket-compatibility check against the abstract constants
-    for i, j in combinations(range(pres.dim), 2):
+    # bracket compatibility [rho x, rho y] = rho[x, y] for the generators x
+    # (every x if the table does not show generation) against every y:
+    # with Jacobi certified, the x for which it holds form a subalgebra, so
+    # it then holds for all of it
+    for i, j in product(_generators(pres) or range(pres.dim), range(pres.dim)):
         expect = ((key, -c * v) for k, c in pres.bracket(i, j) for key, v in mats[k].items())
         if _summed(ZZ, chain(_commutator(ZZ, mats[i], mats[j]).items(), expect)):
             raise AssertionError("realization bracket mismatch at (%d,%d)" % (i, j))

@@ -15,7 +15,8 @@ from lieform import (DualNumbers, DynkinType, IntegersModPk, Matrix, NotClassica
                      PrimeField, QQ, ZZ, chevalley_involution, chevalley_presentation,
                      is_lie_automorphism, kernel, matrix_realization,
                      torus_automorphism, triple_flip, verify_jacobi)
-from lieform.chevalley import JacobiFailure, _root_data
+from lieform.chevalley import JacobiFailure, _generators, _root_data
+from lieform.cli import _table_types
 
 F5 = PrimeField(5)
 
@@ -149,19 +150,17 @@ def _corrupted(pres, rng):
     return dataclasses.replace(pres, table={**pres.table, key: tuple(terms)})
 
 
-def _force_join(monkeypatch, join):
-    """Make verify_jacobi run its plain or its numpy join at every size."""
-    limit = 10 ** 12 if join == "plain" else 0
-    monkeypatch.setattr(lieform.chevalley, "_NUMPY_JACOBI_PRODUCTS", limit)
+def _full_join(monkeypatch):
+    """Make verify_jacobi skip the generator certificate, so that the full
+    join over every sorted triple decides."""
+    monkeypatch.setattr(lieform.chevalley, "_generators", lambda pres: None)
 
 
-@pytest.mark.parametrize("mode", ["one-chunk", "small-chunks", "plain"],
-                         ids=str)
+@pytest.mark.parametrize("mode", ["certificate", "plain"], ids=str)
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C2", "G2", "B3", "D4"])
 def test_jacobi_matches_the_triple_loop_reference(name, mode, monkeypatch):
-    _force_join(monkeypatch, "plain" if mode == "plain" else "numpy")
-    if mode == "small-chunks":  # failures then spread over many chunks
-        monkeypatch.setattr(lieform.chevalley, "_JACOBI_CHUNK", 64)
+    if mode == "plain":
+        _full_join(monkeypatch)
     pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
     rng = random.Random(name)
     cases = [pres] + [_corrupted(pres, rng) for _ in range(6)]
@@ -180,21 +179,99 @@ def test_jacobi_matches_the_triple_loop_reference(name, mode, monkeypatch):
 
 @pytest.mark.parametrize("name", ["E6", "E7"])
 def test_jacobi_joins_agree_on_large_tables(name, monkeypatch):
+    # the generator certificate against the full join
     pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
     rng = random.Random(name)
     cases = [pres] + [_corrupted(pres, rng) for _ in range(4)]
     results = {}
-    for join in ("plain", "numpy"):
-        _force_join(monkeypatch, join)
-        results[join] = []
+    for mode in ("certificate", "plain"):
+        if mode == "plain":
+            _full_join(monkeypatch)
+        results[mode] = []
         for case in cases:
             try:
-                results[join].append(verify_jacobi(case))
+                results[mode].append(verify_jacobi(case))
             except JacobiFailure as exc:
-                results[join].append(str(exc))
-    assert results["plain"] == results["numpy"]
+                results[mode].append(str(exc))
+    assert results["certificate"] == results["plain"]
     assert results["plain"][0] == pres.dim * (pres.dim - 1) // 2
     assert sum(isinstance(r, str) for r in results["plain"]) >= 2
+
+
+def test_generator_certificate_alone_accepts_every_table_type(monkeypatch):
+    types = _table_types(8, dedup=True)
+    assert len(types) == 33
+    for t in types:
+        pres = chevalley_presentation(t)
+        assert len(_generators(pres)) == 2 * t.rank
+        joins = []
+        with monkeypatch.context() as m:
+            m.setattr(lieform.chevalley, "_jacobi_defect_plain",
+                      lambda terms, dim: joins.append(t))
+            certified = verify_jacobi(pres)
+        assert joins == []
+        with monkeypatch.context() as m:
+            _full_join(m)
+            assert verify_jacobi(pres) == certified == pres.dim * (pres.dim - 1) // 2
+
+
+@pytest.mark.parametrize("name", ["A2", "B3"])
+def test_jacobi_fails_closed_without_generation(name):
+    pres = chevalley_presentation(DynkinType(name[0], int(name[1:])))
+    gens = _generators(pres)
+    # [X_alpha1, X_alpha2] dropped: X_{alpha1+alpha2} is out of reach
+    pair = tuple(sorted(gens[:2]))
+    assert pair in pres.table
+    dropped = {**pres.table, pair: ()}
+    # every bracket with a generator dropped, so each ad x is 0, a
+    # derivation; one remaining coefficient doubled, so that Jacobi fails
+    central = {key: ts for key, ts in pres.table.items() if not set(key) & set(gens)}
+    key = min(central)
+    central[key] = tuple((k, 2 * c) for k, c in central[key])
+    for table in (dropped, central):
+        case = dataclasses.replace(pres, table=table)
+        assert _generators(case) is None
+        want = _reference_jacobi(case)
+        assert want is not None
+        with pytest.raises(JacobiFailure) as err:
+            verify_jacobi(case)
+        assert str(err.value) == want
+
+
+def test_jacobi_certificate_needs_the_negative_generators():
+    # [X[0,-1], X[-1,-1]] = X[1,1], off the root grading: each ad X_alpha_i
+    # is still a derivation, but not each ad X_-alpha_i
+    pres = chevalley_presentation(DynkinType("A", 2))
+    u, w, theta = (pres.labels.index(s) for s in ("X[0,-1]", "X[-1,-1]", "X[1,1]"))
+    assert (u, w) not in pres.table
+    case = dataclasses.replace(pres, table={**pres.table, (u, w): ((theta, 1),)})
+    assert _generators(case) is not None
+    want = _reference_jacobi(case)
+    assert want is not None
+    with pytest.raises(JacobiFailure) as err:
+        verify_jacobi(case)
+    assert str(err.value) == want
+
+
+def test_jacobi_certificate_survives_python_O():
+    code = ("import dataclasses\n"
+            "import lieform\n"
+            "from lieform.chevalley import JacobiFailure\n"
+            "assert False  # stripped under -O\n"
+            "pres = lieform.chevalley_presentation(lieform.DynkinType('B', 3))\n"
+            "(k, c), = pres.table[(3, 4)]\n"
+            "bad = dataclasses.replace(pres, table={**pres.table, (3, 4): ((k, c + 1),)})\n"
+            "try:\n"
+            "    lieform.verify_jacobi(bad)\n"
+            "except JacobiFailure as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.startswith("JacobiFailure Jacobi fails at pair (X[0,0,1], X[0,1,0]) of B3")
 
 
 def test_jacobi_check_memory_is_bounded():

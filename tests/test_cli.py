@@ -172,19 +172,21 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "False"
 
 
-def test_numpy_loads_only_for_a_large_jacobi_join():
-    # A2 and its derivations stay below the numpy join's size; E8 does not
+def test_no_command_loads_numpy():
+    # the Jacobi certificate is plain Python at every size: an E8 verdict,
+    # the full table, the rank-8 realization suite and derivations
     code = ("import contextlib, io, sys\n"
             "import lieform.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = lieform.cli.main(['verify', '--suite', 'derivations',\n"
-            "                             '--type', 'A2', '--prime', '7'])\n"
-            "print(code, 'numpy' in sys.modules)\n"
-            "lieform.chevalley_presentation(lieform.DynkinType('E', 8))\n"
+            "for argv in (['verify', '--suite', 'derivations', '--type', 'A2', '--prime', '7'],\n"
+            "             ['classify', '--type', 'E8', '--prime', '2', '--oracle'],\n"
+            "             ['table', '--max-rank', '8', '--oracle'],\n"
+            "             ['verify', '--suite', 'kernel-b2', '--rank', '8']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        print(lieform.cli.main(argv), file=sys.__stdout__)\n"
             "print('numpy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["0", "False", "True"]
+    assert out.split() == ["0", "0", "0", "0", "False"]
 
 
 def _numpy_on_openblas():
@@ -201,11 +203,11 @@ def _numpy_on_openblas():
 @pytest.mark.parametrize("user_value", [None, "2"])
 def test_import_starts_no_blas_thread_pool(user_value):
     # one thread unless the caller set a count, and os.environ left as found,
-    # once the Jacobi check of a large table has loaded numpy
+    # once Matrix.to_numpy has loaded numpy
     code = ("import os\n"
             "before = dict(os.environ)\n"
             "import lieform\n"
-            "lieform.chevalley_presentation(lieform.DynkinType('E', 8))\n"
+            "lieform.Matrix.identity(lieform.ZZ, 2).to_numpy()\n"
             "threads = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
             "               if line.startswith('Threads:'))\n"
             "want = min(int(os.environ.get('OPENBLAS_NUM_THREADS', '1')),\n"
