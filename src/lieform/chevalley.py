@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, product
 
-from .matrices import Matrix, _numpy
+from .matrices import Matrix, _commutator, _numpy, _summed
 from .rings import RingSpec, Scalar, ZZ
 from .roots import DynkinType, InvalidRank, RootSystem, build_root_system
 
@@ -418,8 +418,6 @@ class MatrixRealization:
 
 @lru_cache(maxsize=None)
 def matrix_realization(t: DynkinType) -> MatrixRealization:
-    from .liealg import _commutator, _summed
-
     if t.series not in "ABCD":
         raise NotClassical("no defining realization for series %s" % t.series)
     pres = chevalley_presentation(t)

@@ -12,9 +12,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .chevalley import chevalley_presentation, matrix_realization
-from .liealg import (BilinearForm, _commutator, _discriminant, killing_form,
-                     trace_form)
-from .matrices import Matrix
+from .liealg import BilinearForm, _discriminant, killing_form, trace_form
+from .matrices import Matrix, _commutator
 from .rings import PrimeField, ZZ
 from .roots import DynkinType, InvalidRank
 

@@ -17,16 +17,16 @@ import os
 import sys
 
 from . import __version__
-from .chevalley import (JacobiFailure, NotClassical, chevalley_presentation,
-                        chevalley_involution, torus_automorphism, triple_flip)
+from .chevalley import (NotClassical, chevalley_presentation, torus_automorphism,
+                        triple_flip)
 from .classify import (EXPECTED_RATIO, NoConstantRatio, b_series_kernel_witness,
                        predict_perfect, ratio_check, verdict_with_oracle)
 from .cohomology import (DimensionTooLarge, NotAutomorphism, ce_complex,
                          cohomology_dim, lift_automorphism, square_zero_extension)
-from .liealg import (NotPerfect, _nonzero_product, _spans_inner_derivations,
-                     apply_endo_to_casimir, base_change, casimir, casimir_operator,
-                     derivation_algebra, is_lie_automorphism, is_perfect, killing_form)
-from .matrices import Matrix, NotASubspace, Singular
+from .liealg import (NotPerfect, _spans_inner_derivations, apply_endo_to_casimir,
+                     base_change, casimir, casimir_operator, derivation_algebra,
+                     is_lie_automorphism, is_perfect, killing_form)
+from .matrices import Matrix, NotASubspace, Singular, _nonzero_product
 from .rings import (IntegersModPk, NonIntegralDenominator, PrimeField,
                     UnsupportedRing, ZZ, format_rational, is_prime)
 from .roots import DynkinType, InvalidRank
@@ -466,7 +466,7 @@ _KNOWN_ERRORS = (InvalidRank, NotPerfect, NotAutomorphism, SchemaError,
                  HypothesisNotMet, ActionMissing, OutOfRange,
                  NotNilpotentEnough, NotClassical, NoConstantRatio,
                  UnsupportedRing, NonIntegralDenominator, NotASubspace,
-                 Singular, DimensionTooLarge, JacobiFailure, CliError)
+                 Singular, DimensionTooLarge, AssertionError, CliError)
 
 
 def main(argv=None) -> int:

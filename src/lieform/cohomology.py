@@ -1,14 +1,15 @@
-"""Lie algebra cohomology in adjoint-type coefficients, degrees 0 to 3,
-and the square-zero lifting of automorphisms that it powers.
+"""Lie algebra cohomology in adjoint-type coefficients (cochains of degree
+0 to 3, cohomology 0 to 2) and the square-zero lifting it powers.
 
 Cochain spaces are flattened: a 1-cochain f sits at index a*dim + i for
 the coefficient of basis vector a in f(e_i); 2- and 3-cochains use the
 lexicographic index of the argument pair or triple in the same way.
 
-d0 and d1 come from `liealg._adjoint_complex`, the one builder that also
-gives the centre and the derivations; only d2 is built here, for
-dim <= 20, from the same action entries.  Untwisted, a Chevalley
-algebra's complex is block diagonal by root-lattice degree.
+d0, d1 and d2 come from `liealg._differential`, the one builder that also
+gives the centre and the derivations; only the complex is capped, at
+dim <= 20.  Untwisted, a Chevalley algebra's complex is block diagonal by
+root-lattice degree, split and solved by the sparse-map helpers of
+`matrices`.
 
 The action on coefficients may be twisted through an automorphism σ,
 x·m = [σx, m], which is what the obstruction calculus for lifting needs.
@@ -24,13 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence, Union
 
-from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _adjoint_complex,
-                     _bracket_defect, _degree_blocks, _dense, _graded_kernel,
-                     _nonzero_product, _slot_degrees, _summed, _weights,
-                     base_change, is_lie_automorphism, is_perfect, killing_form)
-from .matrices import Matrix, inverse, pivots, rank, solve_linear
+from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _bracket_defect,
+                     _cochain_degrees, _differential, _weights, base_change,
+                     is_lie_automorphism, is_perfect, killing_form)
+from .matrices import (Matrix, _degree_blocks, _dense, _graded_kernel,
+                       _nonzero_product, _solve_by_blocks, _summed, inverse,
+                       pivots, rank, solve_linear)
 from .rings import PrimeField, RingMismatch, RingSpec, UnsupportedRing
 
 
@@ -77,7 +80,7 @@ class CochainComplex:
         return out
 
     def _blocks(self, k: int) -> tuple:
-        """`liealg._degree_blocks` of d_k: ({row: degree}, {degree: block})."""
+        """`matrices._degree_blocks` of d_k: ({row: degree}, {degree: block})."""
         split = self.__dict__.setdefault("_split", {})
         if k not in split:
             split[k] = _degree_blocks(self.algebra.ring, self.degrees[k], self.maps[k])
@@ -112,9 +115,9 @@ def _automorphism_inverse(g: LieAlgebra, sigma: Matrix) -> Matrix:
 
 
 def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
-    """The complex behind `ce_complex`.  Untwisted, column degrees follow
-    `liealg._weights`: wt(b) at column b of d0, `_slot_degrees` for d1,
-    wt(a) - wt(i) - wt(j) at column (a, (i, j)) of d2."""
+    """The complex behind `ce_complex`: d0, d1, d2 from
+    `liealg._differential`, untwisted column degrees from
+    `liealg._cochain_degrees`."""
     ring = g.ring
     if not ring.is_field:
         raise UnsupportedRing("cochain complexes need a field, got %r" % (ring,))
@@ -123,35 +126,14 @@ def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
         raise DimensionTooLarge("dim %d exceeds the supported bound 20" % n)
     if twist is not None:
         s_inv = _automorphism_inverse(g, twist)
-    pairs, acts, d0, d1 = _adjoint_complex(g)
-    triples = tuple(combinations(range(n), 3))
-    pidx = {pr: q for q, pr in enumerate(pairs)}
-    np_, nt = len(pairs), len(triples)
-    neg = ring.neg
-
-    def d2_terms():
-        # sign·(b_m·f(pr) - f([pr], b_m)) for each m and the pair pr it leaves
-        for tq, (i, j, k) in enumerate(triples):
-            for m, pr, sign in ((i, (j, k), 1), (j, (i, k), -1), (k, (i, j), 1)):
-                col = pidx[pr]
-                for a, b, v in acts[m]:
-                    yield (a * nt + tq, b * np_ + col), v if sign > 0 else neg(v)
-                for l, c in g.bracket_basis(*pr):
-                    if l != m:
-                        # f(b_l, b_m) = -f(b_m, b_l): the stored pair is ordered
-                        v = c if (sign < 0) == (l < m) else neg(c)
-                        for a in range(n):
-                            yield (a * nt + tq, a * np_ + pidx[min(l, m), max(l, m)]), v
-
-    d2 = _summed(ring, d2_terms())
+    d0, d1, d2 = (_differential(g, k) for k in range(3))
     bad = _nonzero_product(ring, d2.items(), d1)
     if bad:
         raise AssertionError("d2∘d1 is nonzero at %s" % (min(bad),))
     wt = _weights(g)
-    d2_degrees = [tuple(x - y - z for x, y, z in zip(wt[a], wt[i], wt[j]))
-                  for a in range(n) for i, j in pairs]
+    pairs, triples = (tuple(combinations(range(n), k)) for k in (2, 3))
     plain = CochainComplex(g, None, pairs, triples, (d0, d1, d2),
-                           (wt, _slot_degrees(wt), d2_degrees))
+                           tuple(_cochain_degrees(wt, k) for k in range(3)))
     if twist is None:
         return plain
 
@@ -159,10 +141,10 @@ def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
         return {(k // n * m + q, k % n * m + q): v for k, v in enumerate(s.data)
                 if not ring.is_zero(v) for q in range(m)}
 
-    # d_k's rows are a*m_row + q and its columns b*m_col + q'
-    maps = tuple(_nonzero_product(ring, kron(twist, m_row).items(),
-                                  _nonzero_product(ring, d.items(), kron(s_inv, m_col)))
-                 for d, m_row, m_col in zip((d0, d1, d2), (n, np_, nt), (1, n, np_)))
+    # d_k's rows are a*C(n, k+1) + q and its columns b*C(n, k) + q'
+    maps = tuple(_nonzero_product(ring, kron(twist, comb(n, k + 1)).items(),
+                                  _nonzero_product(ring, d.items(), kron(s_inv, comb(n, k))))
+                 for k, d in enumerate((d0, d1, d2)))
     return replace(plain, twist=twist, maps=maps, untwisted=plain)
 
 
@@ -176,34 +158,10 @@ def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
 
 
 @lru_cache(maxsize=None)
-def _untwisted_complex(ring: RingSpec, dim: int, table: tuple, dynkin):
-    """(the untwisted complex, kernel(d1)) of the algebra with this sorted
-    table and `dynkin` label."""
-    cx = _complex(LieAlgebra(ring, dim, dict(table), dynkin=dynkin, check=False), None)
-    return cx, cx._d1_kernel
-
-
-def _solve_by_blocks(ring: RingSpec, row_degree: dict, blocks: dict, ncols: int,
-                     rhs: dict) -> Optional[Matrix]:
-    """solve_linear(d, b) for the map d split by `liealg._degree_blocks`
-    into row_degree and blocks, b given as {row: raw} without zeros.
-
-    d is block diagonal, so its pivot columns are those of its blocks, and
-    the solution that is zero at every other column is found by solving
-    only the blocks of the rows where b is nonzero, each on its own.
-    """
-    if any(r not in row_degree for r in rhs):
-        return None
-    y = [ring.zero()] * ncols
-    for d in {row_degree[r] for r in rhs}:
-        cols, rows, block = blocks[d]
-        sol = solve_linear(block, Matrix(ring, len(rows), 1,
-                                         tuple(rhs.get(r, ring.zero()) for r in rows)))
-        if sol is None:
-            return None
-        for c, v in zip(cols, sol.data):
-            y[c] = v
-    return Matrix(ring, ncols, 1, tuple(y))
+def _untwisted_complex(ring: RingSpec, dim: int, table: tuple, dynkin) -> CochainComplex:
+    """The untwisted complex of the algebra with this sorted table and
+    `dynkin` label."""
+    return _complex(LieAlgebra(ring, dim, dict(table), dynkin=dynkin, check=False), None)
 
 
 def cohomology_dim(cx: CochainComplex, degree: int) -> int:
@@ -217,10 +175,9 @@ def cohomology_dim(cx: CochainComplex, degree: int) -> int:
         for _, _, block in plain._blocks(k)[1].values())
 
 
-def _solve(cx: CochainComplex, ker: Optional[Matrix], sigma: Optional[Matrix],
-           theta: Matrix) -> Optional[Matrix]:
+def _solve(cx: CochainComplex, sigma: Optional[Matrix], theta: Matrix) -> Optional[Matrix]:
     """solve_linear(d1_σ, theta), or None, on the untwisted complex cx,
-    ker = kernel(d1) read only for a twist σ.  theta is a cocycle iff
+    whose ker = kernel(d1) is read only for a twist σ.  theta is a cocycle iff
     (σ⁻¹⊗I)·theta is, and delta0 = (σ⊗I)·y solves d1_σ·delta0 = theta for
     d1·y = (σ⁻¹⊗I)·theta.  `solve_linear` answers zero at the non-pivot
     columns F of d1_σ, where the vectors of its kernel K_σ = (σ⊗I)·ker can
@@ -244,7 +201,7 @@ def _solve(cx: CochainComplex, ker: Optional[Matrix], sigma: Optional[Matrix],
     y = _solve_by_blocks(ring, row_degree, blocks, cx.cochain_dim(1), rhs)
     if y is None or sigma is None:
         return y
-    delta, ker_s = transport(sigma, y), transport(sigma, ker)
+    delta, ker_s = transport(sigma, y), transport(sigma, cx._d1_kernel)
     free = [ker_s.nrows - 1 - c for c in pivots(Matrix.from_rows(
         ring, [ker_s.col(t)[::-1] for t in range(ker_s.ncols)]))]
     x = solve_linear(Matrix.from_rows(ring, [ker_s.row(r) for r in free]),
@@ -265,9 +222,7 @@ def solve_coboundary(cx: CochainComplex, theta: Union[Matrix, Sequence]) -> Opti
         raise ValueError("expected a %d x 1 column" % want)
     if theta.ring != ring:
         raise RingMismatch("%r vs %r" % (ring, theta.ring))
-    if cx.untwisted is None:
-        return _solve(cx, None, None, theta)
-    return _solve(cx.untwisted, cx.untwisted._d1_kernel, cx.twist, theta)
+    return _solve(cx.untwisted or cx, cx.twist, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +303,7 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
 
     total, quot = ext.total_ring, ext.quotient_ring
     n = g.dim
-    cx, ker = _untwisted_complex(quot, n, tuple(sorted(gq.table.items())), gq.dynkin)
+    cx = _untwisted_complex(quot, n, tuple(sorted(gq.table.items())), gq.dynkin)
     gt = base_change(g, total)
     sigma0 = Matrix(total, n, n, tuple(ext.lift_raw(v) for v in sigma_bar.data))
 
@@ -362,7 +317,7 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
             theta[a * np_ + q] = ext.j_extract(d)
 
     try:
-        delta = _solve(cx, ker, sigma_bar, Matrix.column(quot, theta))
+        delta = _solve(cx, sigma_bar, Matrix.column(quot, theta))
     except NotACocycle:
         raise AssertionError("lift defect failed the cocycle identity") from None
     if delta is None:

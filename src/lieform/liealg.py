@@ -3,35 +3,43 @@
 Brackets, adjoint maps, Killing and trace forms, perfectness, derivations,
 the Casimir tensor and operator, base change, automorphism checks.
 
-`_adjoint_complex` builds d0 and d1 of the Chevalley–Eilenberg complex of
-g with coefficients in g, once, as sparse maps over any ring and with no
-dimension cap.  The centre is ker d0, the derivations are ker d1, and
-d1∘d0 = 0 is the Jacobi identity that the constructor checks;
-`cohomology` builds d2 on top.  A Chevalley algebra (one carrying its
+`_differential(g, k)` is d_k of the Chevalley–Eilenberg complex of g
+with coefficients in g, for k = 0, 1, 2, by one formula, as a sparse map
+over any ring and with no dimension cap.  The centre is ker d0, the
+derivations are ker d1, the inner derivations are the columns of d0,
+d1∘d0 = 0 is the Jacobi identity that the constructor checks, and
+`cohomology` reads d0, d1 and d2.  A Chevalley algebra (one carrying its
 `dynkin` label) is graded by the root lattice: H_i has weight 0 and X_alpha
-weight alpha, so d0 and d1 are block diagonal by degree and
-`_graded_kernel` takes both kernels one degree block at a time.  The
-grading is checked against the bracket table; a table it does not grade
-is one block of degree 0.  The Killing Gram is graded too, and
-`is_perfect` reads its determinant one degree block at a time, over every
-ring.  `ad_matrix` and `casimir_operator` read the same sparse ad
-entries.  `_bracket_defect` is the one bracket defect [s x, s y] - s[x, y]
-on basis pairs: `is_lie_automorphism` tests it for zero, `cohomology`
-refuses a twist by it, and it is the obstruction cocycle of
-`cohomology.lift_automorphism`.
+weight alpha, so every d_k is block diagonal by the degrees of
+`_cochain_degrees` and `matrices._graded_kernel` takes the kernels one
+degree block at a time.  The grading is checked against the bracket
+table; a table it does not grade is one block of degree 0.  The Killing
+Gram is graded too, and `is_perfect` reads its determinant one degree
+block at a time, over every ring.  `ad_matrix` and `casimir_operator`
+read the same sparse ad entries.  `_bracket_defect` is the one bracket
+defect [s x, s y] - s[x, y] on basis pairs: `is_lie_automorphism` tests
+it for zero, `cohomology` refuses a twist by it, and it is the
+obstruction cocycle of `cohomology.lift_automorphism`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
+from math import comb
 
 from .matrices import (
     DimensionMismatch,
     Matrix,
     Singular,
+    _degree_blocks,
+    _dense,
     _echelon,
+    _graded_kernel,
+    _nonzero_product,
+    _summed,
     det,
     inverse,
     kernel,
@@ -127,10 +135,11 @@ class LieAlgebra:
     # -- validation --------------------------------------------------------
     def _check_jacobi(self):
         """Raise ValueError naming the first failing triple (i, j, k)."""
-        pairs, _, d0, d1 = _adjoint_complex(self)
-        bad = _nonzero_product(self.ring, d1.items(), d0)
+        bad = _nonzero_product(self.ring, _differential(self, 1).items(),
+                               _differential(self, 0))
         if bad:
             # J(x, y, m) is alternating, so the failing triple is sorted(x, y, m)
+            pairs = tuple(combinations(range(self.dim), 2))
             raise ValueError("Jacobi fails on triple (%d,%d,%d)" % min(
                 tuple(sorted(pairs[r % len(pairs)] + (m,))) for r, m in bad))
 
@@ -166,69 +175,39 @@ def _ad_entries(g: LieAlgebra) -> list:
     return out
 
 
-def _summed(ring: RingSpec, terms) -> dict:
-    """{key: sum of its values} over the (key, raw) terms, zeros dropped."""
-    add, zero, out = ring.add, ring.zero(), {}
-    for key, v in terms:
-        out[key] = add(out.get(key, zero), v)
-    return {key: v for key, v in out.items() if not ring.is_zero(v)}
-
-
-def _nonzero_product(ring: RingSpec, left, right: dict) -> dict:
-    """The nonzero entries of the product left·right of two sparse maps,
-    left given by its ((row, col), raw) items, right as {(row, col): raw}."""
-    by_row = defaultdict(list)
-    for (m, c), w in right.items():
-        by_row[m].append((c, w))
-    return _summed(ring, (((r, c), ring.mul(v, w)) for (r, m), v in left
-                          for c, w in by_row.get(m, ())))
-
-
-def _commutator(ring: RingSpec, x: dict, y: dict) -> dict:
-    """xy - yx for sparse matrices {(row, col): raw}, zeros dropped."""
-    neg = ring.neg
-    return _summed(ring, chain(_nonzero_product(ring, x.items(), y).items(),
-                               _nonzero_product(ring, ((k, neg(v)) for k, v in y.items()),
-                                                x).items()))
-
-
-def _adjoint_complex(g: LieAlgebra) -> tuple:
-    """(pairs, acts, d0, d1) of the Chevalley–Eilenberg complex of g with
-    coefficients in g, over any ring and in any dimension.  acts[i] lists
-    the nonzero entries (a, b, v) of ad(b_i); d0 and d1 are sparse maps
-    {(row, col): raw}.  A 1-cochain f sits at a*dim + i for the coefficient
-    of b_a in f(b_i), a 2-cochain at a*len(pairs) + q for the pair
-    q = (i, j), i < j.  d1∘d0 = 0 is `LieAlgebra._check_jacobi`."""
+def _differential(g: LieAlgebra, k: int) -> dict:
+    """d_k : C^k -> C^(k+1) of the Chevalley–Eilenberg complex of g with
+    coefficients in g, as a sparse map {(row, col): raw}, in any dimension:
+    (d f)(x_0..x_k) = sum_s (-1)^s [x_s, f(..x̂_s..)]
+                    + sum_{s<t} (-1)^(s+t) f([x_s, x_t], ..x̂_s..x̂_t..).
+    A k-cochain f sits at a*C(dim, k) + q for the coefficient of b_a in
+    f(b_q), q indexing the sorted k-tuples in `combinations` order."""
     ring, n, neg = g.ring, g.dim, g.ring.neg
-    acts: list = [[] for _ in range(n)]
-    for (i, a, b), v in _summed(ring, (((i, a, b), v)
-                                       for i, a, b, v in _ad_entries(g))).items():
+    acts: list = [[] for _ in range(n)]        # acts[i]: (a, b, ad(b_i)[a, b])
+    for i, a, b, v in _ad_entries(g):
         acts[i].append((a, b, v))
-    pairs = tuple(combinations(range(n), 2))
-    np_ = len(pairs)
-    d0 = {(a * n + i, b): v for i in range(n) for a, b, v in acts[i]}
+    src = {q: c for c, q in enumerate(combinations(range(n), k))}
+    m_src, m_dst = len(src), comb(n, k + 1)
 
-    def d1_terms():
-        for q, (i, j) in enumerate(pairs):
-            for a, b, v in acts[i]:
-                yield (a * np_ + q, b * n + j), v
-            for a, b, v in acts[j]:
-                yield (a * np_ + q, b * n + i), neg(v)
-            for k, c in g.table.get((i, j), ()):
-                for a in range(n):
-                    yield (a * np_ + q, a * n + k), neg(c)
+    def terms():
+        for row, xs in enumerate(combinations(range(n), k + 1)):
+            for s in range(k + 1):
+                col = src[xs[:s] + xs[s + 1:]]
+                for a, b, v in acts[xs[s]]:
+                    yield (a * m_dst + row, b * m_src + col), neg(v) if s % 2 else v
+            for s, t in combinations(range(k + 1), 2):
+                rest = xs[:s] + xs[s + 1:t] + xs[t + 1:]
+                for l, c in g.table.get((xs[s], xs[t]), ()):
+                    if l in rest:
+                        continue
+                    # f(b_l, rest) = (-1)^at f(sorted), at the place of l in it
+                    at = bisect(rest, l)
+                    col = src[rest[:at] + (l,) + rest[at:]]
+                    v = neg(c) if (s + t + at) % 2 else c
+                    for a in range(n):
+                        yield (a * m_dst + row, a * m_src + col), v
 
-    return pairs, acts, d0, _summed(ring, d1_terms())
-
-
-def _dense(ring: RingSpec, ncols: int, entries: dict, rows) -> Matrix:
-    """A sparse map {(row, col): raw} as a Matrix on the given rows, in
-    order; every row of entries must be among them."""
-    at = {r: t for t, r in enumerate(rows)}
-    flat = [ring.zero()] * (len(rows) * ncols)
-    for (r, c), v in entries.items():
-        flat[at[r] * ncols + c] = v
-    return Matrix(ring, len(rows), ncols, tuple(flat))
+    return _summed(ring, terms())
 
 
 def _trace_gram(ring: RingSpec, n: int, entries: list) -> Matrix:
@@ -320,62 +299,11 @@ def _weights(g: LieAlgebra) -> list:
     return [()] * g.dim
 
 
-def _slot_degrees(wt: list) -> list:
-    """The degree wt(m) - wt(k) of each 1-cochain slot m*dim + k: D[m, k]."""
-    return [tuple(x - y for x, y in zip(wm, wk)) for wm in wt for wk in wt]
-
-
-def _degree_blocks(ring: RingSpec, degrees: list, entries: dict) -> tuple:
-    """The diagonal blocks of the sparse map {(row, col): raw} whose column
-    c has degree degrees[c]; every row must lie in one degree.  Returns
-    {row: its degree} for the nonempty rows, and per degree, in order of
-    first column, (its columns in increasing order, its nonempty rows in
-    increasing order, the block on those rows and columns)."""
-    blocks: dict = defaultdict(list)           # degree -> its columns
-    local = []                                 # column -> its place in its block
-    for c, d in enumerate(degrees):
-        local.append(len(blocks[d]))
-        blocks[d].append(c)
-    row_degree: dict = {}
-    parts: dict = defaultdict(dict)            # degree -> {(row, local col): raw}
-    for (r, c), v in entries.items():
-        d = degrees[c]
-        if row_degree.setdefault(r, d) != d:
-            raise AssertionError("row %d has entries in degrees %r and %r"
-                                 % (r, row_degree[r], d))
-        parts[d][(r, local[c])] = v
-    for d, cols in blocks.items():
-        rows = sorted({r for r, _ in parts[d]})
-        blocks[d] = (cols, rows, _dense(ring, len(cols), parts[d], rows))
-    return row_degree, blocks
-
-
-def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
-    """The kernel of the map {(row, col): raw} with len(degrees) columns,
-    entry for entry as `matrices.kernel` gives it, taken one
-    `_degree_blocks` block at a time.
-
-    A column is a pivot of the whole map iff it is one of its block, and
-    the reduced-echelon kernel basis is unique, so the free column f gives
-    the same vector: 1 at f, minus the reduced row entries at the block's
-    pivot columns.  Columns are sorted by f.
-    """
-    one, neg = ring.one(), ring.neg
-    vectors = []                               # (free column, {col: raw})
-    for cols, _, block in _degree_blocks(ring, degrees, entries)[1].values():
-        pivots, free, rest, _ = _echelon(block, reduce_up=True)
-        for t, f in enumerate(free):
-            vec = {cols[f]: one}
-            for pc, row in zip(pivots, rest):
-                vec[cols[pc]] = neg(row[t])
-            vectors.append((cols[f], vec))
-    vectors.sort(key=lambda fv: fv[0])
-    k = len(vectors)
-    flat = [ring.zero()] * (len(degrees) * k)
-    for j, (_, vec) in enumerate(vectors):
-        for c, v in vec.items():
-            flat[c * k + j] = v
-    return Matrix(ring, len(degrees), k, tuple(flat))
+def _cochain_degrees(wt: list, k: int) -> list:
+    """The degree wt(b) - wt(i_1) - .. - wt(i_k) of each k-cochain column
+    b*C(dim, k) + q, q = (i_1..i_k), for the weights wt of `_weights`."""
+    return [tuple(x - sum(ys) for x, *ys in zip(wb, *(wt[i] for i in q)))
+            for wb in wt for q in combinations(range(len(wt)), k)]
 
 
 def center_basis(g: LieAlgebra) -> Matrix:
@@ -383,7 +311,7 @@ def center_basis(g: LieAlgebra) -> Matrix:
     b of d0 has degree wt(b)."""
     if not g.ring.is_field:
         raise UnsupportedRing("center computation needs a field-kind ring")
-    return _graded_kernel(g.ring, _weights(g), _adjoint_complex(g)[2])
+    return _graded_kernel(g.ring, _cochain_degrees(_weights(g), 0), _differential(g, 0))
 
 
 def derivation_algebra(g: LieAlgebra) -> Matrix:
@@ -392,24 +320,24 @@ def derivation_algebra(g: LieAlgebra) -> Matrix:
     degree wt(m) - wt(k)."""
     if not g.ring.is_field:
         raise UnsupportedRing("derivations need a field-kind ring")
-    return _graded_kernel(g.ring, _slot_degrees(_weights(g)), _adjoint_complex(g)[3])
+    return _graded_kernel(g.ring, _cochain_degrees(_weights(g), 1), _differential(g, 1))
 
 
 def _spans_inner_derivations(g: LieAlgebra, ders: Matrix) -> bool:
     """Whether the columns of ders are a basis of the inner derivations:
-    for the dim^2 x dim matrix `inner` whose column i is ad(b_i),
+    for inner = d0, the dim^2 x dim matrix whose column i is -ad(b_i),
     rank(inner) == dim, inner lies in the span of ders and
     rank(ders | inner) == ders.ncols.  The last two hold iff the pivot
     columns of (ders | inner) are those of ders.
 
-    Both eliminations run one `_degree_blocks` block at a time: ad(b_i)
-    has degree wt(i), and each column that `derivation_algebra` returns
-    lies in one degree, that of its slots.
+    Both eliminations run one `_degree_blocks` block at a time: column i
+    of d0 has degree wt(i), and each column that `derivation_algebra`
+    returns lies in one degree, that of its slots.
     """
     ring, n, k = g.ring, g.dim, ders.ncols
     wt = _weights(g)
-    degrees = _slot_degrees(wt)
-    inner = _summed(ring, (((a * n + b, i), v) for i, a, b, v in _ad_entries(g)))
+    degrees = _cochain_degrees(wt, 1)
+    inner = _differential(g, 0)
     both = {(s, k + i): v for (s, i), v in inner.items()}
     col_degrees = []
     for j in range(k):

@@ -8,6 +8,13 @@ ring, prime fields included, eliminates on its raw values with its own
 arithmetic, and every product multiplies only the nonzero entries, row by
 row.  `det` is exact over every ring: over a field it is the product of
 the elimination's pivots.
+
+Sparse maps {(row, col): raw} without zeros, such as the cochain
+differentials, are the other format: `_summed`, `_nonzero_product` and
+`_commutator` add and multiply them, `_dense` makes a Matrix of one, and
+`_graded_kernel` and `_solve_by_blocks` eliminate one `_degree_blocks`
+block at a time, as one elimination of the whole map would; `kernel` is
+the one-block case.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -317,18 +325,14 @@ def kernel(m: Matrix) -> Matrix:
     """Basis of the right null space over a field, as matrix columns.
 
     One column per free variable, ordered by free column index, with a 1
-    in the free position; deterministic.
+    in the free position; deterministic.  It is `_graded_kernel` with
+    every column in one degree.
     """
     ring = m.ring
     if not ring.is_field:
         raise UnsupportedRing("kernel needs a field-kind ring")
-    pivots, free, rest, _ = _echelon(m, reduce_up=True)
-    out = [[ring.zero()] * len(free) for _ in range(m.ncols)]
-    for j, c in enumerate(free):
-        out[c][j] = ring.one()
-    for pc, row in zip(pivots, rest):
-        out[pc] = [ring.neg(v) for v in row]
-    return Matrix(ring, m.ncols, len(free), tuple(v for row in out for v in row))
+    return _graded_kernel(ring, [()] * m.ncols, {
+        divmod(t, m.ncols): v for t, v in enumerate(m.data) if not ring.is_zero(v)})
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -413,6 +417,121 @@ def det(m: Matrix):
             d1 = base.add(d1, det(Matrix.from_rows(base, mixed)))
         return (d0, d1)
     raise UnsupportedRing("determinant over %r" % (ring,))
+
+
+# ---------------------------------------------------------------------------
+# sparse maps {(row, col): raw} and their degree blocks
+# ---------------------------------------------------------------------------
+
+def _summed(ring: RingSpec, terms) -> dict:
+    """{key: sum of its values} over the (key, raw) terms, zeros dropped."""
+    add, zero, out = ring.add, ring.zero(), {}
+    for key, v in terms:
+        out[key] = add(out.get(key, zero), v)
+    return {key: v for key, v in out.items() if not ring.is_zero(v)}
+
+
+def _nonzero_product(ring: RingSpec, left, right: dict) -> dict:
+    """The nonzero entries of the product left·right of two sparse maps,
+    left given by its ((row, col), raw) items, right as {(row, col): raw}."""
+    by_row = defaultdict(list)
+    for (m, c), w in right.items():
+        by_row[m].append((c, w))
+    return _summed(ring, (((r, c), ring.mul(v, w)) for (r, m), v in left
+                          for c, w in by_row.get(m, ())))
+
+
+def _commutator(ring: RingSpec, x: dict, y: dict) -> dict:
+    """xy - yx for sparse matrices {(row, col): raw}, zeros dropped."""
+    neg = ring.neg
+    return _summed(ring, chain(_nonzero_product(ring, x.items(), y).items(),
+                               _nonzero_product(ring, ((k, neg(v)) for k, v in y.items()),
+                                                x).items()))
+
+
+def _dense(ring: RingSpec, ncols: int, entries: dict, rows) -> Matrix:
+    """A sparse map {(row, col): raw} as a Matrix on the given rows, in
+    order; every row of entries must be among them."""
+    at = {r: t for t, r in enumerate(rows)}
+    flat = [ring.zero()] * (len(rows) * ncols)
+    for (r, c), v in entries.items():
+        flat[at[r] * ncols + c] = v
+    return Matrix(ring, len(rows), ncols, tuple(flat))
+
+
+def _degree_blocks(ring: RingSpec, degrees: list, entries: dict) -> tuple:
+    """The diagonal blocks of the sparse map {(row, col): raw} whose column
+    c has degree degrees[c]; every row must lie in one degree.  Returns
+    {row: its degree} for the nonempty rows, and per degree, in order of
+    first column, (its columns in increasing order, its nonempty rows in
+    increasing order, the block on those rows and columns)."""
+    blocks: dict = defaultdict(list)           # degree -> its columns
+    local = []                                 # column -> its place in its block
+    for c, d in enumerate(degrees):
+        local.append(len(blocks[d]))
+        blocks[d].append(c)
+    row_degree: dict = {}
+    parts: dict = defaultdict(dict)            # degree -> {(row, local col): raw}
+    for (r, c), v in entries.items():
+        d = degrees[c]
+        if row_degree.setdefault(r, d) != d:
+            raise AssertionError("row %d has entries in degrees %r and %r"
+                                 % (r, row_degree[r], d))
+        parts[d][(r, local[c])] = v
+    for d, cols in blocks.items():
+        rows = sorted({r for r, _ in parts[d]})
+        blocks[d] = (cols, rows, _dense(ring, len(cols), parts[d], rows))
+    return row_degree, blocks
+
+
+def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
+    """The kernel of the map {(row, col): raw} with len(degrees) columns,
+    taken one `_degree_blocks` block at a time.
+
+    A column is a pivot of the whole map iff it is one of its block, and
+    the reduced-echelon kernel basis is unique, so the free column f gives
+    the vector of one whole elimination: 1 at f, minus the reduced row
+    entries at the block's pivot columns.  Columns are sorted by f.
+    """
+    one, neg = ring.one(), ring.neg
+    vectors = []                               # (free column, {col: raw})
+    for cols, _, block in _degree_blocks(ring, degrees, entries)[1].values():
+        pivots, free, rest, _ = _echelon(block, reduce_up=True)
+        for t, f in enumerate(free):
+            vec = {cols[f]: one}
+            for pc, row in zip(pivots, rest):
+                vec[cols[pc]] = neg(row[t])
+            vectors.append((cols[f], vec))
+    vectors.sort(key=lambda fv: fv[0])
+    k = len(vectors)
+    flat = [ring.zero()] * (len(degrees) * k)
+    for j, (_, vec) in enumerate(vectors):
+        for c, v in vec.items():
+            flat[c * k + j] = v
+    return Matrix(ring, len(degrees), k, tuple(flat))
+
+
+def _solve_by_blocks(ring: RingSpec, row_degree: dict, blocks: dict, ncols: int,
+                     rhs: dict) -> Optional[Matrix]:
+    """solve_linear(d, b) for the map d split by `_degree_blocks` into
+    row_degree and blocks, b given as {row: raw} without zeros.
+
+    d is block diagonal, so its pivot columns are those of its blocks, and
+    the solution that is zero at every other column is found by solving
+    only the blocks of the rows where b is nonzero, each on its own.
+    """
+    if any(r not in row_degree for r in rhs):
+        return None
+    y = [ring.zero()] * ncols
+    for d in {row_degree[r] for r in rhs}:
+        cols, rows, block = blocks[d]
+        sol = solve_linear(block, Matrix(ring, len(rows), 1,
+                                         tuple(rhs.get(r, ring.zero()) for r in rows)))
+        if sol is None:
+            return None
+        for c, v in zip(cols, sol.data):
+            y[c] = v
+    return Matrix(ring, ncols, 1, tuple(y))
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,21 @@ def test_jacobi_failure_is_an_error_envelope(capsys, monkeypatch):
     assert "pair (X[0,0,1], X[0,1,0]) of B3" in doc["results"]["message"]
 
 
+def test_internal_check_failure_is_an_error_envelope(capsys, monkeypatch, tmp_path):
+    # a failed internal check is an AssertionError; the CLI reports it as
+    # an ERROR envelope with exit 1, not as a traceback
+    monkeypatch.setattr(lieform.cohomology, "_solve", lambda *args: None)
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps([[int(i == j) for j in range(8)] for i in range(8)]))
+    code, doc, err = run_json(capsys, ["lift-aut", "--type", "A2", "--prime", "5",
+                                       "--sigma", str(path)])
+    assert code == 1
+    assert doc["status"] == "ERROR"
+    assert doc["results"] == {"error": "AssertionError",
+                              "message": "no primitive despite a perfect Killing form"}
+    assert err == "error: no primitive despite a perfect Killing form\n"
+
+
 def test_verify_ratios(capsys):
     code, doc, _ = run_json(capsys, ["verify", "--suite", "ratios",
                                      "--type", "A3"])

@@ -204,20 +204,96 @@ def test_certified_tables_skip_the_d1_d0_product(monkeypatch):
     # algebra (check=False, certified by verify_jacobi) never run it
     from lieform import ce_complex
     g = chevalley_presentation(DynkinType("B", 2)).to_lie_algebra(F7)
-    d0 = lieform.liealg._adjoint_complex(g)[2]
-    real, rights = lieform.liealg._nonzero_product, []
+    d0 = lieform.liealg._differential(g, 0)
+    real, rights = lieform.matrices._nonzero_product, []
 
     def spy(ring, left, right):
         rights.append(right)
         return real(ring, left, right)
 
-    monkeypatch.setattr(lieform.liealg, "_nonzero_product", spy)
+    for module in (lieform.matrices, lieform.liealg, lieform.cohomology):
+        monkeypatch.setattr(module, "_nonzero_product", spy)
     derivation_algebra(g)
     center_basis(g)
     ce_complex(g)
     assert d0 not in rights
     LieAlgebra(F7, g.dim, g.table, dynkin=g.dynkin)
     assert rights[-1] == d0
+
+
+# -- the one differential against the textbook Chevalley–Eilenberg sum
+
+def _random_raw(ring, rng):
+    if ring.kind == "rationals":
+        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+    if ring.kind == "dual_numbers":
+        return (rng.randrange(5), rng.randrange(5))
+    return rng.randrange(ring.p)
+
+
+def _ce_sum(g, k, f):
+    """d f for the k-cochain f = {sorted k-tuple: f(b_q) as a list}, as
+    {sorted (k+1)-tuple: list}, by the sum
+    sum_s (-1)^s [x_s, f(..x̂_s..)] + sum_{s<t} (-1)^(s+t) f([x_s, x_t], ..x̂_s..x̂_t..)
+    read from `bracket_basis`."""
+    ring, n = g.ring, g.dim
+    add, mul, neg = ring.add, ring.mul, ring.neg
+
+    def f_at(ys):             # f on any k-tuple: alternating
+        if len(set(ys)) < k:
+            return [ring.zero()] * n
+        swaps = sum(a > b for a, b in combinations(ys, 2))
+        v = f[tuple(sorted(ys))]
+        return [neg(x) for x in v] if swaps % 2 else v
+
+    out = {}
+    for xs in combinations(range(n), k + 1):
+        acc = [ring.zero()] * n
+        for s in range(k + 1):
+            for b, vb in enumerate(f_at(xs[:s] + xs[s + 1:])):
+                for l, c in g.bracket_basis(xs[s], b):
+                    term = mul(vb, c)
+                    acc[l] = add(acc[l], neg(term) if s % 2 else term)
+        for s, t in combinations(range(k + 1), 2):
+            rest = xs[:s] + xs[s + 1:t] + xs[t + 1:]
+            for l, c in g.bracket_basis(xs[s], xs[t]):
+                for a, w in enumerate(f_at((l,) + rest)):
+                    term = mul(c, w)
+                    acc[a] = add(acc[a], neg(term) if (s + t) % 2 else term)
+        out[xs] = acc
+    return out
+
+
+def _gl2_with_repeated_terms(ring):
+    # h, e, f, c with [h, e] = e + e, [h, f] = -f - f, [e, f] = h + c
+    one, minus = ring.coerce(1), ring.coerce(-1)
+    return LieAlgebra(ring, 4, {(0, 1): ((1, one), (1, one)),
+                                (0, 2): ((2, minus), (2, minus)),
+                                (1, 2): ((0, one), (3, one))})
+
+
+@pytest.mark.parametrize("rname", ["F5", "QQ", "F5[eps]"])
+@pytest.mark.parametrize("tname", ["A1", "A2", "B2", "G2", "gl2"])
+def test_differential_is_the_textbook_sum(tname, rname):
+    ring = {"F5": F5, "QQ": QQ, "F5[eps]": DualNumbers(F5)}[rname]
+    if tname == "gl2":
+        g = _gl2_with_repeated_terms(ring)
+    else:
+        g = chevalley_presentation(DynkinType(tname[0], int(tname[1:]))).to_lie_algebra(ring)
+    n = g.dim
+    rng = random.Random(n)
+    for k in range(3):
+        d = lieform.liealg._differential(g, k)
+        src, dst = list(combinations(range(n), k)), list(combinations(range(n), k + 1))
+        for _ in range(2):
+            f = {q: [_random_raw(ring, rng) for _ in range(n)] for q in src}
+            flat = [f[q][a] for a in range(n) for q in src]
+            got = [ring.zero()] * (n * len(dst))
+            for (r, c), v in d.items():
+                got[r] = ring.add(got[r], ring.mul(v, flat[c]))
+            want = _ce_sum(g, k, f)
+            assert got == [want[xs][a] for a in range(n) for xs in dst]
+
 
 def test_killing_rank_drops_at_bad_primes():
     g3 = chevalley_presentation(DynkinType("A", 2)).to_lie_algebra(F3)
