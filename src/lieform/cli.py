@@ -227,7 +227,9 @@ def _verify_casimir(t: DynkinType, p: int):
     def invariant(s: Matrix) -> bool:
         return is_lie_automorphism(g, s) and apply_endo_to_casimir(ct, s) == ct.coefficients
 
-    flips = (triple_flip(pres, g.ring, root) for root in pres.root_system.positive_roots)
+    # a flip depends only on the first odd coordinate of its root
+    flips = dict.fromkeys(triple_flip(pres, g.ring, root)
+                          for root in pres.root_system.positive_roots)
     checks.append({"name": "tensor-invariant-under-triple-flips",
                    "pass": all(map(invariant, flips))})
     tor = torus_automorphism(pres, g.ring, 2 % p if p > 2 else 1)
@@ -466,7 +468,8 @@ _KNOWN_ERRORS = (InvalidRank, NotPerfect, NotAutomorphism, SchemaError,
                  HypothesisNotMet, ActionMissing, OutOfRange,
                  NotNilpotentEnough, NotClassical, NoConstantRatio,
                  UnsupportedRing, NonIntegralDenominator, NotASubspace,
-                 Singular, DimensionTooLarge, AssertionError, CliError)
+                 Singular, DimensionTooLarge, AssertionError, MemoryError, CliError,
+                 OSError, ValueError)
 
 
 def main(argv=None) -> int:
@@ -478,15 +481,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _KNOWN_ERRORS as exc:
-        results = {"error": type(exc).__name__, "message": str(exc)}
+        results = {"error": type(exc).__name__, "message": str(exc) or type(exc).__name__}
         if isinstance(exc, SchemaError):
             results["path"] = exc.path
-        print("error: %s" % exc, file=sys.stderr)
-        _emit(_envelope(args.command, {}, results, "ERROR"))
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        results = {"error": type(exc).__name__, "message": str(exc)}
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % results["message"], file=sys.stderr)
         _emit(_envelope(args.command, {}, results, "ERROR"))
         return EXIT_ERROR
 

@@ -1,13 +1,13 @@
 """Exact matrices over the coefficient rings, with deterministic elimination.
 
-One elimination, `_echelon`, serves rank, pivots, solve_linear, kernel,
-inverse and saturate: each reads its answer off the same echelon form.
-Pivot choice is always "first usable entry in column order, scanning rows
-top to bottom", so identical inputs give bit-identical outputs.  Every
-ring, prime fields included, eliminates on its raw values with its own
-arithmetic, and every product multiplies only the nonzero entries, row by
-row.  `det` is exact over every ring: over a field it is the product of
-the elimination's pivots.
+One elimination, `_row_reduce`, serves rank, pivots, solve_linear, kernel,
+inverse, det and saturate.  Its pivots are the first units in column
+order, then, over Z/p^k, Z_(p) and F_p[eps], the first entries of least
+valuation: identical inputs give bit-identical outputs, and it is complete
+over every field and local ring.  Every ring eliminates on its raw values
+with its own arithmetic, and every product multiplies only the nonzero
+entries, row by row.  `det` is Bareiss over Z, and otherwise the signed
+product of the elimination's pivots.
 
 Sparse maps {(row, col): raw} without zeros, such as the cochain
 differentials, are the other format: `_summed`, `_nonzero_product` and
@@ -220,10 +220,6 @@ class Matrix:
         np = _numpy()
         return np.array(self.data, dtype=np.int64).reshape(self.nrows, self.ncols)
 
-    @staticmethod
-    def from_numpy(ring: RingSpec, arr) -> "Matrix":
-        return Matrix(ring, arr.shape[0], arr.shape[1], tuple(arr.reshape(-1).tolist()))
-
     def __str__(self) -> str:
         fmt = self.ring.fmt
         return "\n".join(" ".join(fmt(v) for v in self.row(i))
@@ -235,56 +231,66 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 def _row_reduce(m: Matrix, reduce_up: bool) -> tuple[list[list], list[int], object]:
-    """Row echelon over a field or local ring; unit pivots, first-hit order.
-    Also returns the product of the pivots times the sign of the row swaps,
-    which over a field is det(m) when every column of a square m pivots."""
+    """Row echelon over a field or local ring: the rows, the pivot columns
+    in the order found, and the product of the pivots times the sign of the
+    row swaps.  The first pivots are the first units in column order, each
+    scaled to 1 and cleared from the rows below, or all others if reduce_up.
+    Over Z/p^k, Z_(p) and F_p[eps] the rows left hold only non-units; each
+    further pivot is their first entry of least valuation, ties by column,
+    then row.  It divides every entry left, so, left unscaled, it clears the
+    rows below it, which makes the elimination complete (Howell 1986)."""
     ring = m.ring
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    add, mul, neg, is_zero = ring.add, ring.mul, ring.neg, ring.is_zero
     rows = m.rows()
     nrows, ncols = m.nrows, m.ncols
     pivots = []
     scale = ring.one()
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if ring.is_unit(rows[i][c])), None)
-        if pr is None:
-            continue
+
+    def eliminate(pr: int, c: int) -> None:
+        nonlocal scale
+        r = len(pivots)
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            scale = ring.neg(scale)
-        scale = mul(scale, rows[r][c])
-        inv = ring.inv(rows[r][c])
+            scale = neg(scale)
+        pivot = rows[r][c]
+        scale = mul(scale, pivot)
+        unit = ring.is_unit(pivot)
+        inv = ring.inv(pivot) if unit else ring.one()
         # a target row changes only where the pivot row is nonzero
         support = [(j, mul(inv, w)) for j, w in enumerate(rows[r]) if not is_zero(w)]
         for j, w in support:
             rows[r][j] = w
-        targets = range(nrows) if reduce_up else range(r + 1, nrows)
-        for i in targets:
+        for i in range(nrows) if reduce_up and unit else range(r + 1, nrows):
             if i != r and not is_zero(rows[i][c]):
-                row, nf = rows[i], ring.neg(rows[i][c])
+                row, nf = rows[i], neg(rows[i][c] if unit else ring.divide(rows[i][c], pivot))
                 for j, w in support:
                     row[j] = add(row[j], mul(nf, w))
         pivots.append(c)
-        r += 1
+
+    for c in range(ncols):
+        if len(pivots) == nrows:
+            break
+        pr = next((i for i in range(len(pivots), nrows) if ring.is_unit(rows[i][c])), None)
+        if pr is not None:
+            eliminate(pr, c)
+    while ring.is_local and not ring.is_field:
+        least = min(((ring.valuation(rows[i][c]), c, i) for c in range(ncols)
+                     for i in range(len(pivots), nrows) if not is_zero(rows[i][c])),
+                    default=None)
+        if least is None:
+            break
+        eliminate(least[2], least[1])
     return rows, pivots, scale
 
 
-def _echelon(m: Matrix, reduce_up: bool) -> tuple[list[int], list[int], list[list], bool]:
-    """The one elimination behind rank, solve, kernel, inverse and saturate.
-
-    Returns the pivot columns, the non-pivot columns, the pivot rows
-    restricted to the non-pivot columns (raw ring values), and whether
-    every row below the pivot rows is zero: always over a field, where any
-    nonzero entry can pivot, not always over Z/p^k, Z_(p) and F_p[eps].
+def _echelon(m: Matrix, reduce_up: bool) -> tuple[list[int], list[int], list[list]]:
+    """The pivot columns, the non-pivot columns, and the pivot rows
+    restricted to the non-pivot columns (raw ring values): with reduce_up,
+    over a field, the reduced echelon form that kernel and saturate read.
     """
-    ring = m.ring
     rows, pivots, _ = _row_reduce(m, reduce_up)
     free = [c for c in range(m.ncols) if c not in pivots]
-    r = len(pivots)
-    return (pivots, free, [[row[c] for c in free] for row in rows[:r]],
-            ring.is_field or all(ring.is_zero(v) for row in rows[r:] for v in row))
+    return pivots, free, [[row[c] for c in free] for row in rows[:len(pivots)]]
 
 
 def rank(m: Matrix) -> int:
@@ -296,13 +302,11 @@ def rank(m: Matrix) -> int:
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """One exact solution of a x = b, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.  Over a
-    local ring only unit pivots are used, which is complete whenever the
-    column space is spanned with unit-pivot echelon form (always true for
-    invertible systems).
-    """
+    """One exact solution of a x = b, or None when the system is inconsistent:
+    exactly when the elimination of (a | b) pivots in b's block, over every
+    field and local ring.  Free variables are set to zero, so the answer is
+    deterministic.  Unit pivots are 1 and cleared from every other row, so
+    back-substitution divides only at the non-unit pivots."""
     ring = a.ring
     if ring != b.ring:
         raise RingMismatch("%r vs %r" % (ring, b.ring))
@@ -310,15 +314,19 @@ def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
         raise DimensionMismatch("lhs has %d rows, rhs %d" % (a.nrows, b.nrows))
     if not (ring.is_field or ring.is_local):
         raise UnsupportedRing("solve needs a field-kind or local ring")
-    pivots, free, rest, below_zero = _echelon(a.hstack(b), reduce_up=True)
-    # inconsistent: a pivot in the rhs block, or a nonzero row below the pivots
-    if not below_zero or (pivots and pivots[-1] >= a.ncols):
+    n = a.ncols
+    rows, pivots, _ = _row_reduce(a.hstack(b), reduce_up=True)
+    if any(c >= n for c in pivots):
         return None
-    out = [[ring.zero()] * b.ncols for _ in range(a.ncols)]
-    nfree = len(free) - b.ncols
-    for c, row in zip(pivots, rest):
-        out[c] = row[nfree:]
-    return Matrix(ring, a.ncols, b.ncols, tuple(v for row in out for v in row))
+    units = sum(ring.is_unit(row[c]) for row, c in zip(rows, pivots))
+    out = [[ring.zero()] * b.ncols for _ in range(n)]
+    for k in reversed(range(len(pivots))):
+        row, c = rows[k], pivots[k]
+        x = row[n:]
+        for j in pivots[max(k + 1, units):]:
+            x = [ring.sub(v, ring.mul(row[j], w)) for v, w in zip(x, out[j])]
+        out[c] = x if k < units else [ring.divide(v, row[c]) for v in x]
+    return Matrix(ring, n, b.ncols, tuple(v for row in out for v in row))
 
 
 def kernel(m: Matrix) -> Matrix:
@@ -336,10 +344,9 @@ def kernel(m: Matrix) -> Matrix:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse over a field or local ring (unit-pivot Gauss-Jordan).
-
-    A solution X of m X = I is a two-sided inverse over a commutative ring,
-    so m is singular exactly when that system has none."""
+    """Exact inverse over a field or local ring.  A solution X of m X = I
+    is a two-sided inverse over a commutative ring, so m is singular exactly
+    when that system has none."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("inverse of a %dx%d matrix" % (m.nrows, m.ncols))
     sol = solve_linear(m, Matrix.identity(m.ring, m.nrows))
@@ -352,7 +359,7 @@ def pivots(m: Matrix) -> list[int]:
     """Pivot columns of the row echelon form, in increasing order.  Over a
     field, column c is a pivot iff it is not in the span of the columns
     before it."""
-    return _echelon(m, reduce_up=False)[0]
+    return sorted(_row_reduce(m, reduce_up=False)[1])
 
 
 def _bareiss_det_int(rows: list[list[int]]) -> int:
@@ -379,44 +386,19 @@ def _bareiss_det_int(rows: list[list[int]]) -> int:
 
 
 def det(m: Matrix):
-    """Exact determinant as a raw ring value."""
+    """Exact determinant as a raw ring value: Bareiss over Z, and otherwise
+    the elimination's signed product of pivots, times the sign of the
+    order in which the columns pivoted; zero if some column does not."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("determinant of a %dx%d matrix" % (m.nrows, m.ncols))
     ring = m.ring
-    n = m.nrows
-    kind = ring.kind
-    if kind == "integers":
+    if ring.kind == "integers":
         return _bareiss_det_int(m.rows())
-    if kind == "integers_mod_pk":
-        return _bareiss_det_int(m.rows()) % ring.modulus
-    if kind == "localized_at_p":
-        # the same value over QQ, whose pivots may be divisible by p
-        return det(Matrix(QQ, n, n, m.data))
-    if ring.is_field:
-        _, piv, scale = _row_reduce(m, reduce_up=False)
-        return scale if len(piv) == n else ring.zero()
-    if kind == "dual_numbers":
-        # det(A + eps B) = det(A) + eps * d1 with d1 = det(A) tr(A^-1 B)
-        # (Jacobi's formula) when det(A) is a unit, and otherwise
-        # d1 = sum_i det(A with row i replaced by B row i)
-        base = ring.base
-        arows = [[v[0] for v in m.row(i)] for i in range(n)]
-        brows = [[v[1] for v in m.row(i)] for i in range(n)]
-        a_m = Matrix.from_rows(base, arows)
-        d0 = det(a_m)
-        d1 = base.zero()
-        if base.is_unit(d0):
-            ainv = inverse(a_m)
-            for k, row in enumerate(brows):
-                for i, b in enumerate(row):
-                    if not base.is_zero(b):
-                        d1 = base.add(d1, base.mul(ainv.raw(i, k), b))
-            return (d0, base.mul(d0, d1))
-        for i in range(n):
-            mixed = [list(brows[r]) if r == i else list(arows[r]) for r in range(n)]
-            d1 = base.add(d1, det(Matrix.from_rows(base, mixed)))
-        return (d0, d1)
-    raise UnsupportedRing("determinant over %r" % (ring,))
+    _, piv, scale = _row_reduce(m, reduce_up=False)
+    if len(piv) < m.nrows:
+        return ring.zero()
+    odd = sum(x > y for i, x in enumerate(piv) for y in piv[i + 1:]) % 2
+    return ring.neg(scale) if odd else scale
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +478,7 @@ def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
     one, neg = ring.one(), ring.neg
     vectors = []                               # (free column, {col: raw})
     for cols, _, block in _degree_blocks(ring, degrees, entries)[1].values():
-        pivots, free, rest, _ = _echelon(block, reduce_up=True)
+        pivots, free, rest = _echelon(block, reduce_up=True)
         for t, f in enumerate(free):
             vec = {cols[f]: one}
             for pc, row in zip(pivots, rest):
@@ -554,10 +536,8 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
     coords = solve_linear(lattice_basis, subspace_basis)
     if coords is None:
         raise NotASubspace("subspace is not inside the lattice span")
-    if (lattice_basis @ coords) != subspace_basis:
-        raise NotASubspace("subspace is not inside the lattice span")
     # subspace basis in lattice coordinates, one reduced echelon row each
-    pivots, free, rest, _ = _echelon(coords.transpose(), reduce_up=True)
+    pivots, free, rest = _echelon(coords.transpose(), reduce_up=True)
     if not pivots:
         return Matrix.zeros(QQ, lattice_basis.nrows, 0)
     rows = [[Fraction(0)] * n for _ in pivots]

@@ -137,7 +137,7 @@ class RingSpec:
 
     @property
     def is_local(self) -> bool:
-        """Local rings support elimination restricted to unit pivots."""
+        """Local rings eliminate on units, then, unless fields, on least `valuation`."""
         return False
 
 
@@ -317,6 +317,16 @@ class IntegersModPk(RingSpec):
             raise NotAUnit("%d is not a unit mod %d" % (a, self.modulus))
         return pow(a, -1, self.modulus)
 
+    def valuation(self, a) -> int:
+        return pvaluation(a, self.p)
+
+    def divide(self, b, a):
+        """A quotient b / a, for a nonzero a that divides b."""
+        pv = self.p ** pvaluation(a, self.p)
+        if b % pv:
+            raise NotAUnit("%d does not divide %d mod %d" % (a, b, self.modulus))
+        return b // pv * self.inv(a // pv) % self.modulus
+
     @property
     def is_local(self) -> bool:
         return True
@@ -368,6 +378,13 @@ class LocalizedAtP(RingSpec):
             raise NotAUnit("%s is not a unit in Z_(%d)" % (a, self.p))
         return 1 / a
 
+    def valuation(self, a) -> int:
+        return pvaluation(a, self.p)
+
+    def divide(self, b, a):
+        """b / a, for a nonzero a that divides b."""
+        return self._check(b / a)
+
     def fmt(self, a) -> str:
         return format_rational(a)
 
@@ -418,6 +435,18 @@ class DualNumbers(RingSpec):
             raise NotAUnit("%s has nilpotent constant term" % (a,))
         ia = self.base.inv(a[0])
         return (ia, self.base.neg(self.base.mul(self.base.mul(ia, ia), a[1])))
+
+    def valuation(self, a) -> int:
+        """0 on the units, 1 on the nonzero multiples of eps."""
+        return 0 if self.is_unit(a) else 1
+
+    def divide(self, b, a):
+        """A quotient b / a, for a nonzero a that divides b; eps part 0 if a is not a unit."""
+        if self.is_unit(a):
+            return self.mul(b, self.inv(a))
+        if not self.base.is_zero(b[0]):
+            raise NotAUnit("%s does not divide %s" % (self.fmt(a), self.fmt(b)))
+        return (self.base.mul(b[1], self.base.inv(a[1])), self.base.zero())
 
     def fmt(self, a) -> str:
         return "%s + %s*eps" % (self.base.fmt(a[0]), self.base.fmt(a[1]))

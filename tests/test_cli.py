@@ -282,6 +282,24 @@ def test_verify_casimir_ok(capsys):
     assert all(c["pass"] for c in doc["results"]["checks"])
 
 
+@pytest.mark.parametrize("name, calls", [("B3", 3 + 1), ("F4", 4 + 1)])
+def test_verify_casimir_checks_each_distinct_triple_flip_once(capsys, monkeypatch, name, calls):
+    # a triple flip depends only on the first odd coordinate of its root:
+    # B3's 9 flips are 3 matrices and F4's 24 are 4, and the torus element
+    # is checked once more
+    seen = []
+
+    def counted(g, s):
+        seen.append(s)
+        return lieform.is_lie_automorphism(g, s)
+
+    monkeypatch.setattr(cli, "is_lie_automorphism", counted)
+    code, doc, _ = run_json(capsys, ["verify", "--suite", "casimir",
+                                     "--type", name, "--prime", "7"])
+    assert code == 0 and doc["status"] == "OK"
+    assert len(seen) == calls
+
+
 def test_verify_casimir_degenerate_prime_is_error(capsys):
     code, doc, _ = run_json(capsys, ["verify", "--suite", "casimir",
                                      "--type", "A1", "--prime", "2"])
@@ -345,6 +363,21 @@ def test_internal_check_failure_is_an_error_envelope(capsys, monkeypatch, tmp_pa
     assert doc["results"] == {"error": "AssertionError",
                               "message": "no primitive despite a perfect Killing form"}
     assert err == "error: no primitive despite a perfect Killing form\n"
+
+
+def test_memory_error_is_an_error_envelope(capsys, monkeypatch):
+    # running out of memory is reported as an ERROR envelope with exit 1,
+    # not as a traceback
+    def exhausted(t, p):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_verify_derivations", exhausted)
+    code, doc, err = run_json(capsys, ["verify", "--suite", "derivations",
+                                       "--type", "A2", "--prime", "7"])
+    assert code == 1
+    assert doc["status"] == "ERROR"
+    assert doc["results"] == {"error": "MemoryError", "message": "MemoryError"}
+    assert err == "error: MemoryError\n"
 
 
 def test_verify_ratios(capsys):
