@@ -326,15 +326,16 @@ def derivation_algebra(g: LieAlgebra) -> Matrix:
 def _spans_inner_derivations(g: LieAlgebra, ders: Matrix) -> bool:
     """Whether the columns of ders are a basis of the inner derivations:
     for inner = d0, the dim^2 x dim matrix whose column i is -ad(b_i),
-    rank(inner) == dim, inner lies in the span of ders and
-    rank(ders | inner) == ders.ncols.  The last two hold iff the pivot
-    columns of (ders | inner) are those of ders.
+    the pivot columns of (ders | inner) are those of ders, so the columns
+    of ders are independent and span inner, and rank(inner) == ders.ncols,
+    so inner spans them.  Outer derivations, as for G2 over F_2 (21 of
+    them against dim 14), fail the rank test.
 
     Both eliminations run one `_degree_blocks` block at a time: column i
     of d0 has degree wt(i), and each column that `derivation_algebra`
     returns lies in one degree, that of its slots.
     """
-    ring, n, k = g.ring, g.dim, ders.ncols
+    ring, k = g.ring, ders.ncols
     wt = _weights(g)
     degrees = _cochain_degrees(wt, 1)
     inner = _differential(g, 0)
@@ -347,7 +348,7 @@ def _spans_inner_derivations(g: LieAlgebra, ders: Matrix) -> bool:
     pivots = sorted(cols[c] for cols, _, block
                     in _degree_blocks(ring, col_degrees + wt, both)[1].values()
                     for c in _echelon(block, reduce_up=False)[0])
-    return (pivots == list(range(k)) and n == sum(
+    return (pivots == list(range(k)) and k == sum(
         rank(block) for _, _, block in _degree_blocks(ring, wt, inner)[1].values()))
 
 

@@ -6,8 +6,9 @@ order, then, over Z/p^k, Z_(p) and F_p[eps], the first entries of least
 valuation: identical inputs give bit-identical outputs, and it is complete
 over every field and local ring.  Every ring eliminates on its raw values
 with its own arithmetic, and every product multiplies only the nonzero
-entries, row by row.  `det` is Bareiss over Z, and otherwise the signed
-product of the elimination's pivots.
+entries, row by row.  The elimination refuses every other ring, such as
+Z; `det` is Bareiss over Z, and otherwise the signed product of the
+elimination's pivots.
 
 Sparse maps {(row, col): raw} without zeros, such as the cochain
 differentials, are the other format: `_summed`, `_nonzero_product` and
@@ -217,6 +218,10 @@ class Matrix:
                       tuple(convert_raw(v, src, dst) for v in self.data))
 
     def to_numpy(self):
+        """The raw values as an int64 array, for the rings whose raw values
+        are Python ints: Z, F_p and Z/p^k."""
+        if self.ring.kind not in ("integers", "prime_field", "integers_mod_pk"):
+            raise UnsupportedRing("to_numpy needs integer raw values, got %r" % (self.ring,))
         np = _numpy()
         return np.array(self.data, dtype=np.int64).reshape(self.nrows, self.ncols)
 
@@ -238,8 +243,12 @@ def _row_reduce(m: Matrix, reduce_up: bool) -> tuple[list[list], list[int], obje
     Over Z/p^k, Z_(p) and F_p[eps] the rows left hold only non-units; each
     further pivot is their first entry of least valuation, ties by column,
     then row.  It divides every entry left, so, left unscaled, it clears the
-    rows below it, which makes the elimination complete (Howell 1986)."""
+    rows below it, which makes the elimination complete (Howell 1986).
+    Other rings, such as Z, raise UnsupportedRing."""
     ring = m.ring
+    if not (ring.is_field or ring.is_local):
+        raise UnsupportedRing("elimination needs a field-kind or local ring, got %r"
+                              % (ring,))
     add, mul, neg, is_zero = ring.add, ring.mul, ring.neg, ring.is_zero
     rows = m.rows()
     nrows, ncols = m.nrows, m.ncols
@@ -312,8 +321,6 @@ def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
         raise RingMismatch("%r vs %r" % (ring, b.ring))
     if a.nrows != b.nrows:
         raise DimensionMismatch("lhs has %d rows, rhs %d" % (a.nrows, b.nrows))
-    if not (ring.is_field or ring.is_local):
-        raise UnsupportedRing("solve needs a field-kind or local ring")
     n = a.ncols
     rows, pivots, _ = _row_reduce(a.hstack(b), reduce_up=True)
     if any(c >= n for c in pivots):
@@ -537,30 +544,24 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
     if coords is None:
         raise NotASubspace("subspace is not inside the lattice span")
     # subspace basis in lattice coordinates, one reduced echelon row each
-    pivots, free, rest = _echelon(coords.transpose(), reduce_up=True)
+    rows, pivots, _ = _row_reduce(coords.transpose(), reduce_up=True)
     if not pivots:
         return Matrix.zeros(QQ, lattice_basis.nrows, 0)
-    rows = [[Fraction(0)] * n for _ in pivots]
-    for row, c, vals in zip(rows, pivots, rest):
-        row[c] = Fraction(1)
-        for f, v in zip(free, vals):
-            row[f] = v
 
     def normalize(row: list[Fraction]) -> list[Fraction]:
         v = min(pvaluation(x, p) for x in row if x != 0)
         f = Fraction(p) ** (-v)
         return [x * f for x in row]
 
-    rows = [normalize(r) for r in rows]
-    # repeatedly divide p out of a dependency among the rows mod p until
-    # they are independent mod p; each step enlarges the span inside the
-    # saturation
+    rows = [normalize(r) for r in rows[:len(pivots)]]
+    # divide p out of a left dependency among the rows mod p until there is
+    # none; each step enlarges the span inside the saturation
     fp = PrimeField(p)
     while True:
-        red = Matrix.from_rows(QQ, rows).map_to_ring(fp)
-        if rank(red) == len(rows):
+        deps = kernel(Matrix.from_rows(QQ, rows).map_to_ring(fp).transpose())
+        if not deps.ncols:
             break
-        c = kernel(red.transpose()).col(0)
+        c = deps.col(0)
         idx = next(i for i, ci in enumerate(c) if ci)
         w = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(n)]
         rows[idx] = normalize([x / p for x in w])

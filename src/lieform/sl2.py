@@ -74,11 +74,11 @@ def _p_integral(mat: Matrix, p: int) -> bool:
     return all(x.denominator % p != 0 for x in mat.data)
 
 
-def _column_span_contains(basis: Matrix, vectors: Matrix) -> Optional[Matrix]:
+def _p_local_coords(basis: Matrix, vectors: Matrix, p: int) -> Optional[Matrix]:
+    """The coordinates of the columns of vectors in the columns of basis
+    (rational, independent), if they exist and are p-integral; else None."""
     sol = solve_linear(basis, vectors)
-    if sol is None or (basis @ sol) != vectors:
-        return None
-    return sol
+    return sol if sol is not None and _p_integral(sol, p) else None
 
 
 def weighted_module(p: int, lattice: Matrix, weights, pieces: dict,
@@ -135,7 +135,7 @@ def weighted_module(p: int, lattice: Matrix, weights, pieces: dict,
             for op, shift in ((x, 2), (y, -2)):
                 img = op @ pc
                 if w + shift in pieces:
-                    if _column_span_contains(pieces[w + shift], img) is None:
+                    if solve_linear(pieces[w + shift], img) is None:
                         raise ValueError(
                             "action does not shift weight %d by %+d" % (w, shift))
                 elif not img.is_zero():
@@ -149,15 +149,30 @@ def lattice_closed_under_action(m: WeightedModule) -> bool:
     """True when h, x, y all map the lattice into itself over Z_(p)."""
     if m.action is None:
         return False
-    for key in _ACTION_KEYS:
-        coords = _column_span_contains(m.lattice, m.action[key] @ m.lattice)
-        if coords is None or not _p_integral(coords, m.p):
-            return False
-    return True
+    return all(_p_local_coords(m.lattice, m.action[key] @ m.lattice, m.p) is not None
+               for key in _ACTION_KEYS)
 
 
 # ---------------------------------------------------------------------------
 # constructions
+
+def _string_module(p: int, lattice: Matrix, top: int, xc, yc) -> WeightedModule:
+    """The module on the lattice with ambient basis z_0, ..., z_{n-1}:
+
+        h z_i = (top-2i) z_i,  x z_i = xc(i) z_{i-1},  y z_i = yc(i) z_{i+1}.
+    """
+    n = lattice.nrows
+    rows = {k: [[0] * n for _ in range(n)] for k in _ACTION_KEYS}
+    for i in range(n):
+        rows["h"][i][i] = top - 2 * i
+        if i >= 1:
+            rows["x"][i - 1][i] = xc(i)
+            rows["y"][i][i - 1] = yc(i - 1)
+    pieces = {top - 2 * i: Matrix.from_rows(QQ, [[int(r == i)] for r in range(n)])
+              for i in range(n)}
+    return weighted_module(p, lattice, pieces.keys(), pieces,
+                           {k: Matrix.from_rows(QQ, r) for k, r in rows.items()})
+
 
 def chain_from_highest(j: int, p: int) -> WeightedModule:
     """The rank-(j+1) module with basis z_i = y^i(z_0)/i!:
@@ -168,23 +183,8 @@ def chain_from_highest(j: int, p: int) -> WeightedModule:
         raise OutOfRange("%r is not prime" % (p,))
     if not 1 <= j <= p - 1:
         raise OutOfRange("highest weight %d outside [1, %d]" % (j, p - 1))
-    n = j + 1
-    lattice = Matrix.identity(QQ, n)
-    pieces = {}
-    hrows = [[0] * n for _ in range(n)]
-    xrows = [[0] * n for _ in range(n)]
-    yrows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        w = j - 2 * i
-        pieces[w] = Matrix.from_rows(QQ, [[1 if r == i else 0] for r in range(n)])
-        hrows[i][i] = w
-        if i >= 1:
-            xrows[i - 1][i] = j - i + 1
-        if i + 1 < n:
-            yrows[i + 1][i] = i + 1
-    action = {k: Matrix.from_rows(QQ, rows)
-              for k, rows in (("h", hrows), ("x", xrows), ("y", yrows))}
-    return weighted_module(p, lattice, pieces.keys(), pieces, action)
+    return _string_module(p, Matrix.identity(QQ, j + 1), j,
+                          lambda i: j - i + 1, lambda i: i + 1)
 
 
 def counterexample_module(p: int) -> WeightedModule:
@@ -204,22 +204,8 @@ def counterexample_module(p: int) -> WeightedModule:
     lat_rows[p][0] = Fraction(1, p)
     for c in range(1, n):
         lat_rows[c][c] = 1
-    lattice = Matrix.from_rows(QQ, lat_rows)
-    pieces = {}
-    hrows = [[0] * n for _ in range(n)]
-    xrows = [[0] * n for _ in range(n)]
-    yrows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        w = p - 2 * i
-        pieces[w] = Matrix.from_rows(QQ, [[1 if r == i else 0] for r in range(n)])
-        hrows[i][i] = w
-        if i >= 1:
-            xrows[i - 1][i] = i
-        if i + 1 < n:
-            yrows[i + 1][i] = p - i
-    action = {k: Matrix.from_rows(QQ, rows)
-              for k, rows in (("h", hrows), ("x", xrows), ("y", yrows))}
-    m = weighted_module(p, lattice, pieces.keys(), pieces, action)
+    m = _string_module(p, Matrix.from_rows(QQ, lat_rows), p,
+                       lambda i: i, lambda i: p - i)
     if not lattice_closed_under_action(m):
         raise AssertionError("the enlarged lattice is not closed under h, x, y")
     return m
@@ -285,26 +271,22 @@ class DecompositionResult:
     path: str
 
 
-def _grading_operator(m: WeightedModule) -> Matrix:
-    if m.action is not None:
-        return m.action["h"]
-    stacked = Matrix.hstack(*[m.pieces[w] for w in m.weights])
-    diag = [w for w in m.weights for _ in range(m.pieces[w].ncols)]
-    n = m.ambient_dim
-    drows = [[Fraction(diag[r]) if r == c else Fraction(0) for c in range(n)]
-             for r in range(n)]
-    return stacked @ Matrix.from_rows(QQ, drows) @ inverse(stacked)
-
-
-def _mod_p(mat: Matrix, p: int) -> Matrix:
-    return mat.map_to_ring(PrimeField(p))
+def _on_pieces(m: WeightedModule, ring: RingSpec, value) -> Matrix:
+    """The operator over ring acting on the weight-w piece as value(w):
+    S·diag·S⁻¹ for S the pieces side by side.  value is called once per
+    weight, after the pieces map to ring."""
+    s = Matrix.hstack(*[m.pieces[w] for w in m.weights]).map_to_ring(ring)
+    diag = [v for w in m.weights for v in [value(w)] * m.pieces[w].ncols]
+    n = s.ncols
+    sd = Matrix(ring, n, n, tuple(ring.mul(v, diag[t % n]) for t, v in enumerate(s.data)))
+    return sd @ inverse(s)
 
 
 def _span_check_mod_p(coords: Matrix, p: int) -> Optional[int]:
     """Index of the first standard basis vector outside the mod-p column
     span of coords, or None when coords spans everything: the first pivot
     of [coords | I] mod p that falls in the identity block."""
-    red = _mod_p(coords, p)
+    red = coords.map_to_ring(PrimeField(p))
     aug = red.hstack(Matrix.identity(red.ring, red.nrows))
     return next((c - red.ncols for c in pivots(aug) if c >= red.ncols), None)
 
@@ -365,19 +347,18 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
     rp = LocalizedAtP(p)
     n = m.ambient_dim
 
-    h_lat = solve_linear(m.lattice, _grading_operator(m) @ m.lattice)
+    h = m.action["h"] if m.action is not None else _on_pieces(m, QQ, Fraction)
+    h_lat = solve_linear(m.lattice, h @ m.lattice)
     if h_lat is None:
         raise AssertionError("the grading operator leaves the lattice span")
-    h_ok = _p_integral(h_lat, p)
 
-    if report.is_type1 and h_ok:
+    if report.is_type1 and _p_integral(h_lat, p):
         projs = _lagrange_projectors(m, h_lat)
         _assert_projector_family(projs, n)
         sats = _saturations(m)
         for w, pi in projs.items():
-            image = m.lattice @ pi
-            coords = _column_span_contains(sats[w], image)
-            if coords is None or not _p_integral(coords, p):
+            coords = _p_local_coords(sats[w], m.lattice @ pi, p)
+            if coords is None:
                 raise AssertionError("projector %d image leaves its saturation" % w)
             if _span_check_mod_p(coords, p) is not None:
                 raise AssertionError("projector %d image misses its saturation "
@@ -399,52 +380,42 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
             "weight set fails every p-type and no action is given")
 
     sats = _saturations(m)
-    blocks = [(w, sats[w].ncols) for w in m.weights]
-    coords = _column_span_contains(m.lattice,
-                                   Matrix.hstack(*[sats[w] for w in m.weights]))
-    if coords is None or not _p_integral(coords, p):
+    coords = _p_local_coords(m.lattice, Matrix.hstack(*[sats[w] for w in m.weights]), p)
+    if coords is None:
         raise AssertionError("the saturations leave the lattice")
-
-    if rank(_mod_p(coords, p)) == n:
-        ci = inverse(coords)
-        if not _p_integral(ci, p):
-            raise AssertionError("the saturation basis is not unimodular at %d" % p)
-        projs = {}
-        offset = 0
-        for w, width in blocks:
-            sel = [[Fraction(1) if (r == c and offset <= r < offset + width)
-                    else Fraction(0) for c in range(n)] for r in range(n)]
-            projs[w] = coords @ Matrix.from_rows(QQ, sel) @ ci
-            offset += width
+    # coords is n x n, so it is unimodular at p exactly when nothing is missed
+    miss = _span_check_mod_p(coords, p)
+    if miss is None:
+        # the projector onto block b is coords[:, b] @ coords^-1[b, :]
+        local = coords.map_to_ring(rp)
+        cols, inv_rows = local.transpose().rows(), inverse(local).rows()
+        projs, start = {}, 0
+        for w in m.weights:
+            b = slice(start, start + sats[w].ncols)
+            projs[w] = (Matrix.from_rows(rp, cols[b]).transpose()
+                        @ Matrix.from_rows(rp, inv_rows[b]))
+            start = b.stop
         _assert_projector_family(projs, n)
-        return DecompositionResult(
-            True, sats, {w: pi.map_to_ring(rp) for w, pi in projs.items()},
-            None, report, "saturation")
+        return DecompositionResult(True, sats, projs, None, report, "saturation")
 
     # localize the defect along chains of weights congruent mod p
     chains = {}
     for w in m.weights:
         chains.setdefault(w % p, []).append(w)
-    witness = None
+    witness = (m.weights, m.lattice.col(miss))
     for res in sorted(chains, key=lambda r: -max(chains[r])):
         ws = chains[res]
         if len(ws) < 2:
             continue
         nchain = saturate(m.lattice, Matrix.hstack(*[m.pieces[w] for w in ws]), p)
-        cc = _column_span_contains(nchain, Matrix.hstack(*[sats[w] for w in ws]))
-        if cc is None or not _p_integral(cc, p):
+        cc = _p_local_coords(nchain, Matrix.hstack(*[sats[w] for w in ws]), p)
+        if cc is None:
             raise AssertionError("chain %r saturations leave the chain "
                                  "saturation" % (ws,))
-        miss = _span_check_mod_p(cc, p)
-        if miss is not None:
-            witness = (tuple(ws), nchain.col(miss))
+        chain_miss = _span_check_mod_p(cc, p)
+        if chain_miss is not None:
+            witness = (tuple(ws), nchain.col(chain_miss))
             break
-    if witness is None:
-        miss = _span_check_mod_p(coords, p)
-        if miss is None:
-            raise AssertionError("rank deficit mod %d without a missing "
-                                 "coordinate" % p)
-        witness = (m.weights, m.lattice.col(miss))
     return DecompositionResult(False, sats, {}, witness, report, "saturation")
 
 
@@ -475,19 +446,15 @@ def exp_nilpotent(u: Matrix, p: int) -> Matrix:
 def weight_scaling(m: WeightedModule, ring: RingSpec, t) -> Matrix:
     """The operator acting on the weight-w piece as t^w, over the given
     ring; t must be a unit there."""
-    sr = Matrix.hstack(*[m.pieces[w] for w in m.weights]).map_to_ring(ring)
-    exps = [w for w in m.weights for _ in range(m.pieces[w].ncols)]
-    tval = ring.coerce(t)
-    tinv = ring.inv(tval)
-    n = m.ambient_dim
-    drows = [[ring.zero()] * n for _ in range(n)]
-    for i, w in enumerate(exps):
-        base, e = (tval, w) if w >= 0 else (tinv, -w)
+
+    def power(w):
+        tval = ring.coerce(t)
+        tinv = ring.inv(tval)            # t must be a unit, whatever the weights
         acc = ring.one()
-        for _ in range(e):
-            acc = ring.mul(acc, base)
-        drows[i][i] = acc
-    return sr @ Matrix.from_rows(ring, drows) @ inverse(sr)
+        for _ in range(abs(w)):
+            acc = ring.mul(acc, tval if w >= 0 else tinv)
+        return acc
+    return _on_pieces(m, ring, power)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,20 @@ def test_verify_derivations(capsys):
     assert by_name["inner-derivations-span"]["pass"] is True
 
 
+def test_verify_derivations_fails_on_outer_derivations(capsys):
+    # G2 over F_2 has 21 derivations against dim 14: seven are outer
+    g = lieform.chevalley_presentation(lieform.DynkinType("G", 2)).to_lie_algebra(
+        lieform.PrimeField(2))
+    assert not lieform.liealg._spans_inner_derivations(g, lieform.derivation_algebra(g))
+    code, doc, _ = run_json(capsys, ["verify", "--suite", "derivations",
+                                     "--type", "G2", "--prime", "2"])
+    assert code == 2
+    assert doc["status"] == "MISMATCH"
+    by_name = {c["name"]: c for c in doc["results"]["checks"]}
+    assert by_name["derivation-dimension-equals-dim"]["derivation_dim"] == 21
+    assert by_name["inner-derivations-span"]["pass"] is False
+
+
 def test_verify_cohomology(capsys):
     code, doc, _ = run_json(capsys, ["verify", "--suite", "cohomology",
                                      "--type", "A1", "--prime", "5"])

@@ -621,7 +621,7 @@ def _dense_spans_inner(g, ders):
     ads = [g.ad_matrix(g.basis_vector(i)).data for i in range(g.dim)]
     inner = Matrix(g.ring, g.dim * g.dim, g.dim,
                    tuple(v for entries in zip(*ads) for v in entries))
-    return (rank(inner) == g.dim and solve_linear(ders, inner) is not None
+    return (rank(inner) == ders.ncols and solve_linear(ders, inner) is not None
             and rank(ders.hstack(inner)) == ders.ncols)
 
 

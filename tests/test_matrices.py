@@ -238,6 +238,47 @@ def test_bareiss_on_larger_integer_matrix():
     assert det(m) == 98
 
 
+def test_elimination_refuses_the_integers():
+    # over Z a unit pivot is +-1, so pivots would miss those of 2 and of
+    # [[2, 1], [4, 3]]; det keeps Bareiss there
+    for rows in ([[2, 1], [4, 3]], [[2]]):
+        with pytest.raises(UnsupportedRing):
+            pivots(M(ZZ, rows))
+    with pytest.raises(UnsupportedRing):
+        solve_linear(M(ZZ, [[2]]), M(ZZ, [[4]]))
+    assert det(M(ZZ, [[2, 1], [4, 3]])) == 2
+
+
+_TO_NUMPY = """
+import sys
+from fractions import Fraction
+from lieform import DualNumbers, LocalizedAtP, Matrix, PrimeField, QQ, UnsupportedRing
+for ring, rows in ((QQ, [[Fraction(1, 2), Fraction(7, 3)]]),
+                   (LocalizedAtP(5), [[Fraction(1, 2)]]),
+                   (DualNumbers(PrimeField(5)), [[(1, 2)]])):
+    try:
+        Matrix.from_rows(ring, rows).to_numpy()
+    except UnsupportedRing:
+        print("refused", "numpy" in sys.modules)
+"""
+
+
+def _child_stdout(code: str) -> str:
+    """stdout of code run by a child interpreter that imports this lieform."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=30).stdout
+
+
+def test_to_numpy_refuses_non_integer_raw_values():
+    assert _child_stdout(_TO_NUMPY).split("\n")[:3] == ["refused False"] * 3
+    for ring in (ZZ, F5, IntegersModPk(5, 2)):
+        assert M(ring, [[1, 2], [3, 4]]).to_numpy().tolist() == [[1, 2], [3, 4]]
+
+
 def test_saturate_divides_out_p():
     lat = Matrix.identity(QQ, 2)
     w = M(QQ, [[3], [3]])
@@ -280,13 +321,7 @@ print([list(map(str, s.col(j))) for j in range(s.ncols)])
 def test_saturate_terminates_when_rows_are_dependent_mod_p():
     # the subspace rows (3, 0, 1) and (0, 3, 1) agree mod 3; the loop must
     # divide p out of their left dependency, not chase a right null vector
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", _SATURATE_DEPENDENT_MOD_P],
-                         env=env, check=True, capture_output=True, text=True,
-                         timeout=30).stdout
+    out = _child_stdout(_SATURATE_DEPENDENT_MOD_P)
     assert out.strip() == "[['2', '1', '1'], ['0', '3', '1']]"
 
 

@@ -344,3 +344,80 @@ def test_projector_check_survives_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _NOT_IDEMPOTENT], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "AssertionError projector 0 not idempotent"
+
+
+# -- every decomposition route, pinned: a seeded corpus of chains,
+# counterexamples and conjugated direct sums, with and without an action,
+# on their own lattices and on sublattices or superlattices of index p
+
+def _unitriangular(n, rng, lower):
+    return Matrix.from_rows(QQ, [[1 if r == c else rng.randint(-2, 2)
+                                  if (r > c) == lower else 0 for c in range(n)]
+                                 for r in range(n)])
+
+
+def _sl2_corpus():
+    mods = [chain_from_highest(j, p) for p in (2, 3, 5, 7) for j in range(1, p)]
+    mods += [counterexample_module(p) for p in (2, 3, 5)]
+    mods.append(module_from_json({
+        "p": 3, "lattice": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "weights": [0, 1],
+        "pieces": {"0": [[1, 0], [0, 1], ["1/3", "1/3"]], "1": [[1], [0], [0]]}}))
+    parts = {p: [counterexample_module(p)] + [chain_from_highest(j, p) for j in range(1, min(p, 4))]
+             for p in (2, 3, 5)}
+    rng = random.Random(23)
+    for _ in range(40):
+        p = rng.choice((2, 3, 3, 5, 5))
+        m = direct_sum(rng.choice(parts[p]), rng.choice(parts[p][1:]))
+        n = m.ambient_dim
+        m = conjugate(m, _unitriangular(n, rng, True) @ _unitriangular(n, rng, False))
+        k, scale = rng.randrange(n), rng.choice((p, Fraction(1, p)))
+        sub = m.lattice @ _unitriangular(n, rng, False) @ Matrix.from_rows(
+            QQ, [[scale if r == c == k else int(r == c) for c in range(n)] for r in range(n)])
+        # conjugate validated the structure, and a lattice change keeps it
+        mods += [lieform.sl2.WeightedModule(p, lattice, m.weights, m.pieces, action)
+                 for lattice in (m.lattice, sub) for action in (m.action, None)]
+    return mods
+
+
+def _strs(mat):
+    return [[str(v) for v in mat.row(i)] for i in range(mat.nrows)]
+
+
+def _outcome(fn, *args):
+    try:
+        return _strs(fn(*args))
+    except (lieform.RingError, lieform.Singular) as exc:
+        return type(exc).__name__
+
+
+def _decomposition_record(m):
+    p = m.p
+    rec = {"weights": m.weights, "closed": lattice_closed_under_action(m),
+           "scaling": [_outcome(weight_scaling, m, LocalizedAtP(p), p + 1),
+                       _outcome(weight_scaling, m, PrimeField(p), p - 1 or 1)]}
+    if m.action is not None:
+        rec["exp"] = _outcome(exp_nilpotent, m.action["x"].map_to_ring(PrimeField(p)), p)
+    try:
+        r = extend_torus(m)
+    except (lieform.ActionMissing, lieform.HypothesisNotMet) as exc:
+        rec["raised"] = type(exc).__name__
+        return rec
+    rec.update(
+        success=r.success, path=r.path,
+        ptype=(r.report.is_type1, r.report.is_type2, r.report.is_type3),
+        pieces=[(w, _strs(pc)) for w, pc in sorted(r.pieces.items())],
+        projectors=[(w, repr(pi.ring), _strs(pi)) for w, pi in sorted(r.projectors.items())],
+        witness=r.failure_witness and (r.failure_witness[0],
+                                       [str(v) for v in r.failure_witness[1]]))
+    return rec
+
+
+def test_decompositions_match_pinned_digest():
+    import hashlib
+    records = [_decomposition_record(m) for m in _sl2_corpus()]
+    outcomes = [r.get("raised") or (r["path"], r["success"]) for r in records]
+    for kind in ("ActionMissing", "HypothesisNotMet", ("saturation", True),
+                 ("saturation", False), ("polynomial-projectors", True)):
+        assert kind in outcomes
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "362e0dff2e098186db0399e6d08332529faf75d0d3ecc4b21eaf8c4b1e1c232d", digest
