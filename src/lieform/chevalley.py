@@ -204,8 +204,7 @@ def _check_constants(rs: RootSystem, nab: dict, strings: list) -> None:
            for key in ((a, b), (neg[a], neg[b]))])
 
 
-@lru_cache(maxsize=None)
-def chevalley_presentation(t: DynkinType) -> ChevalleyPresentation:
+def _build_presentation(t: DynkinType) -> ChevalleyPresentation:
     if t.rank > 8:
         raise InvalidRank("structure constants capped at rank 8, got %s" % (t,))
     rs = build_root_system(t)
@@ -234,6 +233,8 @@ def chevalley_presentation(t: DynkinType) -> ChevalleyPresentation:
     verify_jacobi(pres)
     return pres
 
+
+chevalley_presentation = lru_cache(maxsize=None)(_build_presentation)
 
 def _jacobi_defect_plain(terms: list, dim: int):
     """The least (key, sum) of the Jacobi join with a nonzero sum, or None:

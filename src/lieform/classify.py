@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .chevalley import chevalley_presentation, matrix_realization
-from .liealg import BilinearForm, _discriminant, killing_form, trace_form
+from .chevalley import _build_presentation, chevalley_presentation, matrix_realization
+from .liealg import _ad_entries, _cell_det, _trace_gram, killing_form, trace_form
 from .matrices import Matrix, _commutator
 from .rings import PrimeField, ZZ
 from .roots import DynkinType, InvalidRank
@@ -61,24 +61,20 @@ def predict_perfect(t: DynkinType, p: int) -> PerfectnessVerdict:
     return PerfectnessVerdict(t, p, reason == "PERFECT", reason)
 
 
-@lru_cache(maxsize=1)
-def _integral_algebra(t: DynkinType):
-    """The integral Lie algebra of type t; one slot, so the Gram and the
-    discriminant of a type share one build and one table is alive at a time."""
-    return chevalley_presentation(t).to_lie_algebra(ZZ)
-
-
 @lru_cache(maxsize=None)
 def integral_killing_gram(t: DynkinType) -> Matrix:
     """Killing Gram of the integral basis, computed once per type."""
-    return killing_form(_integral_algebra(t)).gram
+    return killing_form(chevalley_presentation(t).to_lie_algebra(ZZ)).gram
 
 
 @lru_cache(maxsize=None)
 def _integral_discriminant(t: DynkinType) -> int:
-    """det of integral_killing_gram(t), computed once per type."""
-    gram = integral_killing_gram(t)
-    return _discriminant(BilinearForm(_integral_algebra(t), gram))
+    """det of the integral Killing form κ of type t, once per type, by
+    `_cell_det` on the Chevalley basis weights; κ is read off a presentation
+    built for this call, and only the integer is kept."""
+    pres = _build_presentation(t)
+    wt = [(0,) * t.rank] * t.rank + list(pres.root_system.roots)
+    return _cell_det(ZZ, wt, _trace_gram(ZZ, _ad_entries(pres.table, ZZ.neg)))
 
 
 def oracle_perfect(t: DynkinType, p: int) -> bool:

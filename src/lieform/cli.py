@@ -23,9 +23,9 @@ from .classify import (EXPECTED_RATIO, NoConstantRatio, b_series_kernel_witness,
                        predict_perfect, ratio_check, verdict_with_oracle)
 from .cohomology import (DimensionTooLarge, NotAutomorphism, ce_complex,
                          cohomology_dim, lift_automorphism, square_zero_extension)
-from .liealg import (NotPerfect, _spans_inner_derivations, apply_endo_to_casimir,
-                     base_change, casimir, casimir_operator, derivation_algebra,
-                     is_lie_automorphism, is_perfect, killing_form)
+from .liealg import (NotPerfect, _casimir, _spans_inner_derivations,
+                     apply_endo_to_casimir, base_change, casimir_operator,
+                     derivation_algebra, is_lie_automorphism, killing_form)
 from .matrices import Matrix, NotASubspace, Singular, _nonzero_product
 from .rings import (IntegersModPk, NonIntegralDenominator, PrimeField,
                     UnsupportedRing, ZZ, format_rational, is_prime)
@@ -213,10 +213,8 @@ def _verify_casimir(t: DynkinType, p: int):
     pres = chevalley_presentation(t)
     g = pres.to_lie_algebra(PrimeField(p))
     kf = killing_form(g)
-    if not is_perfect(kf):
-        raise NotPerfect("Killing form of %s over F_%d is degenerate; "
-                         "no Casimir element exists" % (t.name, p))
-    ct = casimir(g)
+    ct = _casimir(kf, "Killing form of %s over F_%d is degenerate; "
+                  "no Casimir element exists" % (t.name, p))
     op = casimir_operator(ct)
     ident = Matrix.identity(g.ring, g.dim)
     checks = [{"name": "operator-is-identity", "pass": op == ident}]

@@ -14,9 +14,9 @@ weight alpha, so every d_k is block diagonal by the degrees of
 `_cochain_degrees` and `matrices._graded_kernel` takes the kernels one
 degree block at a time.  The grading is checked against the bracket
 table; a table it does not grade is one block of degree 0.  The Killing
-Gram is graded too, and `is_perfect` reads its determinant one degree
-block at a time, over every ring.  `ad_matrix` and `casimir_operator`
-read the same sparse ad entries.  `_bracket_defect` is the one bracket
+Gram is graded too: `is_perfect` and the integral oracle of `classify`
+read its determinant one degree cell at a time (`_cell_det`), over every
+ring.  `ad_matrix` and `casimir_operator` read the same sparse ad entries.  `_bracket_defect` is the one bracket
 defect [s x, s y] - s[x, y] on basis pairs: `is_lie_automorphism` tests
 it for zero, `cohomology` refuses a twist by it, and it is the
 obstruction cocycle of `cohomology.lift_automorphism`.
@@ -124,8 +124,9 @@ class LieAlgebra:
     def ad_matrix(self, v) -> Matrix:
         ring, n = self.ring, self.dim
         vals = self._raws(v)
+        entries = _ad_entries(self.table, ring.neg)
         return _dense(ring, n, _summed(ring, (((a, b), ring.mul(vals[i], c))
-                                             for i, a, b, c in _ad_entries(self)
+                                             for i, a, b, c in entries
                                              if not ring.is_zero(vals[i]))), range(n))
 
     def basis_vector(self, i: int) -> tuple:
@@ -163,12 +164,11 @@ class CasimirTensor:
     coefficients: Matrix
 
 
-def _ad_entries(g: LieAlgebra) -> list:
+def _ad_entries(table: dict, neg) -> list:
     """Every nonzero entry ad(b_i)[a, b] = v of the adjoint maps, as
-    (i, a, b, v), read off the bracket table."""
-    neg = g.ring.neg
+    (i, a, b, v), read off a bracket table with its ring's negation."""
     out = []
-    for (i, j), terms in g.table.items():
+    for (i, j), terms in table.items():
         for k, c in terms:
             out.append((i, k, j, c))
             out.append((j, k, i, neg(c)))
@@ -184,7 +184,7 @@ def _differential(g: LieAlgebra, k: int) -> dict:
     f(b_q), q indexing the sorted k-tuples in `combinations` order."""
     ring, n, neg = g.ring, g.dim, g.ring.neg
     acts: list = [[] for _ in range(n)]        # acts[i]: (a, b, ad(b_i)[a, b])
-    for i, a, b, v in _ad_entries(g):
+    for i, a, b, v in _ad_entries(g.table, neg):
         acts[i].append((a, b, v))
     src = {q: c for c, q in enumerate(combinations(range(n), k))}
     m_src, m_dst = len(src), comb(n, k + 1)
@@ -210,24 +210,22 @@ def _differential(g: LieAlgebra, k: int) -> dict:
     return _summed(ring, terms())
 
 
-def _trace_gram(ring: RingSpec, n: int, entries: list) -> Matrix:
-    """Gram[i][j] = trace(M_i M_j) of n matrices given by their nonzero
-    entries (i, a, b, v), M_i[a, b] = v, by sparse index contraction: each
-    entry M_i[a, b] meets the entries M_j[b, a]."""
-    add, mul = ring.add, ring.mul
+def _trace_gram(ring: RingSpec, entries: list) -> dict:
+    """The nonzero traces {(i, j): trace(M_i M_j)} of matrices given by
+    their nonzero entries (i, a, b, v), M_i[a, b] = v, by sparse index
+    contraction: each entry M_i[a, b] meets the entries M_j[b, a]."""
+    mul = ring.mul
     at: dict = {}
     for j, a, b, w in entries:
         at.setdefault((a, b), []).append((j, w))
-    gram = [ring.zero()] * (n * n)
-    for i, a, b, v in entries:
-        for j, w in at.get((b, a), ()):
-            gram[i * n + j] = add(gram[i * n + j], mul(v, w))
-    return Matrix(ring, n, n, tuple(gram))
+    return _summed(ring, (((i, j), mul(v, w)) for i, a, b, v in entries
+                          for j, w in at.get((b, a), ())))
 
 
 def killing_form(g: LieAlgebra) -> BilinearForm:
     """Gram[i][j] = trace(ad(b_i) ad(b_j)), the trace form of ad."""
-    return BilinearForm(g, _trace_gram(g.ring, g.dim, _ad_entries(g)))
+    kappa = _trace_gram(g.ring, _ad_entries(g.table, g.ring.neg))
+    return BilinearForm(g, _dense(g.ring, g.dim, kappa, range(g.dim)))
 
 
 def trace_form(realization, ring: RingSpec) -> BilinearForm:
@@ -236,37 +234,47 @@ def trace_form(realization, ring: RingSpec) -> BilinearForm:
     mats = realization.matrices
     entries = [(i, *divmod(k, m.ncols), v) for i, m in enumerate(mats)
                for k, v in enumerate(m.data) if v]
-    alg = realization.presentation.to_lie_algebra(ring)
-    return BilinearForm(alg, _trace_gram(ZZ, len(mats), entries).map_to_ring(ring))
+    gram = _dense(ZZ, len(mats), _trace_gram(ZZ, entries), range(len(mats)))
+    return BilinearForm(realization.presentation.to_lie_algebra(ring), gram.map_to_ring(ring))
 
 
-def _discriminant(f: BilinearForm):
-    """det(f.gram) as a raw ring value, one degree block at a time: when
-    every nonzero Gram[i, j] has wt(i) + wt(j) = 0, det = (-1)^m prod_d
-    det Gram[D_d, D_-d], D_d the basis vectors of degree d and m half those
-    of nonzero degree (zero if some |D_d| != |D_-d|).  A Gram off that
-    pattern is one block, the whole Gram."""
-    gram, ring, n = f.gram, f.gram.ring, f.gram.nrows
-    wt = _weights(f.algebra)
+def _off_cells(wt: list, kappa: dict) -> list:
+    """The keys (i, j) of kappa with wt(i) + wt(j) != 0."""
+    return [(i, j) for i, j in kappa if wt[j] != tuple(-x for x in wt[i])]
+
+
+def _cell_det(ring: RingSpec, wt: list, kappa: dict):
+    """det of the form with nonzero entries kappa {(i, j): raw} on basis
+    vectors of degrees wt, by cells: det = (-1)^m prod_d det kappa[D_d, D_-d],
+    D_d the basis vectors of degree d and m half those of nonzero degree
+    (zero if some |D_d| != |D_-d|).  Every entry must lie in its cell,
+    wt(i) + wt(j) = 0; the least one that does not raises AssertionError."""
+    off = _off_cells(wt, kappa)
+    if off:
+        raise AssertionError("form entry %s lies off the degree cells" % (min(off),))
     blocks: dict = defaultdict(list)
     for i, w in enumerate(wt):
         blocks[w].append(i)
-    cells = {w: tuple(gram.raw(r, c) for r in rows
-                      for c in blocks.get(tuple(-x for x in w), ()))
-             for w, rows in blocks.items()}
-    # the pattern holds when every entry outside the cells D_d x D_-d is
-    # zero; raw values are canonical, so zeros are counted by equality
     zero = ring.zero()
-    zeros_in = sum(cell.count(zero) for cell in cells.values())
-    if gram.data.count(zero) - zeros_in != n * n - sum(map(len, cells.values())):
-        wt, blocks, cells = [()] * n, {(): range(n)}, {(): gram.data}
     out = ring.one() if sum(map(any, wt)) // 2 % 2 == 0 else ring.neg(ring.one())
     for w, rows in blocks.items():
         cols = blocks.get(tuple(-x for x in w), ())
         if len(cols) != len(rows):
-            return ring.zero()
-        out = ring.mul(out, det(Matrix(ring, len(rows), len(cols), cells[w])))
+            return zero
+        cell = tuple(kappa.get((r, c), zero) for r in rows for c in cols)
+        out = ring.mul(out, det(Matrix(ring, len(rows), len(cols), cell)))
     return out
+
+
+def _discriminant(f: BilinearForm):
+    """det(f.gram) as a raw ring value, by `_cell_det` on the degrees of
+    `_weights`.  A Gram with an entry off those cells is one block, the
+    whole Gram."""
+    gram, ring, n = f.gram, f.gram.ring, f.gram.nrows
+    zero = ring.zero()      # raw values are canonical: zeros are found by equality
+    kappa = {divmod(k, n): v for k, v in enumerate(gram.data) if v != zero}
+    wt = _weights(f.algebra)
+    return _cell_det(ring, [()] * n if _off_cells(wt, kappa) else wt, kappa)
 
 
 def is_perfect(f: BilinearForm) -> bool:
@@ -352,11 +360,16 @@ def _spans_inner_derivations(g: LieAlgebra, ders: Matrix) -> bool:
         rank(block) for _, _, block in _degree_blocks(ring, wt, inner)[1].values()))
 
 
-def casimir(g: LieAlgebra) -> CasimirTensor:
-    kf = killing_form(g)
+def _casimir(kf: BilinearForm, message: str) -> CasimirTensor:
+    """The Casimir tensor of the Killing form kf; NotPerfect(message) when
+    kf is not perfect."""
     if not is_perfect(kf):
-        raise NotPerfect("Killing form is not perfect over %r" % (g.ring,))
-    return CasimirTensor(g, inverse(kf.gram))
+        raise NotPerfect(message)
+    return CasimirTensor(kf.algebra, inverse(kf.gram))
+
+
+def casimir(g: LieAlgebra) -> CasimirTensor:
+    return _casimir(killing_form(g), "Killing form is not perfect over %r" % (g.ring,))
 
 
 def casimir_operator(ct: CasimirTensor) -> Matrix:
@@ -367,7 +380,7 @@ def casimir_operator(ct: CasimirTensor) -> Matrix:
     """
     g = ct.algebra
     ring, n = g.ring, g.dim
-    entries = _ad_entries(g)
+    entries = _ad_entries(g.table, ring.neg)
     partners = [[(j, cij) for j, cij in enumerate(ct.coefficients.row(i))
                  if not ring.is_zero(cij)] for i in range(n)]
     left = (((a, (j, b)), ring.mul(cij, v))

@@ -1,8 +1,16 @@
+import gc
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import pytest
 
+import lieform
 from lieform import (DynkinType, EXPECTED_RATIO, InvalidRank, NoConstantRatio,
-                     PrimeField, b_series_kernel_witness, oracle_perfect,
-                     predict_perfect, rank, ratio_check, verdict_with_oracle)
+                     PrimeField, b_series_kernel_witness, build_root_system,
+                     chevalley_presentation, det, oracle_perfect, predict_perfect,
+                     rank, ratio_check, verdict_with_oracle)
 from lieform.classify import _integral_discriminant, integral_killing_gram
 from lieform.cli import DEFAULT_PRIMES, _table_types
 from lieform.rings import is_prime
@@ -130,3 +138,50 @@ def test_oracle_is_the_killing_gram_rank(t):
     for p in primes:
         full_rank = rank(gram.map_to_ring(PrimeField(p))) == gram.nrows
         assert oracle_perfect(t, p) == full_rank, p
+
+
+@pytest.mark.parametrize("t", _table_types(8, dedup=False), ids=str)
+def test_cell_discriminant_is_the_dense_determinant(t):
+    assert _integral_discriminant(t) == det(integral_killing_gram(t))
+
+
+def test_oracle_refuses_a_killing_entry_off_its_cell_under_python_O():
+    # [H1, X_(0,1)] gains a term at H2, so κ(H1, X_(0,1)) != 0 although the
+    # weights 0 and (0, 1) do not cancel
+    code = ("import lieform.classify as c\n"
+            "assert False  # stripped under -O\n"
+            "t = c.DynkinType('A', 2)\n"
+            "pres = c._build_presentation(t)\n"
+            "pres.table[(0, 2)] += ((1, 1),)\n"
+            "c._build_presentation = lambda t: pres\n"
+            "try:\n"
+            "    c._integral_discriminant(t)\n"
+            "except AssertionError as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lieform.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "AssertionError form entry (0, 2) lies off the degree cells\n"
+
+
+def test_oracle_keeps_one_type_at_a_time():
+    # the E8 discriminant leaves no presentation behind and retains little
+    # beyond the root system, which is built first
+    t = DynkinType("E", 8)
+    build_root_system(t)
+    _integral_discriminant.cache_clear()
+    cached = chevalley_presentation.cache_info().currsize
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _integral_discriminant(t)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert chevalley_presentation.cache_info().currsize == cached
+    assert retained < 2 * 2**20

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import lieform
-from lieform import chain_from_highest, counterexample_module, module_to_json
+from lieform import (chain_from_highest, chevalley_presentation, counterexample_module,
+                     module_to_json)
 from lieform.classify import _integral_discriminant, integral_killing_gram
 from lieform import cli
 from lieform.cli import main
@@ -146,13 +147,17 @@ def test_table_has_a_row_per_type_and_prime(capsys):
 
 
 def test_table_builds_each_killing_gram_once(capsys):
+    # one discriminant per type, read off the degree cells: no dense Gram
+    # is built and no presentation is cached
     integral_killing_gram.cache_clear()
     _integral_discriminant.cache_clear()
+    presentations = chevalley_presentation.cache_info()
     code, doc, _ = run_json(capsys, ["table", "--max-rank", "3", "--oracle"])
     assert code == 0 and doc["results"]["all_agree"] is True
     ntypes = len({(r["series"], r["rank"]) for r in doc["results"]["rows"]})
     assert ntypes == 9
-    assert integral_killing_gram.cache_info().misses == ntypes
+    assert integral_killing_gram.cache_info().misses == 0
+    assert chevalley_presentation.cache_info() == presentations
     assert _integral_discriminant.cache_info().misses == ntypes
 
 
