@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, product
 
-from .matrices import Matrix, _commutator, _numpy, _summed
+from .matrices import Matrix, _commutator, _summed
 from .rings import RingSpec, Scalar, ZZ
 from .roots import DynkinType, InvalidRank, RootSystem, build_root_system
 
@@ -411,10 +411,6 @@ class MatrixRealization:
     @property
     def ring(self) -> RingSpec:
         return ZZ
-
-    def stack_numpy(self):
-        np = _numpy()
-        return np.array([m.rows() for m in self.matrices], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from .cohomology import (DimensionTooLarge, NotAutomorphism, ce_complex,
 from .liealg import (NotPerfect, _casimir, _spans_inner_derivations,
                      apply_endo_to_casimir, base_change, casimir_operator,
                      derivation_algebra, is_lie_automorphism, killing_form)
-from .matrices import Matrix, NotASubspace, Singular, _nonzero_product
+from .matrices import DimensionMismatch, Matrix, NotASubspace, Singular, _nonzero_product
 from .rings import (IntegersModPk, NonIntegralDenominator, PrimeField,
                     UnsupportedRing, ZZ, format_rational, is_prime)
 from .roots import DynkinType, InvalidRank
@@ -125,9 +125,11 @@ def _table_types(max_rank: int, dedup: bool) -> list:
 # classify
 
 def cmd_classify(args) -> int:
+    inputs = args.inputs
     t = _parse_type(args)
-    p = _parse_prime(args.prime)
-    inputs = {"type": t.name, "prime": p, "oracle": bool(args.oracle)}
+    inputs["type"] = t.name
+    p = inputs["prime"] = _parse_prime(args.prime)
+    inputs["oracle"] = bool(args.oracle)
     v = verdict_with_oracle(t, p) if args.oracle else predict_perfect(t, p)
     results = {"series": t.series, "rank": t.rank, "p": p,
                "predicted": v.predicted, "reason": v.reason}
@@ -166,6 +168,10 @@ def _bool_str(b) -> str:
 def cmd_table(args) -> int:
     primes = _parse_primes(args.primes)
     types = _table_types(args.max_rank, dedup=not args.no_dedup)
+    inputs = args.inputs
+    inputs.update({"max_rank": args.max_rank, "primes": primes,
+                   "oracle": bool(args.oracle), "format": args.format,
+                   "dedup": not args.no_dedup})
     rows = _table_rows(types, primes, args.oracle)
     all_agree = None
     status = "OK"
@@ -173,9 +179,6 @@ def cmd_table(args) -> int:
         all_agree = all(r["agree"] for r in rows)
         if not all_agree:
             status = "MISMATCH"
-    inputs = {"max_rank": args.max_rank, "primes": primes,
-              "oracle": bool(args.oracle), "format": args.format,
-              "dedup": not args.no_dedup}
     header = ["series", "rank", "p", "predicted", "reason"] + (
         ["oracle", "agree"] if args.oracle else [])
 
@@ -286,8 +289,8 @@ def _verify_kernel_b2(nrank: int, p: int):
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite
-    inputs = {"suite": suite}
+    inputs = args.inputs
+    suite = inputs["suite"] = args.suite
     if suite == "kernel-b2":
         p = _parse_prime(args.prime) if args.prime is not None else 2
         nrank = args.rank if args.rank is not None else 2
@@ -295,14 +298,14 @@ def cmd_verify(args) -> int:
         results = _verify_kernel_b2(nrank, p)
     elif suite == "ratios":
         t = _parse_type(args)
-        inputs.update({"type": t.name})
+        inputs["type"] = t.name
         results = _verify_ratios(t)
     else:
         t = _parse_type(args)
+        inputs["type"] = t.name
         if args.prime is None:
             raise CliError("--prime is required for suite %r" % suite)
-        p = _parse_prime(args.prime)
-        inputs.update({"type": t.name, "prime": p})
+        p = inputs["prime"] = _parse_prime(args.prime)
         if suite == "casimir":
             results = _verify_casimir(t, p)
         elif suite == "derivations":
@@ -318,31 +321,34 @@ def cmd_verify(args) -> int:
 # sl2-decompose
 
 def _load_module(args):
+    inputs = args.inputs
     if args.file is not None:
+        inputs["file"] = os.path.basename(args.file)
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         m = module_from_json(doc)
+        inputs["p"] = m.p
         if args.prime is not None and args.prime != m.p:
             raise CliError("--prime %d contradicts the file's p=%d"
                            % (args.prime, m.p))
-        return m, {"file": os.path.basename(args.file), "p": m.p}
+        return m
+    name = inputs["builtin"] = args.builtin
     if args.prime is None:
         raise CliError("--prime is required with --builtin")
-    p = _parse_prime(args.prime)
-    name = args.builtin
+    p = inputs["p"] = _parse_prime(args.prime)
     if name == "counterexample":
-        return counterexample_module(p), {"builtin": name, "p": p}
+        return counterexample_module(p)
     if name.startswith("chain:"):
         try:
             j = int(name.split(":", 1)[1])
         except ValueError:
             raise CliError("malformed --builtin %r" % name)
-        return chain_from_highest(j, p), {"builtin": name, "p": p}
+        return chain_from_highest(j, p)
     raise CliError("unknown --builtin %r (chain:j or counterexample)" % name)
 
 
 def cmd_sl2_decompose(args) -> int:
-    m, inputs = _load_module(args)
+    m = _load_module(args)
     res = extend_torus(m)
     results = {
         "success": res.success,
@@ -362,7 +368,7 @@ def cmd_sl2_decompose(args) -> int:
             "weight_chain": list(chain),
             "vector": [format_rational(v) for v in vec],
         }
-    _emit(_envelope("sl2-decompose", inputs, results, "OK"))
+    _emit(_envelope("sl2-decompose", args.inputs, results, "OK"))
     return EXIT_OK if res.success else EXIT_DECOMP_FAIL
 
 
@@ -370,8 +376,11 @@ def cmd_sl2_decompose(args) -> int:
 # lift-aut
 
 def cmd_lift_aut(args) -> int:
+    inputs = args.inputs
     t = _parse_type(args)
-    p = _parse_prime(args.prime)
+    inputs["type"] = t.name
+    p = inputs["prime"] = _parse_prime(args.prime)
+    inputs["sigma"] = os.path.basename(args.sigma)
     with open(args.sigma, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     fp = PrimeField(p)
@@ -382,6 +391,8 @@ def cmd_lift_aut(args) -> int:
         sigma_bar = Matrix.from_rows(fp, doc)
     except (TypeError, ValueError):
         raise CliError("--sigma entries must be integers")
+    except DimensionMismatch:
+        raise CliError("--sigma rows must all have the same length")
     g = chevalley_presentation(t).to_lie_algebra(ZZ)
     if sigma_bar.nrows != g.dim or sigma_bar.ncols != g.dim:
         raise CliError("sigma is %dx%d, expected %dx%d"
@@ -396,7 +407,6 @@ def cmd_lift_aut(args) -> int:
          "pass": all(ext.reduce_raw(lifted.raw(a, b)) == sigma_bar.raw(a, b)
                      for a in range(g.dim) for b in range(g.dim))},
     ]
-    inputs = {"type": t.name, "prime": p, "sigma": os.path.basename(args.sigma)}
     results = {"modulus": p * p, "sigma_bar": sigma_bar.rows(),
                "lifted": lifted.rows(), "checks": checks}
     status = _checks_status(checks)
@@ -476,6 +486,7 @@ def main(argv=None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_help(sys.stderr)
         return EXIT_ERROR
+    args.inputs = {}  # each command records its inputs here as it parses them
     try:
         return args.func(args)
     except _KNOWN_ERRORS as exc:
@@ -483,7 +494,7 @@ def main(argv=None) -> int:
         if isinstance(exc, SchemaError):
             results["path"] = exc.path
         print("error: %s" % results["message"], file=sys.stderr)
-        _emit(_envelope(args.command, {}, results, "ERROR"))
+        _emit(_envelope(args.command, args.inputs, results, "ERROR"))
         return EXIT_ERROR
 
 

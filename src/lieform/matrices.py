@@ -20,9 +20,6 @@ the one-block case.
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,28 +36,6 @@ from .rings import (
     convert_raw,
     pvaluation,
 )
-
-
-_NUMPY_LOCK = threading.Lock()
-
-
-def _numpy():
-    """numpy, imported on first use.  lieform does no floating-point BLAS
-    work, yet OpenBLAS starts one thread per extra core when numpy loads,
-    and that thread spins under load.  So numpy loads with one BLAS thread
-    unless the caller chose a count, and the environment is then restored,
-    so that no child process or later code sees the change."""
-    with _NUMPY_LOCK:
-        np = sys.modules.get("numpy")
-        if np is None:
-            saved = os.environ.get("OPENBLAS_NUM_THREADS")
-            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-            try:
-                import numpy as np
-            finally:
-                if saved is None:
-                    del os.environ["OPENBLAS_NUM_THREADS"]
-        return np
 
 
 class DimensionMismatch(Exception):
@@ -216,14 +191,6 @@ class Matrix:
         src = self.ring
         return Matrix(dst, self.nrows, self.ncols,
                       tuple(convert_raw(v, src, dst) for v in self.data))
-
-    def to_numpy(self):
-        """The raw values as an int64 array, for the rings whose raw values
-        are Python ints: Z, F_p and Z/p^k."""
-        if self.ring.kind not in ("integers", "prime_field", "integers_mod_pk"):
-            raise UnsupportedRing("to_numpy needs integer raw values, got %r" % (self.ring,))
-        np = _numpy()
-        return np.array(self.data, dtype=np.int64).reshape(self.nrows, self.ncols)
 
     def __str__(self) -> str:
         fmt = self.ring.fmt

@@ -181,11 +181,6 @@ class RootSystem:
 
     # -- index data, in `roots` order: roots named by their index
 
-    @property
-    def root_matrix(self) -> tuple:
-        """Row k holds the coordinates of roots[k]."""
-        return self.roots
-
     @cached_property
     def neg_index(self) -> tuple:
         """neg_index[k] is the index of -roots[k]."""

@@ -212,6 +212,8 @@ def counterexample_module(p: int) -> WeightedModule:
 
 
 def direct_sum(a: WeightedModule, b: WeightedModule) -> WeightedModule:
+    """The block-diagonal sum.  It keeps every invariant that
+    `weighted_module` checks on its summands, so it is not checked again."""
     if a.p != b.p:
         raise ValueError("summands live over different primes")
     na, nb = a.ambient_dim, b.ambient_dim
@@ -231,18 +233,20 @@ def direct_sum(a: WeightedModule, b: WeightedModule) -> WeightedModule:
                     rows[na + r][ca + c] = mat_b.raw(r, c)
         return Matrix.from_rows(QQ, rows)
 
-    lattice = embed(a.lattice, b.lattice)
-    weights = sorted(set(a.weights) | set(b.weights))
-    pieces = {w: embed(a.pieces.get(w), b.pieces.get(w)) for w in weights}
+    weights = tuple(sorted(set(a.weights) | set(b.weights)))
     action = None
     if a.action is not None and b.action is not None:
         action = {k: embed(a.action[k], b.action[k]) for k in _ACTION_KEYS}
-    return weighted_module(a.p, lattice, weights, pieces, action)
+    return WeightedModule(a.p, embed(a.lattice, b.lattice), weights,
+                          {w: embed(a.pieces.get(w), b.pieces.get(w)) for w in weights},
+                          action)
 
 
 def conjugate(m: WeightedModule, u: Matrix) -> WeightedModule:
     """Transport the whole structure along an ambient change of basis
-    that is unimodular at p."""
+    that is unimodular at p.  u and u⁻¹ are then p-integral, so the result
+    keeps every invariant that `weighted_module` checks on m, and only u
+    is checked."""
     n = m.ambient_dim
     if u.ring != QQ or (u.nrows, u.ncols) != (n, n):
         raise ValueError("conjugator must be an ambient rational square matrix")
@@ -250,12 +254,11 @@ def conjugate(m: WeightedModule, u: Matrix) -> WeightedModule:
     if d == 0 or not _p_integral(u, m.p) or pvaluation(d, m.p) != 0:
         raise ValueError("conjugator is not unimodular at %d" % m.p)
     ui = inverse(u)
-    lattice = u @ m.lattice
-    pieces = {w: u @ pc for w, pc in m.pieces.items()}
     action = None
     if m.action is not None:
         action = {k: u @ m.action[k] @ ui for k in _ACTION_KEYS}
-    return weighted_module(m.p, lattice, m.weights, pieces, action)
+    return WeightedModule(m.p, u @ m.lattice, m.weights,
+                          {w: u @ pc for w, pc in m.pieces.items()}, action)
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_realization_is_a_homomorphism(t, mrank):
     pres = chevalley_presentation(t)
     mr = matrix_realization(t)
     assert mr.module_rank == mrank
-    mats = mr.stack_numpy()
+    mats = np.array([m.rows() for m in mr.matrices], dtype=np.int64)
     assert mats.shape == (pres.dim, mrank, mrank)
     for m in mats:
         assert m.trace() == 0

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -194,64 +195,25 @@ def test_no_command_loads_numpy():
     assert out.split() == ["0", "0", "0", "0", "False"]
 
 
-def _numpy_on_openblas():
-    import numpy
-    try:
-        name = numpy.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
-    except (AttributeError, KeyError, TypeError):
-        return False
-    return "openblas" in name
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux") or not _numpy_on_openblas(),
-                    reason="counts OpenBLAS threads in /proc/self/status")
-@pytest.mark.parametrize("user_value", [None, "2"])
-def test_import_starts_no_blas_thread_pool(user_value):
-    # one thread unless the caller set a count, and os.environ left as found,
-    # once Matrix.to_numpy has loaded numpy
-    code = ("import os\n"
-            "before = dict(os.environ)\n"
-            "import lieform\n"
-            "lieform.Matrix.identity(lieform.ZZ, 2).to_numpy()\n"
-            "threads = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
-            "               if line.startswith('Threads:'))\n"
-            "want = min(int(os.environ.get('OPENBLAS_NUM_THREADS', '1')),\n"
-            "           len(os.sched_getaffinity(0)))\n"
-            "print(threads == want, os.environ == before,\n"
-            "      os.environ.get('OPENBLAS_NUM_THREADS'))\n")
-    env = _child_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if user_value is not None:
-        env["OPENBLAS_NUM_THREADS"] = user_value
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["True", "True", str(user_value)]
-
-
-def test_concurrent_first_numpy_loads_get_the_loaded_module():
-    # four threads on two cores race to load numpy; none may see the
-    # module while it is still initializing, and os.environ ends as found
-    code = ("import os, sys, threading\n"
-            "from lieform.matrices import _numpy\n"
-            "sys.setswitchinterval(1e-6)\n"
-            "barrier = threading.Barrier(4)\n"
-            "ready = []\n"
-            "def load():\n"
-            "    barrier.wait(timeout=30)\n"
-            "    np = _numpy()\n"
-            "    ready.append(not getattr(np.__spec__, '_initializing', False))\n"
-            "threads = [threading.Thread(target=load) for _ in range(4)]\n"
-            "for t in threads:\n"
-            "    t.start()\n"
-            "for t in threads:\n"
-            "    t.join(timeout=60)\n"
-            "print(sum(t.is_alive() for t in threads), ready.count(True),\n"
-            "      'OPENBLAS_NUM_THREADS' in os.environ)\n")
-    env = _child_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.split() == ["0", "4", "False"]
+def test_package_imports_only_the_stdlib():
+    # every import in src/lieform names a stdlib module or lieform itself
+    pkg = os.path.dirname(lieform.__file__)
+    foreign = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets = [node.module]
+            else:
+                continue
+            foreign += ["%s:%d %s" % (name, node.lineno, t) for t in targets
+                        if t.split(".")[0] not in sys.stdlib_module_names | {"lieform"}]
+    assert foreign == []
 
 
 def test_verify_derivations_f4_within_two_gigabytes():
@@ -509,6 +471,39 @@ def test_lift_aut_wrong_shape(capsys, tmp_path):
                                      "5", "--sigma", str(path)])
     assert code == 1
     assert doc["status"] == "ERROR"
+
+
+def test_lift_aut_ragged_sigma_is_an_error_envelope(capsys, tmp_path):
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps([[1, 0, 0], [0, 1], [0, 0, 1]]))
+    code, doc, err = run_json(capsys, ["lift-aut", "--type", "A1", "--prime",
+                                       "5", "--sigma", str(path)])
+    assert code == 1
+    assert doc["status"] == "ERROR"
+    assert doc["inputs"] == {"type": "A1", "prime": 5, "sigma": "sigma.json"}
+    assert doc["results"] == {"error": "CliError",
+                              "message": "--sigma rows must all have the same length"}
+    assert err == "error: --sigma rows must all have the same length\n"
+
+
+@pytest.mark.parametrize("argv, error, inputs", [
+    (["verify", "--suite", "cohomology", "--type", "A4", "--prime", "5"],
+     "DimensionTooLarge", {"suite": "cohomology", "type": "A4", "prime": 5}),
+    (["verify", "--suite", "casimir", "--type", "A1"],
+     "CliError", {"suite": "casimir", "type": "A1"}),
+    (["classify", "--type", "A2", "--prime", "4"], "CliError", {"type": "A2"}),
+    (["sl2-decompose", "--builtin", "chain:9", "--prime", "5"],
+     "OutOfRange", {"builtin": "chain:9", "p": 5}),
+    (["table", "--max-rank", "9"], "CliError", {}),
+], ids=["cohomology-too-large", "missing-prime", "composite-prime", "chain-out-of-range",
+        "rank-out-of-range"])
+def test_error_envelope_carries_the_inputs_parsed_before_the_error(capsys, argv, error,
+                                                                   inputs):
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 1
+    assert doc["status"] == "ERROR"
+    assert doc["results"]["error"] == error
+    assert doc["inputs"] == inputs
 
 
 def test_envelope_reports_tool_version(capsys):

@@ -249,20 +249,6 @@ def test_elimination_refuses_the_integers():
     assert det(M(ZZ, [[2, 1], [4, 3]])) == 2
 
 
-_TO_NUMPY = """
-import sys
-from fractions import Fraction
-from lieform import DualNumbers, LocalizedAtP, Matrix, PrimeField, QQ, UnsupportedRing
-for ring, rows in ((QQ, [[Fraction(1, 2), Fraction(7, 3)]]),
-                   (LocalizedAtP(5), [[Fraction(1, 2)]]),
-                   (DualNumbers(PrimeField(5)), [[(1, 2)]])):
-    try:
-        Matrix.from_rows(ring, rows).to_numpy()
-    except UnsupportedRing:
-        print("refused", "numpy" in sys.modules)
-"""
-
-
 def _child_stdout(code: str) -> str:
     """stdout of code run by a child interpreter that imports this lieform."""
     env = dict(os.environ)
@@ -271,12 +257,6 @@ def _child_stdout(code: str) -> str:
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=30).stdout
-
-
-def test_to_numpy_refuses_non_integer_raw_values():
-    assert _child_stdout(_TO_NUMPY).split("\n")[:3] == ["refused False"] * 3
-    for ring in (ZZ, F5, IntegersModPk(5, 2)):
-        assert M(ring, [[1, 2], [3, 4]]).to_numpy().tolist() == [[1, 2], [3, 4]]
 
 
 def test_saturate_divides_out_p():

@@ -153,7 +153,6 @@ def test_coroot_coords_are_integral_everywhere():
 
 
 def _check_index_tables(rs):
-    assert [tuple(r) for r in rs.root_matrix] == list(rs.roots)
     for a, alpha in enumerate(rs.roots):
         assert rs.neg_index[a] == rs.root_index(tuple(-c for c in alpha))
         for b, beta in enumerate(rs.roots):

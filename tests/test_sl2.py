@@ -373,7 +373,7 @@ def _sl2_corpus():
         k, scale = rng.randrange(n), rng.choice((p, Fraction(1, p)))
         sub = m.lattice @ _unitriangular(n, rng, False) @ Matrix.from_rows(
             QQ, [[scale if r == c == k else int(r == c) for c in range(n)] for r in range(n)])
-        # conjugate validated the structure, and a lattice change keeps it
+        # conjugate keeps the validated structure, and a lattice change keeps it
         mods += [lieform.sl2.WeightedModule(p, lattice, m.weights, m.pieces, action)
                  for lattice in (m.lattice, sub) for action in (m.action, None)]
     return mods
@@ -421,3 +421,25 @@ def test_decompositions_match_pinned_digest():
         assert kind in outcomes
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "362e0dff2e098186db0399e6d08332529faf75d0d3ecc4b21eaf8c4b1e1c232d", digest
+
+
+def test_transports_keep_the_validators_invariants(monkeypatch):
+    # direct_sum and conjugate do not re-validate what they build; the
+    # validator, run on every sum and conjugate of the pinned corpus and of
+    # the random type-1 sums, must accept each and rebuild an equal module
+    outputs = []
+
+    def recording(transport):
+        def run(*args):
+            outputs.append(transport(*args))
+            return outputs[-1]
+        return run
+
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "direct_sum", recording(direct_sum))
+    monkeypatch.setattr(module, "conjugate", recording(conjugate))
+    _sl2_corpus()
+    test_random_type1_direct_sums_decompose()
+    assert len(outputs) > 80
+    for m in outputs:
+        assert weighted_module(m.p, m.lattice, m.weights, m.pieces, m.action) == m
