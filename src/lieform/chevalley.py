@@ -18,10 +18,10 @@ raises on any inexact division; `_check_constants` checks the sparse
 constants (N != 0 exactly where a + b is a root, |N| = p + 1,
 antisymmetry, negation rule); `verify_jacobi` then certifies the Jacobi
 identity by checking that ad x is a derivation for the 2*rank generators
-x = X_{±alpha_i}, with a join over every sorted triple of basis indices
-to decide a table that fails the certificate.  All checks are plain
-Python and raise AssertionError (or its subclass JacobiFailure), so
-`python -O` keeps them.
+x = X_{±alpha_i}; a table that fails the certificate goes to the one full
+Jacobi join, `liealg._jacobi_defects`, which also checks user tables.
+All checks are plain Python and raise AssertionError (or its subclass
+JacobiFailure), so `python -O` keeps them.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, product
 
+from .liealg import LieAlgebra, _jacobi_defects
 from .matrices import Matrix, _commutator, _summed
 from .rings import RingSpec, Scalar, ZZ
 from .roots import DynkinType, InvalidRank, RootSystem, build_root_system
@@ -77,7 +78,6 @@ class ChevalleyPresentation:
         return tuple((k, -c) for k, c in self.table.get((j, i), ()))
 
     def to_lie_algebra(self, ring: RingSpec):
-        from .liealg import LieAlgebra
         # the constructor drops the constants that vanish in ring; the
         # integral table is certified by verify_jacobi and coercion of an
         # integer is a ring homomorphism, so Jacobi holds over ring too
@@ -236,24 +236,6 @@ def _build_presentation(t: DynkinType) -> ChevalleyPresentation:
 
 chevalley_presentation = lru_cache(maxsize=None)(_build_presentation)
 
-def _jacobi_defect_plain(terms: list, dim: int):
-    """The least (key, sum) of the Jacobi join with a nonzero sum, or None:
-    a loop over the table terms [y, z] ∋ c e_m grouped by m."""
-    by_m = defaultdict(list)
-    for y, z, m, c in terms:
-        by_m[m].append((y, z, c))
-    sums: dict = defaultdict(int)
-    for i, j, l, c in terms:
-        for x, m, v in ((i, j, c), (j, i, -c)):        # [x, e_m] ∋ v e_l
-            for y, z, w in by_m.get(m, ()):
-                if x < y:
-                    sums[((y * dim + x) * dim + l) * dim + z] += v * w
-                elif x > z:
-                    sums[((z * dim + y) * dim + l) * dim + x] += v * w
-                elif x != y and x != z:
-                    sums[((x * dim + y) * dim + l) * dim + z] -= v * w
-    return min(((key, v) for key, v in sums.items() if v), default=None)
-
 
 def _generators(pres: ChevalleyPresentation):
     """The basis indices of the X_{alpha_i} and then the X_{-alpha_i}, if
@@ -310,18 +292,11 @@ def verify_jacobi(pres: ChevalleyPresentation) -> int:
     antisymmetric extension of the stored terms [y, z], y < z.
 
     Where the table does not show generation, or a generator shows a
-    defect, the full join decides, over every sorted triple a < b < c of
-    basis indices: J(a,b,c)_l = sum_m C[b,c,m] C[a,m,l] - C[a,c,m]
-    C[b,m,l] + C[a,b,m] C[c,m,l].  Each term is a stored table term
-    [y, z] ∋ c e_m, y < z, times an ad entry [x, e_m] ∋ v e_l with x not
-    in {y, z}, and its sign is -1 exactly when y < x < z.  Triples with a
-    repeated index vanish by antisymmetry, so the sorted triples certify
-    every pair.  The terms are one join on m, summed per key
-    ((b*dim + a)*dim + l)*dim + c.  A nonzero sum raises JacobiFailure
-    with the smallest failing key: pair (a, b) and entry (l, c) of the
-    defect [ad a, ad b] - ad[a, b], whose value is J(a,b,c)_l.
+    defect, the full join `liealg._jacobi_defects` over every sorted
+    triple decides, over the integers.  A nonzero sum raises
+    JacobiFailure with the least failing key (b, a, l, c): pair (a, b)
+    and entry (l, c) of the defect [ad a, ad b] - ad[a, b].
     """
-    dim = pres.dim
     rows, by_output = defaultdict(list), defaultdict(list)
     for (i, j), ts in pres.table.items():
         for k, c in ts:
@@ -330,18 +305,16 @@ def verify_jacobi(pres: ChevalleyPresentation) -> int:
             by_output[k].append((i, j, c))
     gens = _generators(pres)
     if gens is None or any(_derivation_defect(x, rows, by_output) for x in gens):
-        best = _jacobi_defect_plain(
-            [(i, j, k, c) for (i, j), ts in pres.table.items() for k, c in ts], dim)
-        if best is not None:
-            key, val = best
-            b, a, l, c = key // dim ** 3, key // dim ** 2 % dim, key // dim % dim, key % dim
+        bad = _jacobi_defects(ZZ, pres.table)
+        if bad:
+            (b, a, l, c), val = min(bad.items())
             x, y = pres.labels[a], pres.labels[b]
             raise JacobiFailure(
                 "Jacobi fails at pair (%s, %s) of %s: entry (%s, %s) of "
                 "[ad %s, ad %s] - ad[%s, %s] is %d" % (
                     x, y, pres.dynkin.name, pres.labels[l], pres.labels[c],
                     x, y, x, y, val))
-    return dim * (dim - 1) // 2
+    return pres.dim * (pres.dim - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .chevalley import _build_presentation, chevalley_presentation, matrix_realization
-from .liealg import _ad_entries, _cell_det, _trace_gram, killing_form, trace_form
+from .liealg import _ad_entries, _cell_det, _realization_entries, _trace_gram, killing_form
 from .matrices import Matrix, _commutator
 from .rings import PrimeField, ZZ
 from .roots import DynkinType, InvalidRank
@@ -97,20 +97,20 @@ def ratio_check(t: DynkinType) -> int:
     """Integer c with KillingGram = c * TraceGram entrywise, over Integers."""
     if t.series not in "ABCD":
         raise NoConstantRatio("ratio defined for classical series only")
-    kg = integral_killing_gram(t)
-    tg = trace_form(matrix_realization(t), ZZ).gram
+    rl = matrix_realization(t)
+    kg = _trace_gram(ZZ, _ad_entries(rl.presentation.table, ZZ.neg))
+    tg = _trace_gram(ZZ, _realization_entries(rl))
     c = None
-    for a, b in zip(kg.data, tg.data):
-        if b != 0:
-            q, r = divmod(a, b)
-            if r != 0:
-                raise NoConstantRatio("non-integer entry ratio in %s" % (t,))
-            if c is None:
-                c = q
-            elif c != q:
-                raise NoConstantRatio("entry ratios disagree in %s" % (t,))
-        elif a != 0:
+    for key in sorted(kg.keys() | tg.keys()):
+        if key not in tg:
             raise NoConstantRatio("Killing entry without trace entry in %s" % (t,))
+        q, r = divmod(kg.get(key, 0), tg[key])
+        if r != 0:
+            raise NoConstantRatio("non-integer entry ratio in %s" % (t,))
+        if c is None:
+            c = q
+        elif c != q:
+            raise NoConstantRatio("entry ratios disagree in %s" % (t,))
     if c is None:
         raise NoConstantRatio("zero trace form in %s" % (t,))
     return c
@@ -144,8 +144,8 @@ def b_series_kernel_witness(n: int, p: int = 2) -> KernelWitness:
 
     The ideal and nilpotency checks run in the matrix image, where the
     span of the E_{0,i} coincides with the reduction of the short-root
-    basis vectors; the radical check runs on the integral Killing Gram
-    (short-root columns are even).  Each commutator with an E_{0,i} is
+    basis vectors; the radical check runs on the sparse integral Killing
+    traces (short-root columns are even).  Each commutator with an E_{0,i} is
     the sparse product of its one entry with the other matrix's nonzero
     entries.
     """
@@ -186,7 +186,6 @@ def b_series_kernel_witness(n: int, p: int = 2) -> KernelWitness:
                              % (n, len(short_idx), 2 * n))
     if not all(in_span(mats2[pres.rank + k]) for k in short_idx):
         raise AssertionError("a short root of B%d leaves the witness span" % n)
-    gram = integral_killing_gram(t)
-    in_kernel = all(gram.raw(a, pres.rank + k) % 2 == 0
-                    for k in short_idx for a in range(gram.nrows))
+    kappa = _trace_gram(ZZ, _ad_entries(pres.table, ZZ.neg))
+    in_kernel = all(v % 2 == 0 for (_, b), v in kappa.items() if b - pres.rank in short_idx)
     return KernelWitness(n, tuple(witness), ideal_ok, nilpotent_ok, in_kernel)

@@ -6,9 +6,10 @@ the Casimir tensor and operator, base change, automorphism checks.
 `_differential(g, k)` is d_k of the Chevalley–Eilenberg complex of g
 with coefficients in g, for k = 0, 1, 2, by one formula, as a sparse map
 over any ring and with no dimension cap.  The centre is ker d0, the
-derivations are ker d1, the inner derivations are the columns of d0,
-d1∘d0 = 0 is the Jacobi identity that the constructor checks, and
-`cohomology` reads d0, d1 and d2.  A Chevalley algebra (one carrying its
+derivations are ker d1, the inner derivations are the columns of d0, and
+`cohomology` reads d0, d1 and d2.  The one full Jacobi check, of the
+constructor and of `chevalley.verify_jacobi`, is `_jacobi_defects`.
+A Chevalley algebra (one carrying its
 `dynkin` label) is graded by the root lattice: H_i has weight 0 and X_alpha
 weight alpha, so every d_k is block diagonal by the degrees of
 `_cochain_degrees` and `matrices._graded_kernel` takes the kernels one
@@ -62,10 +63,11 @@ class LieAlgebra:
 
     table maps (i, j) with i < j to ((k, c), ...) meaning
     [b_i, b_j] = sum_k c * b_k (repeated k are summed); antisymmetry is
-    implicit in the storage.  Jacobi is verified on construction, in any
-    dimension, as d1∘d0 = 0 of the adjoint complex, unless the table comes
-    from an already-verified source (check=False); a failure is a
-    ValueError naming the first failing triple.
+    implicit in the storage; an index outside [0, dim) is a
+    DimensionMismatch.  Jacobi is verified on construction by
+    `_jacobi_defects`, unless the table comes from an already-verified
+    source (check=False); a failure is a ValueError naming the first
+    failing triple.
 
     Every invariant (Killing form, derivations, Casimir operator,
     automorphism check) is computed from this sparse table with the
@@ -89,6 +91,9 @@ class LieAlgebra:
             kept = tuple((k, c) for k, c in terms if not ring.is_zero(c))
             if kept:
                 self.table[(i, j)] = kept
+        bad = [key for key, terms in table.items() for k, _ in terms if not 0 <= k < dim]
+        if bad:
+            raise DimensionMismatch("bad output index in [b_%d, b_%d]" % bad[0])
         self.dynkin = dynkin
         if check:
             self._check_jacobi()
@@ -136,13 +141,9 @@ class LieAlgebra:
     # -- validation --------------------------------------------------------
     def _check_jacobi(self):
         """Raise ValueError naming the first failing triple (i, j, k)."""
-        bad = _nonzero_product(self.ring, _differential(self, 1).items(),
-                               _differential(self, 0))
+        bad = sorted((a, b, c) for b, a, _, c in _jacobi_defects(self.ring, self.table))
         if bad:
-            # J(x, y, m) is alternating, so the failing triple is sorted(x, y, m)
-            pairs = tuple(combinations(range(self.dim), 2))
-            raise ValueError("Jacobi fails on triple (%d,%d,%d)" % min(
-                tuple(sorted(pairs[r % len(pairs)] + (m,))) for r, m in bad))
+            raise ValueError("Jacobi fails on triple (%d,%d,%d)" % bad[0])
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,31 @@ def _ad_entries(table: dict, neg) -> list:
             out.append((i, k, j, c))
             out.append((j, k, i, neg(c)))
     return out
+
+
+def _jacobi_defects(ring: RingSpec, table: dict) -> dict:
+    """The nonzero Jacobi sums {(b, a, l, c): J(a,b,c)_l}, entry (l, c) of
+    [ad a, ad b] - ad[a, b], over the sorted triples a < b < c, which
+    decide every triple as J is alternating.  One join on m: each stored
+    term [y, z] ∋ w e_m, y < z, meets each ad entry [x, e_m] ∋ v e_l,
+    x not in {y, z}, with sign -1 exactly when y < x < z."""
+    mul, neg = ring.mul, ring.neg
+    by_m = defaultdict(list)
+    for (y, z), terms in table.items():
+        for m, w in terms:
+            by_m[m].append((y, z, w))
+
+    def terms():
+        for x, l, m, v in _ad_entries(table, neg):
+            for y, z, w in by_m.get(m, ()):
+                if x < y:
+                    yield (y, x, l, z), mul(v, w)
+                elif x > z:
+                    yield (z, y, l, x), mul(v, w)
+                elif x != y and x != z:
+                    yield (x, y, l, z), neg(mul(v, w))
+
+    return _summed(ring, terms())
 
 
 def _differential(g: LieAlgebra, k: int) -> dict:
@@ -228,13 +254,17 @@ def killing_form(g: LieAlgebra) -> BilinearForm:
     return BilinearForm(g, _dense(g.ring, g.dim, kappa, range(g.dim)))
 
 
+def _realization_entries(realization) -> list:
+    """The nonzero entries (i, a, b, v), M_i[a, b] = v, of a realization."""
+    return [(i, *divmod(k, m.ncols), v) for i, m in enumerate(realization.matrices)
+            for k, v in enumerate(m.data) if v]
+
+
 def trace_form(realization, ring: RingSpec) -> BilinearForm:
     """Gram[i][j] = trace(M_i M_j) for a matrix realization, over ring:
     contracted over the integers, then mapped to ring."""
-    mats = realization.matrices
-    entries = [(i, *divmod(k, m.ncols), v) for i, m in enumerate(mats)
-               for k, v in enumerate(m.data) if v]
-    gram = _dense(ZZ, len(mats), _trace_gram(ZZ, entries), range(len(mats)))
+    n = len(realization.matrices)
+    gram = _dense(ZZ, n, _trace_gram(ZZ, _realization_entries(realization)), range(n))
     return BilinearForm(realization.presentation.to_lie_algebra(ring), gram.map_to_ring(ring))
 
 
@@ -397,11 +427,8 @@ def apply_endo_to_casimir(ct: CasimirTensor, s: Matrix) -> Matrix:
 
 
 def base_change(g: LieAlgebra, target: RingSpec) -> LieAlgebra:
-    src = g.ring
-    table = {}
-    for key, terms in g.table.items():
-        mapped = tuple((k, convert_raw(c, src, target)) for k, c in terms)
-        table[key] = mapped
+    table = {key: tuple((k, convert_raw(c, g.ring, target)) for k, c in terms)
+             for key, terms in g.table.items()}
     return LieAlgebra(target, g.dim, table, dynkin=g.dynkin, check=False)
 
 

@@ -206,8 +206,8 @@ def test_generator_certificate_alone_accepts_every_table_type(monkeypatch):
         assert len(_generators(pres)) == 2 * t.rank
         joins = []
         with monkeypatch.context() as m:
-            m.setattr(lieform.chevalley, "_jacobi_defect_plain",
-                      lambda terms, dim: joins.append(t))
+            m.setattr(lieform.chevalley, "_jacobi_defects",
+                      lambda ring, table: joins.append(t))
             certified = verify_jacobi(pres)
         assert joins == []
         with monkeypatch.context() as m:

@@ -72,8 +72,11 @@ def test_oracle_rank_cap():
     ("D", range(3, 9)),
 ])
 def test_killing_to_trace_ratio(series, ranks):
+    # the ratios read the sparse traces: no dense Gram is cached
+    grams = integral_killing_gram.cache_info()
     for n in ranks:
         assert ratio_check(DynkinType(series, n)) == EXPECTED_RATIO[series](n)
+    assert integral_killing_gram.cache_info() == grams
 
 
 def test_ratio_undefined_for_exceptional_types():

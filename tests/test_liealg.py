@@ -3,14 +3,15 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import lieform.liealg
-from lieform import (DualNumbers, DynkinType, IntegersModPk, LieAlgebra,
-                     LocalizedAtP, Matrix, NotPerfect, PrimeField, QQ, Singular,
+from lieform import (DimensionMismatch, DualNumbers, DynkinType, IntegersModPk,
+                     LieAlgebra, LocalizedAtP, Matrix, NotPerfect, PrimeField, QQ, Singular,
                      ZZ, apply_endo_to_casimir, base_change, casimir,
                      casimir_operator, center_basis, chevalley_involution,
                      chevalley_presentation, derivation_algebra, det, inverse,
@@ -198,27 +199,50 @@ def test_presentations_skip_the_second_jacobi_check(monkeypatch):
         LieAlgebra(QQ, 3, dict(SL2.table))
 
 
-def test_certified_tables_skip_the_d1_d0_product(monkeypatch):
-    # the d1∘d0 Jacobi product runs once per table, in the constructor;
+def test_certified_tables_skip_the_jacobi_join(monkeypatch):
+    # the full Jacobi join runs once per table, in the constructor;
     # derivations, the centre and the cochain complex of a presentation's
     # algebra (check=False, certified by verify_jacobi) never run it
     from lieform import ce_complex
     g = chevalley_presentation(DynkinType("B", 2)).to_lie_algebra(F7)
-    d0 = lieform.liealg._differential(g, 0)
-    real, rights = lieform.matrices._nonzero_product, []
+    real, tables = lieform.liealg._jacobi_defects, []
 
-    def spy(ring, left, right):
-        rights.append(right)
-        return real(ring, left, right)
+    def spy(ring, table):
+        tables.append(table)
+        return real(ring, table)
 
-    for module in (lieform.matrices, lieform.liealg, lieform.cohomology):
-        monkeypatch.setattr(module, "_nonzero_product", spy)
+    monkeypatch.setattr(lieform.liealg, "_jacobi_defects", spy)
     derivation_algebra(g)
     center_basis(g)
     ce_complex(g)
-    assert d0 not in rights
+    assert tables == []
     LieAlgebra(F7, g.dim, g.table, dynkin=g.dynkin)
-    assert rights[-1] == d0
+    assert tables == [g.table]
+
+
+def test_checked_e7_construction_builds_no_cochain_map(monkeypatch):
+    # the constructor's Jacobi check is the join alone: it builds no
+    # differential of the adjoint complex, and its traced peak stays small
+    g = chevalley_presentation(DynkinType("E", 7)).to_lie_algebra(F7)
+
+    def refuse(*args):
+        raise AssertionError("the Jacobi check built a differential")
+
+    monkeypatch.setattr(lieform.liealg, "_differential", refuse)
+    tracemalloc.start()
+    try:
+        LieAlgebra(F7, g.dim, g.table, dynkin=g.dynkin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("check", [True, False], ids=["check", "nocheck"])
+@pytest.mark.parametrize("k", [5, -1])
+def test_output_index_out_of_range_is_refused(k, check):
+    with pytest.raises(DimensionMismatch, match=r"bad output index in \[b_0, b_1\]"):
+        LieAlgebra(QQ, 3, {(0, 1): ((k, 1),)}, check=check)
 
 
 # -- the one differential against the textbook Chevalley–Eilenberg sum
@@ -812,9 +836,11 @@ def _shift_b2(ring, i, j, k, delta):
 
 @pytest.mark.parametrize("ring, deltas", [
     (QQ, (1, 2, Fraction(1, 2), -3)),
+    (ZZ, (1, 2, -3, 6)),
+    (F7, (1, 2, 3, 6)),
     (IntegersModPk(5, 2), (1, 2, 5, 10)),
     (DualNumbers(F5), (1, 2, (0, 1), (3, 1))),
-], ids=["QQ", "Z25", "F5[eps]"])
+], ids=["QQ", "ZZ", "F7", "Z25", "F5[eps]"])
 def test_jacobi_check_agrees_with_the_jacobiator(ring, deltas):
     rng = random.Random(2)
     for _ in range(12):
