@@ -34,7 +34,7 @@ from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _bracket_defect,
 from .matrices import (Matrix, _degree_blocks, _dense, _graded_kernel,
                        _nonzero_product, _solve_by_blocks, _summed, inverse,
                        pivots, rank, solve_linear)
-from .rings import PrimeField, RingMismatch, RingSpec, UnsupportedRing
+from .rings import PrimeField, RingMismatch, RingSpec, UnsupportedRing, convert_raw
 
 
 class DimensionTooLarge(Exception):
@@ -117,25 +117,25 @@ def _automorphism_inverse(g: LieAlgebra, sigma: Matrix) -> Matrix:
 def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
     """The complex behind `ce_complex`: d0, d1, d2 from
     `liealg._differential`, untwisted column degrees from
-    `liealg._cochain_degrees`."""
+    `liealg._cochain_degrees`; a twisted complex conjugates the cached
+    `_untwisted_complex` of g's table."""
     ring = g.ring
     if not ring.is_field:
         raise UnsupportedRing("cochain complexes need a field, got %r" % (ring,))
     n = g.dim
     if n > 20:
         raise DimensionTooLarge("dim %d exceeds the supported bound 20" % n)
-    if twist is not None:
-        s_inv = _automorphism_inverse(g, twist)
-    d0, d1, d2 = (_differential(g, k) for k in range(3))
-    bad = _nonzero_product(ring, d2.items(), d1)
-    if bad:
-        raise AssertionError("d2∘d1 is nonzero at %s" % (min(bad),))
-    wt = _weights(g)
-    pairs, triples = (tuple(combinations(range(n), k)) for k in (2, 3))
-    plain = CochainComplex(g, None, pairs, triples, (d0, d1, d2),
-                           tuple(_cochain_degrees(wt, k) for k in range(3)))
     if twist is None:
-        return plain
+        d0, d1, d2 = (_differential(g, k) for k in range(3))
+        bad = _nonzero_product(ring, d2.items(), d1)
+        if bad:
+            raise AssertionError("d2∘d1 is nonzero at %s" % (min(bad),))
+        wt = _weights(g)
+        pairs, triples = (tuple(combinations(range(n), k)) for k in (2, 3))
+        return CochainComplex(g, None, pairs, triples, (d0, d1, d2),
+                              tuple(_cochain_degrees(wt, k) for k in range(3)))
+    s_inv = _automorphism_inverse(g, twist)
+    plain = _untwisted_complex(ring, n, tuple(sorted(g.table.items())), g.dynkin)
 
     def kron(s, m):     # s⊗I_m: s[a2, a] at (a2*m + q, a*m + q)
         return {(k // n * m + q, k % n * m + q): v for k, v in enumerate(s.data)
@@ -144,8 +144,8 @@ def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
     # d_k's rows are a*C(n, k+1) + q and its columns b*C(n, k) + q'
     maps = tuple(_nonzero_product(ring, kron(twist, comb(n, k + 1)).items(),
                                   _nonzero_product(ring, d.items(), kron(s_inv, comb(n, k))))
-                 for k, d in enumerate((d0, d1, d2)))
-    return replace(plain, twist=twist, maps=maps, untwisted=plain)
+                 for k, d in enumerate(plain.maps))
+    return replace(plain, algebra=g, twist=twist, maps=maps, untwisted=plain)
 
 
 def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
@@ -230,51 +230,49 @@ def solve_coboundary(cx: CochainComplex, theta: Union[Matrix, Sequence]) -> Opti
 
 @dataclass(frozen=True)
 class SquareZeroExtension:
-    """A surjection of rings whose kernel J squares to zero, with a
-    section on raw values and coordinates for J."""
+    """A surjection total_ring -> quotient_ring whose kernel J squares to
+    zero: Z/p^2 -> F_p with J = pZ/p^2, or F[eps] -> F with J = eps*F.
+    J is free of rank one over the quotient on its generator pi (p or
+    eps), so each map below is one call into the rings: reduce_raw is the
+    canonical map, lift_raw the section on raw values, j_embed u -> u*pi
+    and j_extract its inverse, a division by pi.  Any other pair of rings
+    is refused on construction."""
 
     total_ring: RingSpec
     quotient_ring: RingSpec
 
-    @property
-    def _modsq(self) -> bool:
-        return self.total_ring.kind == "integers_mod_pk"
+    def __post_init__(self):
+        total, quot = self.total_ring, self.quotient_ring
+        if total.kind == "integers_mod_pk" and total.k == 2 and quot == PrimeField(total.p):
+            pi = total.p
+        elif total.kind == "dual_numbers" and quot == total.base:
+            pi = total.coerce((0, 1))
+        else:
+            raise UnsupportedRing("square-zero extension needs Z/p^2 or dual numbers, "
+                                  "got %r over %r" % (total, quot))
+        object.__setattr__(self, "_pi", pi)
 
     def reduce_raw(self, v):
-        if self._modsq:
-            return v % self.total_ring.p
-        return v[0]
+        return convert_raw(v, self.total_ring, self.quotient_ring)
 
     def lift_raw(self, v):
         """Least non-negative representative section of the quotient."""
-        if self._modsq:
-            return v % (self.total_ring.p ** 2)
-        return (v, self.quotient_ring.zero())
+        return self.total_ring.coerce(v)
 
     def j_embed(self, u):
-        if self._modsq:
-            p = self.total_ring.p
-            return (p * (u % p)) % (p * p)
-        return (self.quotient_ring.zero(), u)
+        return self.total_ring.mul(self.lift_raw(u), self._pi)
 
     def j_extract(self, v):
-        if self._modsq:
-            p = self.total_ring.p
-            if v % p:
-                raise ValueError("value not in the square-zero ideal")
-            return (v // p) % p
-        if not self.quotient_ring.is_zero(v[0]):
+        if not self.quotient_ring.is_zero(self.reduce_raw(v)):
             raise ValueError("value not in the square-zero ideal")
-        return v[1]
+        return self.reduce_raw(self.total_ring.divide(v, self._pi))
 
 
 def square_zero_extension(total: RingSpec) -> SquareZeroExtension:
-    if total.kind == "integers_mod_pk" and total.k == 2:
+    """Z/p^2 over F_p, or dual numbers over their base."""
+    if total.kind == "integers_mod_pk":
         return SquareZeroExtension(total, PrimeField(total.p))
-    if total.kind == "dual_numbers":
-        return SquareZeroExtension(total, total.base)
-    raise UnsupportedRing(
-        "square-zero extension needs Z/p^2 or dual numbers, got %r" % (total,))
+    return SquareZeroExtension(total, getattr(total, "base", total))
 
 
 def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,

@@ -3,13 +3,20 @@
 Every computation in this package is exact.  Integers are arbitrary
 precision, fractions are kept in lowest terms with positive denominator,
 residues are kept in [0, modulus).  No floating point anywhere.
+
+Each arithmetic is written once: Integers, Rationals and LocalizedAtP
+share Python's own +, - and * (`_Numbers`); PrimeField and IntegersModPk
+share the residue arithmetic mod p^k (`_Residues`, PrimeField being
+k = 1); DualNumbers works through its base ring.  `convert_raw` holds
+the canonical maps between them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import isqrt
 from typing import Any
 
 
@@ -37,15 +44,33 @@ class NonIntegralDenominator(RingError):
     """A denominator is not invertible in the target ring."""
 
 
+# Miller-Rabin on these bases is exact below _MR_BOUND (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Trial division; moduli in this package are small."""
+    """Deterministic Miller-Rabin below _MR_BOUND, trial division above it."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_BOUND:
+        return all(p % d for d in range(43, isqrt(p) + 1, 2))
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -130,19 +155,24 @@ class RingSpec:
     def fmt(self, a) -> str:
         return str(a)
 
-    @property
-    def is_field(self) -> bool:
-        """Field-kind rings support rank/kernel via ordinary elimination."""
-        return False
+    # field-kind rings support rank/kernel via ordinary elimination
+    is_field = False
+    # local rings eliminate on units, then, unless fields, on least `valuation`
+    is_local = False
 
-    @property
-    def is_local(self) -> bool:
-        """Local rings eliminate on units, then, unless fields, on least `valuation`."""
-        return False
+
+class _Numbers(RingSpec):
+    """Rings whose raw values are Python numbers under Python's own
+    +, - and *: Integers, Rationals and LocalizedAtP."""
+
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
 
 
 @dataclass(frozen=True)
-class Integers(RingSpec):
+class Integers(_Numbers):
     kind = "integers"
 
     def from_int(self, n: int):
@@ -157,15 +187,6 @@ class Integers(RingSpec):
             return v.numerator
         raise TypeError("cannot coerce %r into Integers" % (v,))
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def is_unit(self, a) -> bool:
         return a in (1, -1)
 
@@ -176,8 +197,9 @@ class Integers(RingSpec):
 
 
 @dataclass(frozen=True)
-class Rationals(RingSpec):
+class Rationals(_Numbers):
     kind = "rationals"
+    is_field = True
 
     def from_int(self, n: int):
         return Fraction(n)
@@ -191,15 +213,6 @@ class Rationals(RingSpec):
             return parse_rational(v)
         raise TypeError("cannot coerce %r into Q" % (v,))
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def is_unit(self, a) -> bool:
         return a != 0
 
@@ -211,79 +224,20 @@ class Rationals(RingSpec):
     def fmt(self, a) -> str:
         return format_rational(a)
 
-    @property
-    def is_field(self) -> bool:
-        return True
 
+class _Residues(RingSpec):
+    """Z/p^k on residues in [0, modulus), for a prime p and k >= 1; the
+    subclasses are dataclasses with the field p, and k a field or a class
+    attribute."""
 
-@dataclass(frozen=True)
-class PrimeField(RingSpec):
-    p: int
-    kind = "prime_field"
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError("%d is not prime" % self.p)
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def coerce(self, v):
-        if isinstance(v, bool):
-            raise TypeError("bool is not a scalar")
-        if isinstance(v, int):
-            return v % self.p
-        if isinstance(v, Fraction):
-            if v.denominator % self.p == 0:
-                raise NonIntegralDenominator(
-                    "denominator of %s is divisible by %d" % (v, self.p))
-            return (v.numerator * pow(v.denominator, -1, self.p)) % self.p
-        raise TypeError("cannot coerce %r into F_%d" % (v, self.p))
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def is_unit(self, a) -> bool:
-        return a % self.p != 0
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise NotAUnit("0 is not invertible in F_%d" % self.p)
-        return pow(a, -1, self.p)
-
-    @property
-    def is_field(self) -> bool:
-        return True
-
-    @property
-    def is_local(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class IntegersModPk(RingSpec):
-    p: int
-    k: int
-    kind = "integers_mod_pk"
+    is_local = True
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError("%d is not prime" % self.p)
         if self.k < 1:
             raise ValueError("exponent must be >= 1")
-
-    @cached_property
-    def modulus(self) -> int:
-        return self.p ** self.k
+        object.__setattr__(self, "modulus", self.p ** self.k)
 
     def from_int(self, n: int):
         return n % self.modulus
@@ -306,6 +260,9 @@ class IntegersModPk(RingSpec):
     def neg(self, a):
         return (-a) % self.modulus
 
+    def sub(self, a, b):
+        return (a - b) % self.modulus
+
     def mul(self, a, b):
         return (a * b) % self.modulus
 
@@ -317,6 +274,21 @@ class IntegersModPk(RingSpec):
             raise NotAUnit("%d is not a unit mod %d" % (a, self.modulus))
         return pow(a, -1, self.modulus)
 
+
+@dataclass(frozen=True)
+class PrimeField(_Residues):
+    p: int
+    kind = "prime_field"
+    k = 1
+    is_field = True
+
+
+@dataclass(frozen=True)
+class IntegersModPk(_Residues):
+    p: int
+    k: int
+    kind = "integers_mod_pk"
+
     def valuation(self, a) -> int:
         return pvaluation(a, self.p)
 
@@ -327,17 +299,14 @@ class IntegersModPk(RingSpec):
             raise NotAUnit("%d does not divide %d mod %d" % (a, b, self.modulus))
         return b // pv * self.inv(a // pv) % self.modulus
 
-    @property
-    def is_local(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class LocalizedAtP(RingSpec):
+class LocalizedAtP(_Numbers):
     """Rationals with denominator coprime to p (the localization Z_(p))."""
 
     p: int
     kind = "localized_at_p"
+    is_local = True
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -361,15 +330,6 @@ class LocalizedAtP(RingSpec):
             return self._check(parse_rational(v))
         raise TypeError("cannot coerce %r into Z_(%d)" % (v, self.p))
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def is_unit(self, a) -> bool:
         return a != 0 and a.numerator % self.p != 0
 
@@ -388,10 +348,6 @@ class LocalizedAtP(RingSpec):
     def fmt(self, a) -> str:
         return format_rational(a)
 
-    @property
-    def is_local(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class DualNumbers(RingSpec):
@@ -399,6 +355,7 @@ class DualNumbers(RingSpec):
 
     base: RingSpec
     kind = "dual_numbers"
+    is_local = True
 
     def __post_init__(self):
         if not self.base.is_field:
@@ -450,10 +407,6 @@ class DualNumbers(RingSpec):
 
     def fmt(self, a) -> str:
         return "%s + %s*eps" % (self.base.fmt(a[0]), self.base.fmt(a[1]))
-
-    @property
-    def is_local(self) -> bool:
-        return True
 
 
 ZZ = Integers()
@@ -509,7 +462,8 @@ def convert_raw(v, src: RingSpec, dst: RingSpec):
     Canonical maps: identity; Integers into anything; Rationals into
     Rationals, LocalizedAtP(p) or PrimeField(p) when denominators permit;
     LocalizedAtP(p) into PrimeField(p) or IntegersModPk(p, k);
-    IntegersModPk(p, k) onto PrimeField(p).
+    IntegersModPk(p, k) onto PrimeField(p) and IntegersModPk(p, j), j <= k;
+    DualNumbers(base) onto base, a + b*eps -> a.
     """
     if src == dst:
         return v
@@ -524,9 +478,9 @@ def convert_raw(v, src: RingSpec, dst: RingSpec):
             return dst.coerce(v)
         raise NoCanonicalMorphism("Z_(%d) -> %r" % (src.p, dst))
     if src.kind == "integers_mod_pk":
-        if dst.kind == "prime_field" and dst.p == src.p:
-            return v % dst.p
-        if dst.kind == "integers_mod_pk" and dst.p == src.p and dst.k <= src.k:
+        if dst.kind in ("prime_field", "integers_mod_pk") and dst.p == src.p and dst.k <= src.k:
             return v % dst.modulus
         raise NoCanonicalMorphism("Z/%d -> %r" % (src.modulus, dst))
+    if src.kind == "dual_numbers" and dst == src.base:
+        return v[0]
     raise NoCanonicalMorphism("%r -> %r" % (src, dst))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -510,6 +511,17 @@ def test_envelope_reports_tool_version(capsys):
     from lieform import __version__
     _, doc, _ = run_json(capsys, ["classify", "--type", "A1", "--prime", "3"])
     assert doc["tool_version"] == __version__
+
+
+def test_classify_at_a_large_prime_is_quick():
+    # trial division on --prime would not finish at 10^18, so this runs in
+    # a child with a timeout
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "lieform", "classify", "--type", "A1",
+                           "--prime", "1000000000000000003"], env=_child_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and time.perf_counter() - t0 < 5
+    assert json.loads(proc.stdout)["results"]["reason"] == "PERFECT"
 
 
 def test_sl2_decompose_file_with_rows_dependent_mod_p(tmp_path):

@@ -15,7 +15,8 @@ from lieform import (DimensionTooLarge, DualNumbers, DynkinType,
                      chevalley_involution, chevalley_presentation, cohomology_dim,
                      derivation_algebra, inverse, is_lie_automorphism,
                      lift_automorphism, rank, solve_coboundary, solve_linear,
-                     square_zero_extension, torus_automorphism, triple_flip)
+                     SquareZeroExtension, square_zero_extension, torus_automorphism,
+                     triple_flip)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -143,6 +144,25 @@ def test_square_zero_extension_rejects_other_rings():
         square_zero_extension(IntegersModPk(5, 3))
     with pytest.raises(Exception):
         square_zero_extension(PrimeField(5))
+
+
+@pytest.mark.parametrize("total,quotient", [
+    (IntegersModPk(5, 3), F5), (IntegersModPk(5, 2), F7),
+    (DualNumbers(F5), F7), (F5, F5)], ids=repr)
+def test_square_zero_extension_refuses_other_pairs(total, quotient):
+    with pytest.raises(UnsupportedRing, match="square-zero extension needs"):
+        SquareZeroExtension(total, quotient)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("kind", ["Z/p^2", "F_p[eps]"])
+def test_square_zero_maps_round_trip(kind, p):
+    fp = PrimeField(p)
+    ext = square_zero_extension(IntegersModPk(p, 2) if kind == "Z/p^2" else DualNumbers(fp))
+    for u in range(p):
+        assert ext.j_extract(ext.j_embed(u)) == u
+        assert ext.reduce_raw(ext.j_embed(u)) == 0
+        assert ext.reduce_raw(ext.lift_raw(u)) == u
 
 
 def test_lift_torus_automorphism_frozen():
@@ -321,6 +341,17 @@ def test_lifts_share_one_untwisted_complex(monkeypatch):
     assert (info.misses, info.hits) == (1, 9)
 
 
+def test_twists_share_one_untwisted_complex():
+    g = SL3.to_lie_algebra(F5)
+    cohomology._untwisted_complex.cache_clear()
+    a = ce_complex(g, twist=chevalley_involution(SL3, F5))
+    b = ce_complex(g, twist=torus_automorphism(SL3, F5, 2))
+    assert a.untwisted is b.untwisted
+    assert a.algebra is g and b.algebra is g
+    info = cohomology._untwisted_complex.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_block_solve_equals_the_dense_solve(name, p, monkeypatch):
@@ -424,6 +455,7 @@ def test_block_readers_equal_the_dense_reference(name, p):
 
 
 def test_block_readers_leave_the_dense_views_unbuilt():
+    cohomology._untwisted_complex.cache_clear()
     g = SL3.to_lie_algebra(F5)
     for cx in (ce_complex(g), ce_complex(g, twist=chevalley_involution(SL3, F5))):
         assert [cohomology_dim(cx, k) for k in (0, 1, 2)] == [0, 0, 0]

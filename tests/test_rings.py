@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieform import (DualNumbers, IntegersModPk, LocalizedAtP,
+from lieform import (DualNumbers, Integers, IntegersModPk, LocalizedAtP,
                      NoCanonicalMorphism, NonIntegralDenominator, NotAUnit,
-                     PrimeField, QQ, Scalar, ZZ, convert_raw, format_rational,
-                     is_prime, parse_rational, pvaluation)
+                     PrimeField, QQ, Rationals, Scalar, ZZ, convert_raw,
+                     format_rational, is_prime, parse_rational, pvaluation)
 
 F5 = PrimeField(5)
 Z25 = IntegersModPk(5, 2)
@@ -18,6 +19,19 @@ D5 = DualNumbers(F5)
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(-2, 200000):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # each composite passes Miller-Rabin on a run of the smallest prime bases
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    for p in (2**61 - 1, 10**18 + 3, 10**18 + 9):
+        assert is_prime(p), p
 
 
 def test_pvaluation():
@@ -93,7 +107,16 @@ def test_conversion_failures():
             convert_raw(value, src, dst)
 
 
-RINGS = [ZZ, QQ, F5, PrimeField(2), Z25, L5, D5]
+def test_dual_numbers_onto_their_base():
+    assert convert_raw((2, 3), D5, F5) == 2
+    assert convert_raw((Fraction(1, 2), Fraction(3)), DualNumbers(QQ), QQ) == Fraction(1, 2)
+    for value, src, dst in [((2, 3), D5, PrimeField(7)), ((2, 3), D5, Z25), (2, F5, D5)]:
+        with pytest.raises(NoCanonicalMorphism):
+            convert_raw(value, src, dst)
+
+
+RINGS = [ZZ, QQ, F5, PrimeField(2), Z25, L5, D5, Z125, DualNumbers(QQ),
+         PrimeField(2097143)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,6 +128,7 @@ def test_ring_laws(ring, a, b, c):
     assert ring.mul(x, y) == ring.mul(y, x)
     assert ring.mul(x, ring.add(y, z)) == ring.add(ring.mul(x, y), ring.mul(x, z))
     assert ring.add(x, ring.neg(x)) == ring.zero()
+    assert ring.sub(x, y) == ring.add(x, ring.neg(y))
     assert ring.mul(x, ring.one()) == x
     if ring.is_unit(x):
         assert ring.mul(x, ring.inv(x)) == ring.one()
@@ -127,7 +151,7 @@ def test_field_and_local_flags():
     assert not ZZ.is_local and not QQ.is_local
 
 
-@pytest.mark.parametrize("ring", RINGS + [DualNumbers(QQ)], ids=repr)
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
 def test_is_zero_is_equality_with_zero(ring):
     values = [ring.from_int(n) for n in (-26, -5, -1, 0, 1, 2, 5, 25, 125)]
     if ring.kind in ("rationals", "localized_at_p"):
@@ -139,3 +163,23 @@ def test_is_zero_is_equality_with_zero(ring):
     assert not all(ring.is_zero(v) for v in values)
     for v in values:
         assert ring.is_zero(v) == (v == ring.zero()), v
+
+
+# (ring, an equal ring built anew, repr, kind)
+IDENTITIES = [
+    (ZZ, Integers(), "Integers()", "integers"),
+    (QQ, Rationals(), "Rationals()", "rationals"),
+    (F5, PrimeField(5), "PrimeField(p=5)", "prime_field"),
+    (Z25, IntegersModPk(5, 2), "IntegersModPk(p=5, k=2)", "integers_mod_pk"),
+    (IntegersModPk(5, 1), IntegersModPk(5, 1), "IntegersModPk(p=5, k=1)", "integers_mod_pk"),
+    (L5, LocalizedAtP(5), "LocalizedAtP(p=5)", "localized_at_p"),
+    (D5, DualNumbers(PrimeField(5)), "DualNumbers(base=PrimeField(p=5))", "dual_numbers"),
+]
+
+
+@pytest.mark.parametrize("ring,twin,text,kind", IDENTITIES,
+                         ids=[text for _, _, text, _ in IDENTITIES])
+def test_ring_repr_equality_and_hash(ring, twin, text, kind):
+    assert repr(ring) == text and ring.kind == kind
+    assert twin == ring and hash(twin) == hash(ring)
+    assert all(other != ring for other, _, t, _ in IDENTITIES if t != text)
