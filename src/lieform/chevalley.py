@@ -326,53 +326,37 @@ def _simple_triples(t: DynkinType):
     n = t.rank
     s = t.series
     if s == "A":
-        m = n + 1
         trip = [({(i, i + 1): 1}, {(i + 1, i): 1},
                  {(i, i): 1, (i + 1, i + 1): -1}) for i in range(n)]
-    elif s == "B":
+        return trip, n + 1
+    if s not in ("B", "C", "D"):
+        raise NotClassical("no defining realization for series %s" % s)
+    # the nodes e_i -> e_{i+1}: coordinates 1..2n for B, 0..2n-1 for C and D
+    lo = 1 if s == "B" else 0
+    trip = [({(i, i + 1): 1, (n + i + 1, n + i): -1},
+             {(i + 1, i): 1, (n + i, n + i + 1): -1},
+             {(i, i): 1, (i + 1, i + 1): -1,
+              (n + i, n + i): -1, (n + i + 1, n + i + 1): 1})
+            for i in range(lo, lo + n - 1)]
+    if s == "B":
         # so(2n+1) for x_0^2 + x_1 x_{n+1} + ... + x_n x_{2n}
-        m = 2 * n + 1
-        trip = []
-        for i in range(1, n):
-            trip.append((
-                {(i, i + 1): 1, (n + i + 1, n + i): -1},
-                {(i + 1, i): 1, (n + i, n + i + 1): -1},
-                {(i, i): 1, (i + 1, i + 1): -1,
-                 (n + i, n + i): -1, (n + i + 1, n + i + 1): 1}))
         trip.append((
             {(n, 0): 2, (0, 2 * n): -1},
             {(0, n): 1, (2 * n, 0): -2},
             {(n, n): 2, (2 * n, 2 * n): -2}))
-    elif s == "C":
-        m = 2 * n
-        trip = []
-        for i in range(n - 1):
-            trip.append((
-                {(i, i + 1): 1, (n + i + 1, n + i): -1},
-                {(i + 1, i): 1, (n + i, n + i + 1): -1},
-                {(i, i): 1, (i + 1, i + 1): -1,
-                 (n + i, n + i): -1, (n + i + 1, n + i + 1): 1}))
+        return trip, 2 * n + 1
+    if s == "C":
         trip.append((
             {(n - 1, 2 * n - 1): 1},
             {(2 * n - 1, n - 1): 1},
             {(n - 1, n - 1): 1, (2 * n - 1, 2 * n - 1): -1}))
-    elif s == "D":
-        m = 2 * n
-        trip = []
-        for i in range(n - 1):
-            trip.append((
-                {(i, i + 1): 1, (n + i + 1, n + i): -1},
-                {(i + 1, i): 1, (n + i, n + i + 1): -1},
-                {(i, i): 1, (i + 1, i + 1): -1,
-                 (n + i, n + i): -1, (n + i + 1, n + i + 1): 1}))
+    else:
         trip.append((
             {(n - 2, 2 * n - 1): 1, (n - 1, 2 * n - 2): -1},
             {(2 * n - 1, n - 2): 1, (2 * n - 2, n - 1): -1},
             {(n - 2, n - 2): 1, (n - 1, n - 1): 1,
              (2 * n - 2, 2 * n - 2): -1, (2 * n - 1, 2 * n - 1): -1}))
-    else:
-        raise NotClassical("no defining realization for series %s" % s)
-    return trip, m
+    return trip, 2 * n
 
 
 @dataclass

@@ -124,21 +124,24 @@ def _table_types(max_rank: int, dedup: bool) -> list:
 # ---------------------------------------------------------------------------
 # classify
 
+def _verdict_row(t: DynkinType, p: int, with_oracle: bool) -> dict:
+    v = verdict_with_oracle(t, p) if with_oracle else predict_perfect(t, p)
+    row = {"series": t.series, "rank": t.rank, "p": p,
+           "predicted": v.predicted, "reason": v.reason}
+    if with_oracle:
+        row["oracle"] = v.oracle
+        row["agree"] = v.agree
+    return row
+
+
 def cmd_classify(args) -> int:
     inputs = args.inputs
     t = _parse_type(args)
     inputs["type"] = t.name
     p = inputs["prime"] = _parse_prime(args.prime)
     inputs["oracle"] = bool(args.oracle)
-    v = verdict_with_oracle(t, p) if args.oracle else predict_perfect(t, p)
-    results = {"series": t.series, "rank": t.rank, "p": p,
-               "predicted": v.predicted, "reason": v.reason}
-    status = "OK"
-    if v.oracle is not None:
-        results["oracle"] = v.oracle
-        results["agree"] = v.agree
-        if not v.agree:
-            status = "MISMATCH"
+    results = _verdict_row(t, p, args.oracle)
+    status = "MISMATCH" if results.get("agree") is False else "OK"
     _emit(_envelope("classify", inputs, results, status))
     return EXIT_OK if status == "OK" else EXIT_MISMATCH
 
@@ -147,16 +150,7 @@ def cmd_classify(args) -> int:
 # table
 
 def _table_rows(types, primes, with_oracle):
-    rows = []
-    for t in types:
-        for p in primes:
-            v = verdict_with_oracle(t, p) if with_oracle else predict_perfect(t, p)
-            row = {"series": t.series, "rank": t.rank, "p": p,
-                   "predicted": v.predicted, "reason": v.reason}
-            if with_oracle:
-                row["oracle"] = v.oracle
-                row["agree"] = v.agree
-            rows.append(row)
+    rows = [_verdict_row(t, p, with_oracle) for t in types for p in primes]
     rows.sort(key=lambda r: (r["series"], r["rank"], r["p"]))
     return rows
 

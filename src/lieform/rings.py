@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Any
 
 
@@ -50,14 +49,14 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin below _MR_BOUND, trial division above it."""
+    """Deterministic Miller-Rabin below _MR_BOUND.  At or above it a base
+    that witnesses compositeness still answers False, but a number that
+    passes every base is only a strong probable prime: ValueError."""
     if p < 2:
         return False
     for q in _MR_BASES:
         if p % q == 0:
             return p == q
-    if p >= _MR_BOUND:
-        return all(p % d for d in range(43, isqrt(p) + 1, 2))
     d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -71,6 +70,10 @@ def is_prime(p: int) -> bool:
                 break
         else:
             return False
+    if p >= _MR_BOUND:
+        raise ValueError("cannot decide whether %d is prime: it passes Miller-Rabin "
+                         "on the bases 2 to 41, which is exact only below %d"
+                         % (p, _MR_BOUND))
     return True
 
 

@@ -4,9 +4,10 @@ A WeightedModule is a full lattice in a rational ambient space together
 with a direct-sum grading of the ambient space by integer weights, and
 optionally matrices h, x, y satisfying the sl2 relations that realize
 the grading.  The central algorithm extends the grading to the lattice
-itself: it produces projectors with p-local entries decomposing the
-lattice, or a certified witness vector showing no such decomposition
-exists.  Also here: the graded chain modules generated by a highest
+itself: it produces the projectors, which are unique, with p-local
+entries decomposing the lattice, or a certified witness vector showing
+no such decomposition exists; its path label names the hypothesis that
+decided the route.  Also here: the graded chain modules generated by a highest
 weight vector, the rank-(p+1) lattice on which the decomposition fails,
 and the degree-truncated exponential of a nilpotent operator.
 """
@@ -316,34 +317,19 @@ def _assert_projector_family(projs: dict, n: int) -> None:
                     items[i][0], items[jj][0]))
 
 
-def _lagrange_projectors(m: WeightedModule, h_lat: Matrix) -> dict:
-    ws = m.weights
-    d = len(ws)
-    vrows = [[Fraction(w) ** c for c in range(d)] for w in ws]
-    vand = Matrix.from_rows(QQ, vrows)
-    coeffs = solve_linear(vand, Matrix.identity(QQ, d))
-    if coeffs is None or not _p_integral(coeffs, m.p):
-        raise AssertionError("interpolation coefficients are not p-integral")
-    n = m.ambient_dim
-    ident = Matrix.identity(QQ, n)
-    projs = {}
-    for col, w in enumerate(ws):
-        acc = Matrix.zeros(QQ, n, n)
-        for c in range(d - 1, -1, -1):
-            acc = acc @ h_lat + ident.scale(coeffs.raw(c, col))
-        projs[w] = acc
-    return projs
-
-
 def extend_torus(m: WeightedModule) -> DecompositionResult:
     """Decompose the lattice along the weight grading.
 
-    Distinct weights mod p admit polynomial projectors in the grading
-    operator (denominators of the interpolation coefficients are units).
-    Otherwise the saturations M ∩ M_wK are assembled and checked to span
-    the lattice mod p; when they do not, the defect is localized to a
-    chain of weights congruent mod p and a witness vector inside the
-    chain's saturation but outside the direct sum is returned.
+    The saturations M ∩ M_wK are assembled and checked to span the lattice
+    mod p.  When they do, the projectors onto them, which are unique, are
+    read off their lattice coordinates.  When they do not, the defect is
+    localized to a chain of weights congruent mod p and a witness vector
+    inside the chain's saturation but outside the direct sum is returned.
+    The path label names the hypothesis that decided the route:
+    "polynomial-projectors" when the weights are distinct mod p and the
+    grading operator preserves the lattice, so the projectors are
+    polynomials in it with p-integral coefficients and the route needs no
+    action and cannot fail; "saturation" otherwise.
     """
     p = m.p
     report = classify_p_type(set(m.weights), p)
@@ -354,23 +340,9 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
     h_lat = solve_linear(m.lattice, h @ m.lattice)
     if h_lat is None:
         raise AssertionError("the grading operator leaves the lattice span")
+    polynomial = report.is_type1 and _p_integral(h_lat, p)
 
-    if report.is_type1 and _p_integral(h_lat, p):
-        projs = _lagrange_projectors(m, h_lat)
-        _assert_projector_family(projs, n)
-        sats = _saturations(m)
-        for w, pi in projs.items():
-            coords = _p_local_coords(sats[w], m.lattice @ pi, p)
-            if coords is None:
-                raise AssertionError("projector %d image leaves its saturation" % w)
-            if _span_check_mod_p(coords, p) is not None:
-                raise AssertionError("projector %d image misses its saturation "
-                                     "mod %d" % (w, p))
-        return DecompositionResult(
-            True, sats, {w: pi.map_to_ring(rp) for w, pi in projs.items()},
-            None, report, "polynomial-projectors")
-
-    if m.action is None:
+    if m.action is None and not polynomial:
         if report.is_type2 or report.is_type3:
             raise ActionMissing(
                 "weights collide mod %d; the saturation route needs the "
@@ -399,7 +371,12 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
                         @ Matrix.from_rows(rp, inv_rows[b]))
             start = b.stop
         _assert_projector_family(projs, n)
-        return DecompositionResult(True, sats, projs, None, report, "saturation")
+        return DecompositionResult(True, sats, projs, None, report,
+                                   "polynomial-projectors" if polynomial else "saturation")
+    if polynomial:
+        # a polynomial projector maps M onto M ∩ M_wK, so nothing is missed
+        raise AssertionError("the saturations miss the lattice mod %d although "
+                             "the projectors are polynomials in h" % p)
 
     # localize the defect along chains of weights congruent mod p
     chains = {}

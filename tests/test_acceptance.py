@@ -328,12 +328,12 @@ def test_c10_truncated_exponential_suite():
     _passed("c10 exp-homomorphism-and-torus-conjugation")
 
 
-def test_c11_table_output_is_deterministic():
+def test_c11_table_output_is_deterministic(child_env):
     cmd = [sys.executable, "-m", "lieform", "table", "--max-rank", "8",
            "--primes", "2,3,5,7,11,13,17,19,23", "--oracle",
            "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, env=child_env, capture_output=True, check=True)
+    second = subprocess.run(cmd, env=child_env, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout
     doc = json.loads(first.stdout)

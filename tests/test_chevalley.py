@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import os
 import random
 import subprocess
 import sys
@@ -253,7 +252,7 @@ def test_jacobi_certificate_needs_the_negative_generators():
     assert str(err.value) == want
 
 
-def test_jacobi_certificate_survives_python_O():
+def test_jacobi_certificate_survives_python_O(child_env):
     code = ("import dataclasses\n"
             "import lieform\n"
             "from lieform.chevalley import JacobiFailure\n"
@@ -265,11 +264,7 @@ def test_jacobi_certificate_survives_python_O():
             "    lieform.verify_jacobi(bad)\n"
             "except JacobiFailure as exc:\n"
             "    print(type(exc).__name__, exc)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=child_env, check=True,
                          capture_output=True, text=True).stdout
     assert out.startswith("JacobiFailure Jacobi fails at pair (X[0,0,1], X[0,1,0]) of B3")
 
@@ -580,11 +575,7 @@ except AssertionError as exc:
     ("nab[key] = -nab[key]", "N(b, a) = -N(a, b) fails for B3"),
     ("del nab[key]", "N != 0 exactly where a + b is a root fails for B3"),
 ], ids=["doubled", "sign-flipped", "dropped"])
-def test_constant_checks_survive_python_O(edit, rule):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+def test_constant_checks_survive_python_O(edit, rule, child_env):
     out = subprocess.run([sys.executable, "-O", "-c", _FAULT.format(edit=edit)],
-                         env=env, check=True, capture_output=True, text=True).stdout
+                         env=child_env, check=True, capture_output=True, text=True).stdout
     assert out.startswith("AssertionError " + rule)

@@ -1,12 +1,10 @@
 import gc
-import os
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-import lieform
 from lieform import (DynkinType, EXPECTED_RATIO, InvalidRank, NoConstantRatio,
                      PrimeField, b_series_kernel_witness, build_root_system,
                      chevalley_presentation, det, oracle_perfect, predict_perfect,
@@ -148,7 +146,7 @@ def test_cell_discriminant_is_the_dense_determinant(t):
     assert _integral_discriminant(t) == det(integral_killing_gram(t))
 
 
-def test_oracle_refuses_a_killing_entry_off_its_cell_under_python_O():
+def test_oracle_refuses_a_killing_entry_off_its_cell_under_python_O(child_env):
     # [H1, X_(0,1)] gains a term at H2, so κ(H1, X_(0,1)) != 0 although the
     # weights 0 and (0, 1) do not cancel
     code = ("import lieform.classify as c\n"
@@ -161,11 +159,7 @@ def test_oracle_refuses_a_killing_entry_off_its_cell_under_python_O():
             "    c._integral_discriminant(t)\n"
             "except AssertionError as exc:\n"
             "    print(type(exc).__name__, exc)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=child_env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "AssertionError form entry (0, 2) lies off the degree cells\n"
 

@@ -163,23 +163,14 @@ def test_table_builds_each_killing_gram_once(capsys):
     assert _integral_discriminant.cache_info().misses == ntypes
 
 
-def _child_env():
-    """os.environ with this lieform first on PYTHONPATH, for child processes."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
-
-
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_scipy_out(child_env):
     code = "import sys, lieform.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
 
 
-def test_no_command_loads_numpy():
+def test_no_command_loads_numpy(child_env):
     # the Jacobi certificate is plain Python at every size: an E8 verdict,
     # the full table, the rank-8 realization suite and derivations
     code = ("import contextlib, io, sys\n"
@@ -191,7 +182,7 @@ def test_no_command_loads_numpy():
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        print(lieform.cli.main(argv), file=sys.__stdout__)\n"
             "print('numpy' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["0", "0", "0", "0", "False"]
 
@@ -217,7 +208,7 @@ def test_package_imports_only_the_stdlib():
     assert foreign == []
 
 
-def test_verify_derivations_f4_within_two_gigabytes():
+def test_verify_derivations_f4_within_two_gigabytes(child_env):
     # the derivation system of F4 has 2,704 unknowns; solved as one dense
     # matrix it ran out of a 2 GB address space
     code = ("import resource, runpy, sys\n"
@@ -225,7 +216,7 @@ def test_verify_derivations_f4_within_two_gigabytes():
             "sys.argv = ['lieform', 'verify', '--suite', 'derivations',\n"
             "            '--type', 'F4', '--prime', '7']\n"
             "runpy.run_module('lieform', run_name='__main__')\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -513,18 +504,31 @@ def test_envelope_reports_tool_version(capsys):
     assert doc["tool_version"] == __version__
 
 
-def test_classify_at_a_large_prime_is_quick():
+def test_classify_at_a_large_prime_is_quick(child_env):
     # trial division on --prime would not finish at 10^18, so this runs in
     # a child with a timeout
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "lieform", "classify", "--type", "A1",
-                           "--prime", "1000000000000000003"], env=_child_env(),
+                           "--prime", "1000000000000000003"], env=child_env,
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0 and time.perf_counter() - t0 < 5
     assert json.loads(proc.stdout)["results"]["reason"] == "PERFECT"
 
 
-def test_sl2_decompose_file_with_rows_dependent_mod_p(tmp_path):
+def test_classify_above_the_miller_rabin_bound_is_an_error(child_env):
+    # the next prime above the bound once fell to trial division, which
+    # would not finish, so this runs in a child with a timeout
+    proc = subprocess.run([sys.executable, "-m", "lieform", "classify", "--type", "A1",
+                           "--prime", "3317044064679887385962123"], env=child_env,
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "ERROR" and doc["inputs"] == {"type": "A1"}
+    assert doc["results"]["error"] == "ValueError"
+    assert "3317044064679887385962123" in doc["results"]["message"]
+
+
+def test_sl2_decompose_file_with_rows_dependent_mod_p(tmp_path, child_env):
     # the weight-0 piece saturates through a left dependency mod 3; this
     # once looped forever, so it runs in a child with a timeout
     doc = {"p": 3, "lattice": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -534,7 +538,7 @@ def test_sl2_decompose_file_with_rows_dependent_mod_p(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     proc = subprocess.run([sys.executable, "-m", "lieform", "sl2-decompose",
-                           "--file", str(path)], env=_child_env(), capture_output=True,
+                           "--file", str(path)], env=child_env, capture_output=True,
                           text=True, timeout=30)
     assert proc.returncode == 0
     out = json.loads(proc.stdout)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import random
 import subprocess
 import sys
@@ -544,12 +543,9 @@ for g, twist in ((sl2, L.Matrix.zeros(F5, 3, 3)),
 """
 
 
-def test_twist_refusals_survive_python_O():
-    env = dict(os.environ, PYTHONIOENCODING="utf-8")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cohomology.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-c", _REFUSALS], env=env, check=True,
+def test_twist_refusals_survive_python_O(child_env):
+    out = subprocess.run([sys.executable, "-O", "-c", _REFUSALS],
+                         env=dict(child_env, PYTHONIOENCODING="utf-8"), check=True,
                          capture_output=True, encoding="utf-8").stdout
     head = "NotAutomorphism the twist is not an automorphism: "
     assert out.splitlines() == [

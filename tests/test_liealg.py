@@ -1,5 +1,4 @@
 import hashlib
-import os
 import random
 import subprocess
 import sys
@@ -748,7 +747,7 @@ def test_discriminant_over_dual_numbers_stays_in_small_blocks(monkeypatch):
     assert max(sizes) == t.rank
 
 
-def test_row_across_two_degrees_raises_under_python_O():
+def test_row_across_two_degrees_raises_under_python_O(child_env):
     code = ("import lieform, lieform.liealg\n"
             "assert False  # stripped under -O\n"
             "try:\n"
@@ -756,11 +755,7 @@ def test_row_across_two_degrees_raises_under_python_O():
             "                                  {(0, 0): 1, (0, 1): 1})\n"
             "except AssertionError as exc:\n"
             "    print(type(exc).__name__, exc)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=child_env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "AssertionError row 0 has entries in degrees (0,) and (1,)\n"
 
@@ -859,18 +854,14 @@ def test_jacobi_check_agrees_with_the_jacobiator(ring, deltas):
         LieAlgebra(ring, B2.dim, table)
 
 
-def test_jacobi_check_survives_python_O():
+def test_jacobi_check_survives_python_O(child_env):
     code = ("import lieform\n"
             "assert False  # stripped under -O\n"
             "try:\n"
             "    lieform.LieAlgebra(lieform.QQ, 3, {(0, 1): ((2, 1),), (0, 2): ((0, 1),)})\n"
             "except ValueError as exc:\n"
             "    print(type(exc).__name__, exc)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=child_env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "ValueError Jacobi fails on triple (0,1,2)\n"
 

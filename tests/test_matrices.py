@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import lieform
 from lieform import (DimensionMismatch, DualNumbers, IntegersModPk,
                      LocalizedAtP, Matrix, NotASubspace, PrimeField, QQ,
                      Singular, UnsupportedRing, ZZ, det, inverse, kernel,
@@ -249,16 +247,6 @@ def test_elimination_refuses_the_integers():
     assert det(M(ZZ, [[2, 1], [4, 3]])) == 2
 
 
-def _child_stdout(code: str) -> str:
-    """stdout of code run by a child interpreter that imports this lieform."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=30).stdout
-
-
 def test_saturate_divides_out_p():
     lat = Matrix.identity(QQ, 2)
     w = M(QQ, [[3], [3]])
@@ -298,10 +286,11 @@ print([list(map(str, s.col(j))) for j in range(s.ncols)])
 """
 
 
-def test_saturate_terminates_when_rows_are_dependent_mod_p():
+def test_saturate_terminates_when_rows_are_dependent_mod_p(child_env):
     # the subspace rows (3, 0, 1) and (0, 3, 1) agree mod 3; the loop must
     # divide p out of their left dependency, not chase a right null vector
-    out = _child_stdout(_SATURATE_DEPENDENT_MOD_P)
+    out = subprocess.run([sys.executable, "-c", _SATURATE_DEPENDENT_MOD_P], env=child_env,
+                         check=True, capture_output=True, text=True, timeout=30).stdout
     assert out.strip() == "[['2', '1', '1'], ['0', '3', '1']]"
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -32,6 +33,24 @@ def test_is_prime_on_strong_pseudoprimes_and_large_primes():
         assert not is_prime(n), n
     for p in (2**61 - 1, 10**18 + 3, 10**18 + 9):
         assert is_prime(p), p
+
+
+@pytest.mark.parametrize("n", [3317044064679887385962123,       # the next prime
+                               1287836182261 * 2575672364521],   # the bound itself
+                         ids=["next-prime", "bound"])
+def test_is_prime_refuses_strong_probable_primes_above_the_bound(n):
+    # at and above the bound, passing every base proves nothing
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=str(n)):
+        is_prime(n)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_is_prime_answers_composites_above_the_bound():
+    # a base witnesses this one; trial division would have run to 10^12
+    t0 = time.perf_counter()
+    assert not is_prime(1000000000039 * 10000000000037)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_pvaluation():

@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -336,12 +335,8 @@ except AssertionError as exc:
 """
 
 
-def test_projector_check_survives_python_O():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(lieform.__file__))]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-c", _NOT_IDEMPOTENT], env=env,
+def test_projector_check_survives_python_O(child_env):
+    out = subprocess.run([sys.executable, "-O", "-c", _NOT_IDEMPOTENT], env=child_env,
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "AssertionError projector 0 not idempotent"
 
@@ -421,6 +416,44 @@ def test_decompositions_match_pinned_digest():
         assert kind in outcomes
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "362e0dff2e098186db0399e6d08332529faf75d0d3ecc4b21eaf8c4b1e1c232d", digest
+
+
+def _lagrange_projectors(m):
+    """prod_{u != w} (h_lat - u)/(w - u) over QQ for each weight w, with
+    h_lat the grading operator in lattice coordinates."""
+    s = Matrix.hstack(*[m.pieces[w] for w in m.weights])
+    ws = [w for w in m.weights for _ in range(m.pieces[w].ncols)]
+    diag = Matrix.from_rows(QQ, [[ws[r] if r == c else 0 for c in range(len(ws))]
+                                 for r in range(len(ws))])
+    h_lat = inverse(m.lattice) @ s @ diag @ inverse(s) @ m.lattice
+    one = ident(m.ambient_dim)
+    projs = {}
+    for w in m.weights:
+        projs[w] = one
+        for u in m.weights:
+            if u != w:
+                projs[w] = projs[w] @ (h_lat - one.scale(Fraction(u))).scale(Fraction(1, w - u))
+    return projs
+
+
+def test_polynomial_route_projectors_are_the_lagrange_polynomials():
+    # the projectors are built from the saturations; where the weights are
+    # distinct mod p and h preserves the lattice they are, being unique,
+    # the interpolation polynomials in h
+    cases = [chain_from_highest(j, p) for p in (3, 5, 7) for j in range(1, p)]
+    for m in _sl2_corpus():
+        try:
+            if extend_torus(m).path == "polynomial-projectors":
+                cases.append(m)
+        except (lieform.ActionMissing, lieform.HypothesisNotMet):
+            pass
+    assert len(cases) > 15
+    for m in cases:
+        r = extend_torus(m)
+        assert r.success and r.path == "polynomial-projectors"
+        lagrange = _lagrange_projectors(m)
+        for w in m.weights:
+            assert r.projectors[w] == lagrange[w].map_to_ring(LocalizedAtP(m.p)), w
 
 
 def test_transports_keep_the_validators_invariants(monkeypatch):
