@@ -27,13 +27,12 @@ JacobiFailure), so `python -O` keeps them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, product
 
 from .liealg import LieAlgebra, _jacobi_defects
 from .matrices import Matrix, _commutator, _summed
-from .rings import RingSpec, Scalar, ZZ
+from .rings import Record, RingSpec, Scalar, ZZ
 from .roots import DynkinType, InvalidRank, RootSystem, build_root_system
 
 
@@ -45,13 +44,13 @@ class JacobiFailure(AssertionError):
     """A bracket table that breaks the Jacobi identity; names a failing pair."""
 
 
-@dataclass
-class ChevalleyPresentation:
+class ChevalleyPresentation(Record):
     dynkin: DynkinType
     root_system: RootSystem
     dim: int
     labels: tuple
-    table: dict = field(repr=False)        # (i,j) i<j -> tuple of (k, int)
+    table: dict                            # (i,j) i<j -> tuple of (k, int)
+    _unprinted = ("table",)
 
     @property
     def rank(self) -> int:
@@ -359,8 +358,7 @@ def _simple_triples(t: DynkinType):
     return trip, 2 * n
 
 
-@dataclass
-class MatrixRealization:
+class MatrixRealization(Record):
     presentation: ChevalleyPresentation
     module_rank: int
     matrices: tuple  # Matrix over Integers, one per basis label

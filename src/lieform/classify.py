@@ -7,14 +7,13 @@ characteristic-2 kernel witness in the B series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .chevalley import _build_presentation, chevalley_presentation, matrix_realization
 from .liealg import _ad_entries, _cell_det, _realization_entries, _trace_gram, killing_form
 from .matrices import Matrix, _commutator
-from .rings import PrimeField, ZZ
+from .rings import PrimeField, Record, ZZ
 from .roots import DynkinType, InvalidRank
 
 REASONS = ("P_EQ_2", "A_DIV", "B_DIV", "C_DIV", "D_DIV",
@@ -25,8 +24,7 @@ class NoConstantRatio(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PerfectnessVerdict:
+class PerfectnessVerdict(Record):
     dynkin: DynkinType
     p: int
     predicted: bool
@@ -124,8 +122,7 @@ EXPECTED_RATIO = {
 }
 
 
-@dataclass(frozen=True)
-class KernelWitness:
+class KernelWitness(Record):
     rank: int
     vectors: tuple          # 2n sparse matrices E_{0,i} over PrimeField(2)
     ideal_ok: bool

@@ -290,6 +290,8 @@ def cmd_verify(args) -> int:
         nrank = args.rank if args.rank is not None else 2
         inputs.update({"rank": nrank, "prime": p})
         results = _verify_kernel_b2(nrank, p)
+    elif args.type is None:
+        raise CliError("--type is required for suite %r" % suite)
     elif suite == "ratios":
         t = _parse_type(args)
         inputs["type"] = t.name

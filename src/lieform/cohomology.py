@@ -22,7 +22,6 @@ solve, `_solve`, serves every σ, also for `lift_automorphism`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -34,7 +33,8 @@ from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _bracket_defect,
 from .matrices import (Matrix, _degree_blocks, _dense, _graded_kernel,
                        _nonzero_product, _solve_by_blocks, _summed, inverse,
                        pivots, rank, solve_linear)
-from .rings import PrimeField, RingMismatch, RingSpec, UnsupportedRing, convert_raw
+from .rings import (PrimeField, Record, RingMismatch, RingSpec, UnsupportedRing,
+                    convert_raw)
 
 
 class DimensionTooLarge(Exception):
@@ -45,8 +45,7 @@ class NotACocycle(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CochainComplex:
+class CochainComplex(Record):
     """d0, d1, d2 as sparse `maps` {(row, col): raw} without zeros, with
     the `degrees` of the untwisted columns; a twisted complex keeps the
     `untwisted` one that it conjugates.  The dense views d0, d1, d2, the
@@ -56,9 +55,10 @@ class CochainComplex:
     twist: Optional[Matrix]
     pairs: tuple
     triples: tuple
-    maps: tuple = field(compare=False, repr=False)
-    degrees: tuple = field(compare=False, repr=False)
-    untwisted: Optional[CochainComplex] = field(default=None, compare=False, repr=False)
+    maps: tuple
+    degrees: tuple
+    untwisted: Optional[CochainComplex] = None
+    _hidden = ("maps", "degrees", "untwisted")
 
     def cochain_dim(self, degree: int) -> int:
         n = self.algebra.dim
@@ -145,7 +145,7 @@ def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
     maps = tuple(_nonzero_product(ring, kron(twist, comb(n, k + 1)).items(),
                                   _nonzero_product(ring, d.items(), kron(s_inv, comb(n, k))))
                  for k, d in enumerate(plain.maps))
-    return replace(plain, algebra=g, twist=twist, maps=maps, untwisted=plain)
+    return plain._replace(algebra=g, twist=twist, maps=maps, untwisted=plain)
 
 
 def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
@@ -228,8 +228,7 @@ def solve_coboundary(cx: CochainComplex, theta: Union[Matrix, Sequence]) -> Opti
 # ---------------------------------------------------------------------------
 # square-zero extensions and automorphism lifting
 
-@dataclass(frozen=True)
-class SquareZeroExtension:
+class SquareZeroExtension(Record):
     """A surjection total_ring -> quotient_ring whose kernel J squares to
     zero: Z/p^2 -> F_p with J = pZ/p^2, or F[eps] -> F with J = eps*F.
     J is free of rank one over the quotient on its generator pi (p or

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -46,7 +45,8 @@ from .matrices import (
     kernel,
     rank,
 )
-from .rings import RingMismatch, RingSpec, Scalar, UnsupportedRing, ZZ, convert_raw
+from .rings import (Record, RingMismatch, RingSpec, Scalar, UnsupportedRing, ZZ,
+                    convert_raw)
 from .roots import DynkinType, build_root_system
 
 
@@ -146,8 +146,7 @@ class LieAlgebra:
             raise ValueError("Jacobi fails on triple (%d,%d,%d)" % bad[0])
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Record):
     algebra: LieAlgebra
     gram: Matrix
 
@@ -158,8 +157,7 @@ class BilinearForm:
             raise AssertionError("Gram matrix is not symmetric")
 
 
-@dataclass(frozen=True)
-class CasimirTensor:
+class CasimirTensor(Record):
     """Omega = sum C[i,j] b_i (x) b_j with C the inverse Killing Gram."""
     algebra: LieAlgebra
     coefficients: Matrix

@@ -21,7 +21,6 @@ the one-block case.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
@@ -29,6 +28,7 @@ from typing import Optional, Sequence
 from .rings import (
     PrimeField,
     QQ,
+    Record,
     RingMismatch,
     RingSpec,
     Scalar,
@@ -50,14 +50,20 @@ class NotASubspace(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable row-major matrix of raw ring values."""
 
     ring: RingSpec
     nrows: int
     ncols: int
     data: tuple
+
+    def __init__(self, ring: RingSpec, nrows: int, ncols: int, data: tuple):
+        put = object.__setattr__
+        put(self, "ring", ring)
+        put(self, "nrows", nrows)
+        put(self, "ncols", ncols)
+        put(self, "data", data)
 
     # -- construction ------------------------------------------------------
     @staticmethod

@@ -14,7 +14,6 @@ the canonical maps between them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -107,8 +106,106 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class Record:
+    """Base of lieform's immutable records.  Its methods are written out
+    once here, not generated per class: generating them, with the imports
+    that takes, cost every lieform process about 20 ms at start-up.
+    `Matrix`, `PrimeField` and `DynkinType`, built often, write their own
+    `__init__`, which sets the same attributes without the generic loop.
+    Attributes are set one at a time: replacing an instance's `__dict__`
+    whole makes every later attribute read slower.
+
+    A subclass's fields are its annotated names, after those of its
+    bases, and a class attribute of the same name is a field's default.
+    Fields named in `_hidden` are left out of repr, == and hash; those in
+    `_unprinted` out of repr only.  An instance takes its fields
+    positionally or by keyword, then runs `__post_init__`.  The first ==
+    or hash keeps the tuple of its compared fields as `_key`: two records
+    are equal when they are of one class with equal keys, and a record
+    hashes as its key.  Assignment and deletion raise AttributeError;
+    `_replace(**changes)` makes a changed copy, through `__init__` and its
+    checks.
+    """
+
+    _fields = ()
+    _hidden = ()
+    _unprinted = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = fields = cls._fields + tuple(n for n in own if n not in cls._fields)
+        cls._defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
+        cls._compared = tuple(n for n in fields if n not in cls._hidden)
+        cls._shown = tuple(n for n in cls._compared if n not in cls._unprinted)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        put = object.__setattr__
+        for name, value in zip(fields, args):
+            put(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> tuple:
+        """The values of every field, in order, from a call's arguments and
+        the defaults; TypeError as for a function with these parameters."""
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError("%s() takes %d positional arguments but %d were given"
+                            % (name, len(fields), len(args)))
+        bound = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError("%s() got an unexpected keyword argument %r" % (name, key))
+            if key in bound:
+                raise TypeError("%s() got multiple values for argument %r" % (name, key))
+        bound = {**cls._defaults, **bound, **kwargs}
+        missing = [n for n in fields if n not in bound]
+        if missing:
+            raise TypeError("%s() missing required arguments: %s" % (name, ", ".join(missing)))
+        return tuple(bound[n] for n in fields)
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def _keep_key(self) -> tuple:
+        """The tuple of the compared fields, kept as `_key` for later == and hash."""
+        key = tuple(getattr(self, n) for n in self._compared)
+        object.__setattr__(self, "_key", key)
+        return key
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            try:
+                return self._key == other._key
+            except AttributeError:          # one of them not compared or hashed yet
+                return self._keep_key() == other._keep_key()
+        return NotImplemented
+
+    def __hash__(self):
+        try:
+            return hash(self._key)
+        except AttributeError:
+            return hash(self._keep_key())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (n, getattr(self, n)) for n in self._shown))
+
+    def _replace(self, **changes):
+        return type(self)(**{**{n: getattr(self, n) for n in self._fields}, **changes})
+
+
+class RingSpec(Record):
     """Base class for coefficient rings.
 
     Subclasses operate on raw values: Python ints for Integers and the
@@ -174,7 +271,6 @@ class _Numbers(RingSpec):
     mul = staticmethod(operator.mul)
 
 
-@dataclass(frozen=True)
 class Integers(_Numbers):
     kind = "integers"
 
@@ -199,7 +295,6 @@ class Integers(_Numbers):
         raise NotAUnit("%d is not a unit in Z" % a)
 
 
-@dataclass(frozen=True)
 class Rationals(_Numbers):
     kind = "rationals"
     is_field = True
@@ -230,7 +325,7 @@ class Rationals(_Numbers):
 
 class _Residues(RingSpec):
     """Z/p^k on residues in [0, modulus), for a prime p and k >= 1; the
-    subclasses are dataclasses with the field p, and k a field or a class
+    subclasses are records with the field p, and k a field or a class
     attribute."""
 
     is_local = True
@@ -278,15 +373,20 @@ class _Residues(RingSpec):
         return pow(a, -1, self.modulus)
 
 
-@dataclass(frozen=True)
 class PrimeField(_Residues):
     p: int
     kind = "prime_field"
     k = 1
     is_field = True
 
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError("%d is not prime" % p)
+        put = object.__setattr__
+        put(self, "p", p)
+        put(self, "modulus", p)
 
-@dataclass(frozen=True)
+
 class IntegersModPk(_Residues):
     p: int
     k: int
@@ -303,7 +403,6 @@ class IntegersModPk(_Residues):
         return b // pv * self.inv(a // pv) % self.modulus
 
 
-@dataclass(frozen=True)
 class LocalizedAtP(_Numbers):
     """Rationals with denominator coprime to p (the localization Z_(p))."""
 
@@ -352,7 +451,6 @@ class LocalizedAtP(_Numbers):
         return format_rational(a)
 
 
-@dataclass(frozen=True)
 class DualNumbers(RingSpec):
     """base[eps] with eps^2 = 0; raw values are pairs (a, b) = a + b*eps."""
 
@@ -416,8 +514,7 @@ ZZ = Integers()
 QQ = Rationals()
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Record):
     """An exact scalar tagged with its ring; arithmetic enforces same-ring."""
 
     ring: RingSpec

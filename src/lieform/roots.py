@@ -7,13 +7,13 @@ H_i on the root space of beta is the i-th entry of A @ coords(beta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable
 
 from .matrices import _bareiss_det_int
+from .rings import Record
 
 
 class InvalidRank(Exception):
@@ -41,16 +41,18 @@ _ROOT_COUNT = {
 }
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(Record):
     series: str
     rank: int
 
-    def __post_init__(self):
-        if self.series not in _RANK_RULES:
-            raise InvalidRank("unknown series %r" % (self.series,))
-        if not isinstance(self.rank, int) or not _RANK_RULES[self.series](self.rank):
-            raise InvalidRank("no type %s%s" % (self.series, self.rank))
+    def __init__(self, series: str, rank: int):
+        if series not in _RANK_RULES:
+            raise InvalidRank("unknown series %r" % (series,))
+        if not isinstance(rank, int) or not _RANK_RULES[series](rank):
+            raise InvalidRank("no type %s%s" % (series, rank))
+        put = object.__setattr__
+        put(self, "series", series)
+        put(self, "rank", rank)
 
     @property
     def name(self) -> str:
@@ -123,15 +125,16 @@ def _symmetrizer(cartan: tuple) -> tuple:
     return tuple(v // g for v in ints)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     dynkin: DynkinType
     cartan: tuple
     positive_roots: tuple      # canonical order: height, then lex
     roots: tuple               # positives then matching negatives
     symmetrizer: tuple
-    _root_set: frozenset = field(repr=False)
-    _index: dict = field(repr=False, compare=False)
+    _root_set: frozenset
+    _index: dict
+    _hidden = ("_index",)
+    _unprinted = ("_root_set",)
 
     @property
     def rank(self) -> int:
@@ -264,8 +267,7 @@ def center_order(t: DynkinType) -> int:
     return abs(_bareiss_det_int([list(r) for r in cartan_matrix(t)]))
 
 
-@dataclass(frozen=True)
-class PTypeReport:
+class PTypeReport(Record):
     set: tuple
     p: int
     is_type1: bool

@@ -14,13 +14,12 @@ and the degree-truncated exponential of a nilpotent operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Optional
 
 from .matrices import Matrix, det, inverse, pivots, rank, saturate, solve_linear
-from .rings import (LocalizedAtP, PrimeField, QQ, RingSpec, format_rational,
+from .rings import (LocalizedAtP, PrimeField, QQ, Record, RingSpec, format_rational,
                     is_prime, parse_rational, pvaluation)
 from .roots import PTypeReport, classify_p_type
 
@@ -53,8 +52,7 @@ class SchemaError(Exception):
 _ACTION_KEYS = ("h", "x", "y")
 
 
-@dataclass(frozen=True)
-class WeightedModule:
+class WeightedModule(Record):
     p: int
     lattice: Matrix                  # rational, columns = lattice basis
     weights: tuple                   # strictly increasing integers
@@ -265,8 +263,7 @@ def conjugate(m: WeightedModule, u: Matrix) -> WeightedModule:
 # ---------------------------------------------------------------------------
 # the torus-extension algorithm
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     success: bool
     pieces: dict                     # weight -> rational basis of M ∩ M_wK
     projectors: dict                 # weight -> Matrix over Z_(p), lattice coords

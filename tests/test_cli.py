@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import os
 import subprocess
@@ -188,7 +187,8 @@ def test_no_command_loads_numpy(child_env):
 
 
 def test_package_imports_only_the_stdlib():
-    # every import in src/lieform names a stdlib module or lieform itself
+    # every import in src/lieform names a stdlib module or lieform itself,
+    # never dataclasses, and no code is compiled at run time by exec or eval
     pkg = os.path.dirname(lieform.__file__)
     foreign = []
     for name in sorted(os.listdir(pkg)):
@@ -201,11 +201,36 @@ def test_package_imports_only_the_stdlib():
                 targets = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 targets = [node.module]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("exec", "eval")):
+                targets = [node.func.id + "()"]
             else:
                 continue
             foreign += ["%s:%d %s" % (name, node.lineno, t) for t in targets
-                        if t.split(".")[0] not in sys.stdlib_module_names | {"lieform"}]
+                        if t.split(".")[0] not in sys.stdlib_module_names | {"lieform"}
+                        or t.split(".")[0] == "dataclasses"]
     assert foreign == []
+
+
+@pytest.mark.parametrize("argv", [["classify", "--type", "A1", "--prime", "5"],
+                                  ["sl2-decompose", "--builtin", "chain:3", "--prime", "5"]],
+                         ids=["classify", "sl2-decompose"])
+def test_commands_load_no_code_generation_modules(child_env, argv):
+    # dataclasses and the modules it pulls in (inspect, ast, dis, tokenize)
+    # took about 20 ms of every lieform process to import and run
+    code = ("import json, runpy, sys\n"
+            "sys.argv = ['lieform'] + %r\n"
+            "try:\n"
+            "    runpy.run_module('lieform', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "sys.stderr.write(json.dumps(sorted(sys.modules)))\n" % (argv,))
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stdout)["status"] == "OK"
+    loaded = set(json.loads(proc.stderr))
+    assert "lieform.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
 def test_verify_derivations_f4_within_two_gigabytes(child_env):
@@ -312,7 +337,7 @@ def test_verify_cohomology_above_the_dimension_bound_is_error(capsys):
 def test_jacobi_failure_is_an_error_envelope(capsys, monkeypatch):
     pres = lieform.chevalley_presentation(lieform.DynkinType("B", 3))
     (k, c), = pres.table[(3, 4)]
-    bad = dataclasses.replace(pres, table={**pres.table, (3, 4): ((k, c + 1),)})
+    bad = pres._replace(table={**pres.table, (3, 4): ((k, c + 1),)})
     monkeypatch.setattr(cli, "chevalley_presentation",
                         lambda t: lieform.verify_jacobi(bad) and bad)
     code, doc, _ = run_json(capsys, ["verify", "--suite", "casimir",
@@ -380,6 +405,20 @@ def test_verify_missing_prime(capsys):
     code, doc, _ = run_json(capsys, ["verify", "--suite", "casimir",
                                      "--type", "A1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("suite,extra", [("ratios", ["--rank", "3"]),
+                                         ("casimir", ["--prime", "5"]),
+                                         ("derivations", ["--prime", "5"]),
+                                         ("cohomology", ["--rank", "2", "--prime", "5"])])
+def test_verify_suite_without_type_is_an_error(capsys, suite, extra):
+    code, doc, err = run_json(capsys, ["verify", "--suite", suite] + extra)
+    assert code == 1
+    assert doc["status"] == "ERROR"
+    assert doc["inputs"] == {"suite": suite}
+    assert doc["results"] == {"error": "CliError",
+                              "message": "--type is required for suite %r" % suite}
+    assert err == "error: --type is required for suite %r\n" % suite
 
 
 def test_sl2_decompose_builtin_chain(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import subprocess
@@ -410,7 +409,7 @@ def test_corrupted_d2_fails_the_cocycle_check(monkeypatch):
         entries = dict(d2)
         for c in range(dim * dim * (dim - 1) // 2):
             entries[(c, c)] = ring.add(entries.get((c, c), ring.zero()), 1)
-        return dataclasses.replace(cx, maps=(d0, d1, entries))
+        return cx._replace(maps=(d0, d1, entries))
 
     monkeypatch.setattr(cohomology, "_untwisted_complex", corrupted)
     g = SL3.to_lie_algebra(ZZ)

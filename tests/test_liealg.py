@@ -13,10 +13,10 @@ from lieform import (DimensionMismatch, DualNumbers, DynkinType, IntegersModPk,
                      LieAlgebra, LocalizedAtP, Matrix, NotPerfect, PrimeField, QQ, Singular,
                      ZZ, apply_endo_to_casimir, base_change, casimir,
                      casimir_operator, center_basis, chevalley_involution,
-                     chevalley_presentation, derivation_algebra, det, inverse,
+                     chevalley_presentation, derivation_algebra, det, form_kernel, inverse,
                      is_lie_automorphism, is_perfect, killing_form,
                      matrix_realization, rank, solve_linear, torus_automorphism,
-                     trace_form, triple_flip)
+                     trace_form, triple_flip, UnsupportedRing)
 from lieform.cli import _table_types
 
 F3 = PrimeField(3)
@@ -323,6 +323,25 @@ def test_killing_rank_drops_at_bad_primes():
     assert rank(killing_form(g3).gram) < 8   # p = 3 divides n + 1
     g5 = chevalley_presentation(DynkinType("A", 2)).to_lie_algebra(F5)
     assert rank(killing_form(g5).gram) == 8
+
+
+@pytest.mark.parametrize("name,p,dim", [("A2", 5, 0), ("A1", 2, 3), ("A3", 2, 15), ("G2", 3, 7)])
+def test_form_kernel_spans_the_radical(name, p, dim):
+    # empty for a perfect form; else independent columns v with Gram v = 0,
+    # as many as the Gram matrix's corank
+    g = chevalley_presentation(DynkinType(name[0], int(name[1:]))).to_lie_algebra(PrimeField(p))
+    f = killing_form(g)
+    k = form_kernel(f)
+    assert (k.nrows, k.ncols) == (g.dim, dim)
+    assert dim == g.dim - rank(f.gram)
+    if dim:
+        assert rank(k) == dim
+        assert f.gram @ k == Matrix.zeros(f.gram.ring, g.dim, dim)
+
+
+def test_form_kernel_refuses_the_integers():
+    with pytest.raises(UnsupportedRing):
+        form_kernel(killing_form(SL2.to_lie_algebra(ZZ)))
 
 
 # the largest prime below 2^21: int64 products of residues sit near 2^42
