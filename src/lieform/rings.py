@@ -106,12 +106,22 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(s))
 
 
+def _key_getter(names: tuple):
+    """A function from a record to the tuple of its fields `names`."""
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        get = operator.attrgetter(names[0])
+        return lambda record: (get(record),)
+    return lambda record: ()
+
+
 class Record:
     """Base of lieform's immutable records.  Its methods are written out
     once here, not generated per class: generating them, with the imports
     that takes, cost every lieform process about 20 ms at start-up.
-    `Matrix`, `PrimeField` and `DynkinType`, built often, write their own
-    `__init__`, which sets the same attributes without the generic loop.
+    `Matrix`, built thousands of times a job, writes its own `__init__`,
+    which sets the same attributes without the generic loop.
     Attributes are set one at a time: replacing an instance's `__dict__`
     whole makes every later attribute read slower.
 
@@ -119,10 +129,10 @@ class Record:
     bases, and a class attribute of the same name is a field's default.
     Fields named in `_hidden` are left out of repr, == and hash; those in
     `_unprinted` out of repr only.  An instance takes its fields
-    positionally or by keyword, then runs `__post_init__`.  The first ==
-    or hash keeps the tuple of its compared fields as `_key`: two records
-    are equal when they are of one class with equal keys, and a record
-    hashes as its key.  Assignment and deletion raise AttributeError;
+    positionally or by keyword, then runs `__post_init__`.  Its key is
+    the tuple of its compared fields, read by the class's `_keyof`: two
+    records are equal when they are of one class with equal keys, and a
+    record hashes as its key.  Assignment and deletion raise AttributeError;
     `_replace(**changes)` makes a changed copy, through `__init__` and its
     checks.
     """
@@ -138,6 +148,7 @@ class Record:
         cls._defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
         cls._compared = tuple(n for n in fields if n not in cls._hidden)
         cls._shown = tuple(n for n in cls._compared if n not in cls._unprinted)
+        cls._keyof = staticmethod(_key_getter(cls._compared))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -151,22 +162,14 @@ class Record:
     @classmethod
     def _bind(cls, args, kwargs) -> tuple:
         """The values of every field, in order, from a call's arguments and
-        the defaults; TypeError as for a function with these parameters."""
-        name, fields = cls.__name__, cls._fields
-        if len(args) > len(fields):
-            raise TypeError("%s() takes %d positional arguments but %d were given"
-                            % (name, len(fields), len(args)))
-        bound = dict(zip(fields, args))
-        for key in kwargs:
-            if key not in fields:
-                raise TypeError("%s() got an unexpected keyword argument %r" % (name, key))
-            if key in bound:
-                raise TypeError("%s() got multiple values for argument %r" % (name, key))
-        bound = {**cls._defaults, **bound, **kwargs}
-        missing = [n for n in fields if n not in bound]
-        if missing:
-            raise TypeError("%s() missing required arguments: %s" % (name, ", ".join(missing)))
-        return tuple(bound[n] for n in fields)
+        the defaults; TypeError unless they give each field exactly once."""
+        fields = cls._fields
+        given = dict(zip(fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(args) > len(fields) or given.keys() & kwargs.keys() or values.keys() != set(fields):
+            raise TypeError("%s() takes the fields %s, not %d positional arguments and the keywords %s"
+                            % (cls.__name__, ", ".join(fields), len(args), ", ".join(kwargs) or "none"))
+        return tuple(values[n] for n in fields)
 
     def __post_init__(self):
         pass
@@ -177,25 +180,13 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % (name,))
 
-    def _keep_key(self) -> tuple:
-        """The tuple of the compared fields, kept as `_key` for later == and hash."""
-        key = tuple(getattr(self, n) for n in self._compared)
-        object.__setattr__(self, "_key", key)
-        return key
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            try:
-                return self._key == other._key
-            except AttributeError:          # one of them not compared or hashed yet
-                return self._keep_key() == other._keep_key()
+            return self._keyof(self) == self._keyof(other)
         return NotImplemented
 
     def __hash__(self):
-        try:
-            return hash(self._key)
-        except AttributeError:
-            return hash(self._keep_key())
+        return hash(self._keyof(self))
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
@@ -378,13 +369,6 @@ class PrimeField(_Residues):
     kind = "prime_field"
     k = 1
     is_field = True
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError("%d is not prime" % p)
-        put = object.__setattr__
-        put(self, "p", p)
-        put(self, "modulus", p)
 
 
 class IntegersModPk(_Residues):

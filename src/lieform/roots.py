@@ -45,14 +45,11 @@ class DynkinType(Record):
     series: str
     rank: int
 
-    def __init__(self, series: str, rank: int):
-        if series not in _RANK_RULES:
-            raise InvalidRank("unknown series %r" % (series,))
-        if not isinstance(rank, int) or not _RANK_RULES[series](rank):
-            raise InvalidRank("no type %s%s" % (series, rank))
-        put = object.__setattr__
-        put(self, "series", series)
-        put(self, "rank", rank)
+    def __post_init__(self):
+        if self.series not in _RANK_RULES:
+            raise InvalidRank("unknown series %r" % (self.series,))
+        if not isinstance(self.rank, int) or not _RANK_RULES[self.series](self.rank):
+            raise InvalidRank("no type %s%s" % (self.series, self.rank))
 
     @property
     def name(self) -> str:
