@@ -114,11 +114,14 @@ def _automorphism_inverse(g: LieAlgebra, sigma: Matrix) -> Matrix:
     return s_inv
 
 
-def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
-    """The complex behind `ce_complex`: d0, d1, d2 from
-    `liealg._differential`, untwisted column degrees from
-    `liealg._cochain_degrees`; a twisted complex conjugates the cached
-    `_untwisted_complex` of g's table."""
+def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
+    """Differentials d0, d1, d2 of the coefficient module g, the action of
+    x being bracketing with twist(x), an automorphism over g's ring checked
+    before anything is built.  Exact over the base field; d2∘d1 = 0 is
+    checked on construction, and d1∘d0 = 0 is the Jacobi identity of g's
+    table.  d0, d1, d2 come from `liealg._differential` and the untwisted
+    column degrees from `liealg._cochain_degrees`; a twisted complex
+    conjugates the cached `_untwisted_complex` of g's table."""
     ring = g.ring
     if not ring.is_field:
         raise UnsupportedRing("cochain complexes need a field, got %r" % (ring,))
@@ -148,20 +151,11 @@ def _complex(g: LieAlgebra, twist: Optional[Matrix]) -> CochainComplex:
     return plain._replace(algebra=g, twist=twist, maps=maps, untwisted=plain)
 
 
-def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
-    """Differentials d0, d1, d2 of the coefficient module g, the action of
-    x being bracketing with twist(x), an automorphism over g's ring checked
-    before anything is built.  Exact over the base field; d2∘d1 = 0 is
-    checked on construction, and d1∘d0 = 0 is the Jacobi identity of g's
-    table."""
-    return _complex(g, twist)
-
-
 @lru_cache(maxsize=None)
 def _untwisted_complex(ring: RingSpec, dim: int, table: tuple, dynkin) -> CochainComplex:
     """The untwisted complex of the algebra with this sorted table and
     `dynkin` label."""
-    return _complex(LieAlgebra(ring, dim, dict(table), dynkin=dynkin, check=False), None)
+    return ce_complex(LieAlgebra(ring, dim, dict(table), dynkin=dynkin, check=False))
 
 
 def cohomology_dim(cx: CochainComplex, degree: int) -> int:

@@ -274,9 +274,10 @@ def _off_cells(wt: list, kappa: dict) -> list:
 def _cell_det(ring: RingSpec, wt: list, kappa: dict):
     """det of the form with nonzero entries kappa {(i, j): raw} on basis
     vectors of degrees wt, by cells: det = (-1)^m prod_d det kappa[D_d, D_-d],
-    D_d the basis vectors of degree d and m half those of nonzero degree
-    (zero if some |D_d| != |D_-d|).  Every entry must lie in its cell,
-    wt(i) + wt(j) = 0; the least one that does not raises AssertionError."""
+    D_d the basis vectors of degree d and m half those of nonzero degree.
+    The weights are a root system's or all (), so |D_d| = |D_-d|.  Every
+    entry must lie in its cell, wt(i) + wt(j) = 0; the least one that does
+    not raises AssertionError."""
     off = _off_cells(wt, kappa)
     if off:
         raise AssertionError("form entry %s lies off the degree cells" % (min(off),))
@@ -287,8 +288,6 @@ def _cell_det(ring: RingSpec, wt: list, kappa: dict):
     out = ring.one() if sum(map(any, wt)) // 2 % 2 == 0 else ring.neg(ring.one())
     for w, rows in blocks.items():
         cols = blocks.get(tuple(-x for x in w), ())
-        if len(cols) != len(rows):
-            return zero
         cell = tuple(kappa.get((r, c), zero) for r in rows for c in cols)
         out = ring.mul(out, det(Matrix(ring, len(rows), len(cols), cell)))
     return out

@@ -201,46 +201,24 @@ class RingSpec(Record):
 
     Subclasses operate on raw values: Python ints for Integers and the
     finite rings, Fraction for Rationals and LocalizedAtP, and a pair of
-    base-ring raw values for DualNumbers.
+    base-ring raw values for DualNumbers.  Each concrete ring defines
+    from_int, coerce (canonicalize arbitrary user input into a raw value),
+    add, neg, mul, is_unit and inv.
     """
 
     kind = "abstract"
 
-    # -- structure ---------------------------------------------------------
     def zero(self):
         return self.from_int(0)
 
     def one(self):
         return self.from_int(1)
 
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def coerce(self, v):
-        """Canonicalize arbitrary user input into a raw value."""
-        raise NotImplementedError
-
-    # -- arithmetic on raw values -----------------------------------------
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
         return not a
-
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     # -- presentation ------------------------------------------------------
     def fmt(self, a) -> str:

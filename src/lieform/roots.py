@@ -12,8 +12,8 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable
 
-from .matrices import _bareiss_det_int
-from .rings import Record
+from .matrices import Matrix, det
+from .rings import ZZ, Record
 
 
 class InvalidRank(Exception):
@@ -99,17 +99,14 @@ def _symmetrizer(cartan: tuple) -> tuple:
     n = len(cartan)
     d = [None] * n
     d[0] = Fraction(1)
-    # connected diagram: propagate along bonds
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if d[i] is None:
-                continue
-            for j in range(n):
-                if i != j and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                    changed = True
+    # connected diagram: propagate along bonds from node 0
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                todo.append(j)
     if any(v is None for v in d):
         raise AssertionError("Cartan matrix %s is not connected" % (cartan,))
     denom = 1
@@ -261,7 +258,7 @@ def build_root_system(t: DynkinType) -> RootSystem:
 
 
 def center_order(t: DynkinType) -> int:
-    return abs(_bareiss_det_int([list(r) for r in cartan_matrix(t)]))
+    return abs(det(Matrix.from_rows(ZZ, cartan_matrix(t))))
 
 
 class PTypeReport(Record):

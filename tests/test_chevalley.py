@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import lieform
-from lieform import (DualNumbers, DynkinType, IntegersModPk, Matrix, NotClassical,
+from lieform import (DualNumbers, DynkinType, IntegersModPk, InvalidRank, Matrix, NotClassical,
                      PrimeField, QQ, ZZ, chevalley_involution, chevalley_presentation,
                      is_lie_automorphism, kernel, matrix_realization,
                      torus_automorphism, triple_flip, verify_jacobi)
-from lieform.chevalley import JacobiFailure, _generators, _root_data
+from lieform.chevalley import JacobiFailure, _generators, _root_data, _simple_triples
 from lieform.cli import _table_types
 
 F5 = PrimeField(5)
@@ -572,8 +572,39 @@ except AssertionError as exc:
     ("nab[key] *= 2", "|N(a, b)| = p + 1 fails for B3"),
     ("nab[key] = -nab[key]", "N(b, a) = -N(a, b) fails for B3"),
     ("del nab[key]", "N != 0 exactly where a + b is a root fails for B3"),
-], ids=["doubled", "sign-flipped", "dropped"])
+    ("nab[key] = -nab[key]; nab[key[::-1]] = -nab[key[::-1]]",
+     "N(-a, -b) = -N(a, b) fails for B3"),
+], ids=["doubled", "sign-flipped", "dropped", "pair-sign-flipped"])
 def test_constant_checks_survive_python_O(edit, rule, child_env):
     out = subprocess.run([sys.executable, "-O", "-c", _FAULT.format(edit=edit)],
                          env=child_env, check=True, capture_output=True, text=True).stdout
     assert out.startswith("AssertionError " + rule)
+
+
+A2 = DynkinType("A", 2)
+
+# (call, error class, message): the named errors of the presentation layer
+CHEVALLEY_ERRORS = [
+    (lambda: chevalley_presentation(DynkinType("A", 9)), InvalidRank,
+     "structure constants capped at rank 8, got A9"),
+    (lambda: matrix_realization(DynkinType("G", 2)), NotClassical,
+     "no defining realization for series G"),
+    (lambda: _simple_triples(DynkinType("E", 6)), NotClassical,
+     "no defining realization for series E"),
+    (lambda: torus_automorphism(chevalley_presentation(A2), F5, 10), ValueError,
+     "torus parameter must be a unit"),
+    (lambda: triple_flip(chevalley_presentation(A2), F5, (2, 0)), ValueError,
+     "(2, 0) has no odd coordinate, so it is not a root"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", CHEVALLEY_ERRORS)
+def test_chevalley_named_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_matrix_realization_is_integral():
+    rl = matrix_realization(DynkinType("C", 2))
+    assert rl.ring == ZZ and all(m.ring == ZZ for m in rl.matrices)

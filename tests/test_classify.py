@@ -5,6 +5,8 @@ import tracemalloc
 
 import pytest
 
+import lieform.classify
+
 from lieform import (DynkinType, EXPECTED_RATIO, InvalidRank, NoConstantRatio,
                      PrimeField, b_series_kernel_witness, build_root_system,
                      chevalley_presentation, det, oracle_perfect, predict_perfect,
@@ -182,3 +184,38 @@ def test_oracle_keeps_one_type_at_a_time():
         tracemalloc.stop()
     assert chevalley_presentation.cache_info().currsize == cached
     assert retained < 2 * 2**20
+
+
+@pytest.mark.parametrize("killing,trace,message", [
+    ({(0, 0): 4}, {}, "Killing entry without trace entry in A1"),
+    ({(0, 0): 3}, {(0, 0): 2}, "non-integer entry ratio in A1"),
+    ({(0, 0): 4, (0, 1): 6}, {(0, 0): 2, (0, 1): 2}, "entry ratios disagree in A1"),
+    ({}, {}, "zero trace form in A1"),
+], ids=["missing-trace-entry", "non-integer", "disagree", "zero-trace-form"])
+def test_ratio_check_refuses_forms_without_a_constant_ratio(monkeypatch, killing, trace,
+                                                            message):
+    # the two sparse Grams that ratio_check compares, replaced by these
+    grams = iter([killing, trace])
+    monkeypatch.setattr(lieform.classify, "_trace_gram", lambda ring, entries: next(grams))
+    with pytest.raises(NoConstantRatio) as exc:
+        ratio_check(DynkinType("A", 1))
+    assert str(exc.value) == message
+
+
+# (call, error class, message): the named errors of the classification layer
+CLASSIFY_ERRORS = [
+    (lambda: oracle_perfect(DynkinType("A", 9), 5), InvalidRank,
+     "oracle capped at rank 8, got A9"),
+    (lambda: ratio_check(DynkinType("E", 6)), NoConstantRatio,
+     "ratio defined for classical series only"),
+    (lambda: b_series_kernel_witness(9), InvalidRank, "witness computed for 1 <= n <= 8, got 9"),
+    (lambda: b_series_kernel_witness(2, p=3), ValueError,
+     "the witness ideal exists only in characteristic 2"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", CLASSIFY_ERRORS)
+def test_classify_named_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

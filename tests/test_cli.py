@@ -284,6 +284,25 @@ def test_verify_casimir_checks_each_distinct_triple_flip_once(capsys, monkeypatc
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("operator, commutes", [
+    (lambda ring, n: lieform.Matrix.identity(ring, n).scale(2), True),
+    (lambda ring, n: lieform.Matrix.from_rows(
+        ring, [[int((i, j) == (0, 1)) for j in range(n)] for i in range(n)]), False),
+], ids=["twice-identity", "matrix-unit"])
+def test_verify_casimir_multiplies_only_an_operator_that_is_not_the_identity(
+        capsys, monkeypatch, operator, commutes):
+    # 2·I commutes with every ad x and a matrix unit does not: the products
+    # of the commute check run whenever the operator is not the identity
+    monkeypatch.setattr(cli, "casimir_operator",
+                        lambda ct: operator(ct.coefficients.ring, ct.coefficients.nrows))
+    code, doc, _ = run_json(capsys, ["verify", "--suite", "casimir",
+                                     "--type", "A2", "--prime", "5"])
+    checks = {c["name"]: c["pass"] for c in doc["results"]["checks"]}
+    assert code == 2 and doc["status"] == "MISMATCH"
+    assert checks["operator-is-identity"] is False
+    assert checks["operator-commutes-with-ad"] is commutes
+
+
 def test_verify_casimir_degenerate_prime_is_error(capsys):
     code, doc, _ = run_json(capsys, ["verify", "--suite", "casimir",
                                      "--type", "A1", "--prime", "2"])
@@ -535,6 +554,67 @@ def test_error_envelope_carries_the_inputs_parsed_before_the_error(capsys, argv,
     assert doc["status"] == "ERROR"
     assert doc["results"]["error"] == error
     assert doc["inputs"] == inputs
+
+
+# (argv, the --sigma file's content or None, inputs, message): each is a
+# CliError ERROR envelope with exit 1, its message also on stderr
+CLI_ERRORS = [
+    (["classify", "--type", " ", "--prime", "5"], None, {}, "--type must not be empty"),
+    (["classify", "--type", "Ax", "--prime", "5"], None, {}, "unparseable type 'Ax'"),
+    (["classify", "--type", "A", "--prime", "5"], None, {},
+     "--rank is required when --type is a bare series letter"),
+    (["table", "--primes", "2,x"], None, {}, "unparseable prime 'x'"),
+    (["table", "--primes", " , "], None, {}, "--primes selected nothing"),
+    (["sl2-decompose", "--builtin", "chain:2"], None, {"builtin": "chain:2"},
+     "--prime is required with --builtin"),
+    (["sl2-decompose", "--builtin", "chain:x", "--prime", "5"], None,
+     {"builtin": "chain:x", "p": 5}, "malformed --builtin 'chain:x'"),
+    (["sl2-decompose", "--builtin", "spiral", "--prime", "5"], None,
+     {"builtin": "spiral", "p": 5}, "unknown --builtin 'spiral' (chain:j or counterexample)"),
+    (["lift-aut", "--type", "A1", "--prime", "5"], {"rows": [[1]]},
+     {"type": "A1", "prime": 5, "sigma": "sigma.json"},
+     "--sigma file must hold a JSON array of integer rows"),
+    (["lift-aut", "--type", "A1", "--prime", "5"], [[1, 0, 0], [0, "1", 0], [0, 0, 1]],
+     {"type": "A1", "prime": 5, "sigma": "sigma.json"}, "--sigma entries must be integers"),
+]
+
+
+@pytest.mark.parametrize("argv,sigma,inputs,message", CLI_ERRORS,
+                         ids=[m for _, _, _, m in CLI_ERRORS])
+def test_cli_errors_name_their_input(capsys, tmp_path, argv, sigma, inputs, message):
+    if sigma is not None:
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(sigma))
+        argv = argv + ["--sigma", str(path)]
+    code, doc, err = run_json(capsys, argv)
+    assert code == 1 and doc["status"] == "ERROR"
+    assert doc["inputs"] == inputs
+    assert doc["results"] == {"error": "CliError", "message": message}
+    assert err == "error: %s\n" % message
+
+
+def test_table_skips_empty_prime_entries(capsys):
+    code, doc, _ = run_json(capsys, ["table", "--max-rank", "1", "--primes", "5,,3,"])
+    assert code == 0 and doc["inputs"]["primes"] == [3, 5]
+
+
+def test_table_disagreement_exits_two(capsys, monkeypatch):
+    # an oracle that disagrees on one row makes the table a MISMATCH
+    def disagreeing(t, p):
+        v = lieform.predict_perfect(t, p)
+        return lieform.PerfectnessVerdict(t, p, v.predicted, v.reason,
+                                          v.predicted != (t.name == "A2" and p == 5))
+
+    monkeypatch.setattr(cli, "verdict_with_oracle", disagreeing)
+    code, doc, _ = run_json(capsys, ["table", "--max-rank", "2", "--primes", "5,7",
+                                     "--oracle"])
+    assert code == 2 and doc["status"] == "MISMATCH"
+    assert doc["results"]["all_agree"] is False
+    assert [(r["series"], r["rank"], r["p"]) for r in doc["results"]["rows"]
+            if not r["agree"]] == [("A", 2, 5)]
+    code, out, _ = run(capsys, ["table", "--max-rank", "2", "--primes", "5,7",
+                                "--oracle", "--format", "csv"])
+    assert code == 2 and "A,2,5,true,PERFECT,false,false" in out
 
 
 def test_envelope_reports_tool_version(capsys):

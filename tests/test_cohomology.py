@@ -324,10 +324,15 @@ def test_lift_equals_twisted_solve(total, name):
 
 
 def test_lifts_share_one_untwisted_complex(monkeypatch):
-    def no_twisted_complex(*args, **kwargs):
-        raise RuntimeError("lift_automorphism built a cochain complex")
+    real, built = cohomology.ce_complex, []
 
-    monkeypatch.setattr(cohomology, "ce_complex", no_twisted_complex)
+    def untwisted_only(g, twist=None):
+        if twist is not None:
+            raise RuntimeError("lift_automorphism built a twisted cochain complex")
+        built.append(g.dim)
+        return real(g)
+
+    monkeypatch.setattr(cohomology, "ce_complex", untwisted_only)
     pres = chevalley_presentation(DynkinType("B", 2))
     g = pres.to_lie_algebra(ZZ)
     ext = square_zero_extension(IntegersModPk(5, 2))
@@ -337,6 +342,7 @@ def test_lifts_share_one_untwisted_complex(monkeypatch):
         lift_automorphism(g, ext, _seeded_automorphism(pres, F5, rng))
     info = cohomology._untwisted_complex.cache_info()
     assert (info.misses, info.hits) == (1, 9)
+    assert built == [10]    # the one untwisted complex, built on the cache miss
 
 
 def test_twists_share_one_untwisted_complex():
@@ -561,3 +567,26 @@ def test_only_d2_has_the_dimension_bound():
     assert center_basis(g).ncols == 0
     with pytest.raises(DimensionTooLarge):
         ce_complex(g)
+
+
+# (call, error class, message): the named errors of the cohomology layer
+# that the tests above do not reach
+Z25_EXT = square_zero_extension(IntegersModPk(5, 2))
+COHOMOLOGY_ERRORS = [
+    (lambda: solve_coboundary(ce_complex(SL2.to_lie_algebra(F5)), [0] * 8), ValueError,
+     "expected a 9 x 1 column"),
+    (lambda: solve_coboundary(ce_complex(SL2.to_lie_algebra(F5)), Matrix.zeros(F7, 9, 1)),
+     RingMismatch, "PrimeField(p=5) vs PrimeField(p=7)"),
+    (lambda: Z25_EXT.j_extract(3), ValueError, "value not in the square-zero ideal"),
+    (lambda: lift_automorphism(SL2.to_lie_algebra(F5), Z25_EXT, Matrix.identity(F5, 3)),
+     UnsupportedRing, "lifting starts from an integral table"),
+    (lambda: lift_automorphism(SL2.to_lie_algebra(ZZ), Z25_EXT, Matrix.identity(F7, 3)),
+     NotAutomorphism, "matrix is over PrimeField(p=7), expected PrimeField(p=5)"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", COHOMOLOGY_ERRORS)
+def test_cohomology_named_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

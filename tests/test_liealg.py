@@ -15,7 +15,7 @@ from lieform import (DimensionMismatch, DualNumbers, DynkinType, IntegersModPk,
                      casimir_operator, center_basis, chevalley_involution,
                      chevalley_presentation, derivation_algebra, det, form_kernel, inverse,
                      is_lie_automorphism, is_perfect, killing_form,
-                     matrix_realization, rank, solve_linear, torus_automorphism,
+                     matrix_realization, rank, RingMismatch, solve_linear, torus_automorphism,
                      trace_form, triple_flip, UnsupportedRing)
 from lieform.cli import _table_types
 
@@ -891,3 +891,32 @@ def test_public_names_are_the_liealg_functions():
                  "is_lie_automorphism", "casimir", "casimir_operator",
                  "base_change"):
         assert getattr(lieform.liealg, name) is getattr(lieform, name), name
+
+
+# (call, error class, message): the named errors of the algebra layer that
+# the tests above do not reach
+LIEALG_ERRORS = [
+    (lambda: LieAlgebra(QQ, 3, {(1, 0): ((2, 1),)}), DimensionMismatch, "bad pair (1, 0)"),
+    (lambda: LieAlgebra(QQ, 3, {(0, 3): ((2, 1),)}), DimensionMismatch, "bad pair (0, 3)"),
+    (lambda: SL2.to_lie_algebra(QQ).bracket_vectors((1, 0), (0, 1, 0)), DimensionMismatch,
+     "vector length 2, dim 3"),
+    (lambda: center_basis(SL2.to_lie_algebra(ZZ)), UnsupportedRing,
+     "center computation needs a field-kind ring"),
+    (lambda: derivation_algebra(SL2.to_lie_algebra(ZZ)), UnsupportedRing,
+     "derivations need a field-kind ring"),
+    (lambda: casimir(SL2.to_lie_algebra(PrimeField(2))), NotPerfect,
+     "Killing form is not perfect over PrimeField(p=2)"),
+    (lambda: apply_endo_to_casimir(casimir(SL2.to_lie_algebra(F5)), Matrix.zeros(F5, 3, 3)),
+     Singular, "endomorphism is not invertible"),
+    (lambda: is_lie_automorphism(SL2.to_lie_algebra(F5), Matrix.identity(F7, 3)),
+     RingMismatch, "PrimeField(p=7) vs PrimeField(p=5)"),
+    (lambda: is_lie_automorphism(SL2.to_lie_algebra(F5), Matrix.identity(F5, 2)),
+     DimensionMismatch, "endomorphism shape 2x2 on dim 3"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", LIEALG_ERRORS)
+def test_liealg_named_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from lieform import (DimensionMismatch, DualNumbers, IntegersModPk,
                      LocalizedAtP, Matrix, NotASubspace, PrimeField, QQ,
-                     Singular, UnsupportedRing, ZZ, det, inverse, kernel,
-                     rank, saturate, solve_linear)
+                     RingMismatch, Scalar, Singular, UnsupportedRing, ZZ, det,
+                     inverse, kernel, rank, saturate, solve_linear)
 from lieform.matrices import pivots
 
 F5 = PrimeField(5)
@@ -477,3 +477,59 @@ def test_generic_product_matches_triple_sum(name):
         assert (got.nrows, got.ncols) == (n, m)
         assert list(got.data) == want
         assert [type(x) for x in got.data] == [type(x) for x in want]
+
+
+Q2 = M(QQ, [[1, 2], [3, 4]])
+Z25 = IntegersModPk(5, 2)
+
+# (call, error class, message): every named error of the matrix layer
+MATRIX_ERRORS = [
+    (lambda: M(F5, [[1, 2], [3]]), DimensionMismatch, "ragged rows"),
+    (lambda: M(F5, [[Scalar(QQ, Fraction(1))]]), RingMismatch,
+     "entry from Rationals() in PrimeField(p=5) matrix"),
+    (lambda: M(F5, [[1]]) + M(QQ, [[1]]), RingMismatch, "PrimeField(p=5) vs Rationals()"),
+    (lambda: Q2 - M(QQ, [[1, 2]]), DimensionMismatch, "2x2 vs 1x2"),
+    (lambda: Q2 @ M(F5, [[1], [2]]), RingMismatch, "Rationals() vs PrimeField(p=5)"),
+    (lambda: Q2 @ M(QQ, [[1, 2, 3]]), DimensionMismatch, "2x2 @ 1x3"),
+    (lambda: Q2.hstack(M(QQ, [[1]])), DimensionMismatch, "hstack shape mismatch"),
+    (lambda: rank(M(ZZ, [[1]])), UnsupportedRing, "rank needs a field-kind ring, got Integers()"),
+    (lambda: solve_linear(Q2, M(F5, [[1], [2]])), RingMismatch, "Rationals() vs PrimeField(p=5)"),
+    (lambda: solve_linear(Q2, M(QQ, [[1]])), DimensionMismatch, "lhs has 2 rows, rhs 1"),
+    (lambda: kernel(M(Z25, [[5]])), UnsupportedRing, "kernel needs a field-kind ring"),
+    (lambda: inverse(M(QQ, [[1, 2]])), DimensionMismatch, "inverse of a 1x2 matrix"),
+    (lambda: inverse(M(QQ, [[1, 2], [2, 4]])), Singular, "matrix is not invertible"),
+    (lambda: det(M(QQ, [[1, 2]])), DimensionMismatch, "determinant of a 1x2 matrix"),
+    (lambda: saturate(M(F5, [[1]]), M(QQ, [[1]]), 5), UnsupportedRing,
+     "saturation works on rational matrices"),
+    (lambda: saturate(Q2, M(QQ, [[1]]), 5), DimensionMismatch, "ambient dimensions differ"),
+    (lambda: saturate(M(QQ, [[1], [0]]), M(QQ, [[0], [1]]), 5), NotASubspace,
+     "subspace is not inside the lattice span"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", MATRIX_ERRORS)
+def test_matrix_named_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_from_rows_takes_scalars_of_its_ring():
+    a = M(F5, [[Scalar(F5, 3), 7], [Scalar.of(F5, -1), 0]])
+    assert a.data == (3, 2, 4, 0)
+
+
+def test_negation_and_str():
+    a = M(QQ, [[Fraction(1, 2), -3], [0, 4]])
+    assert (-a).rows() == [[Fraction(-1, 2), 3], [0, -4]]
+    assert -a + a == Matrix.zeros(QQ, 2, 2)
+    assert str(a) == "1/2 -3\n0 4"
+    assert str(M(F5, [[1, 2], [3, 4]])) == "1 2\n3 4"
+    assert str(-M(Z25, [[1, 0]])) == "24 0"
+
+
+def test_saturate_of_an_empty_subspace():
+    lattice = M(QQ, [[1, 0], [0, 5]])
+    for empty in (Matrix.zeros(QQ, 2, 0), Matrix.zeros(QQ, 2, 1)):
+        sat = saturate(lattice, empty, 5)
+        assert (sat.nrows, sat.ncols) == (2, 0)

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieform import (DualNumbers, Integers, IntegersModPk, LocalizedAtP,
+from lieform import (DualNumbers, Integers, IntegersModPk, LocalizedAtP, RingMismatch,
                      NoCanonicalMorphism, NonIntegralDenominator, NotAUnit,
                      PrimeField, QQ, Rationals, Scalar, ZZ, convert_raw,
                      format_rational, is_prime, parse_rational, pvaluation)
@@ -202,3 +202,82 @@ def test_ring_repr_equality_and_hash(ring, twin, text, kind):
     assert repr(ring) == text and ring.kind == kind
     assert twin == ring and hash(twin) == hash(ring)
     assert all(other != ring for other, _, t, _ in IDENTITIES if t != text)
+
+
+# (call, error class, message): every named error of the ring layer
+RING_ERRORS = [
+    (lambda: pvaluation(Fraction(0), 5), ValueError, "valuation of zero is undefined"),
+    (lambda: ZZ.coerce(True), TypeError, "bool is not an integer scalar"),
+    (lambda: ZZ.coerce(Fraction(1, 2)), TypeError, "cannot coerce Fraction(1, 2) into Integers"),
+    (lambda: ZZ.inv(2), NotAUnit, "2 is not a unit in Z"),
+    (lambda: QQ.coerce(False), TypeError, "bool is not a rational scalar"),
+    (lambda: QQ.coerce(0.5), TypeError, "cannot coerce 0.5 into Q"),
+    (lambda: QQ.inv(Fraction(0)), NotAUnit, "0 is not invertible"),
+    (lambda: F5.coerce(True), TypeError, "bool is not a scalar"),
+    (lambda: F5.coerce("1"), TypeError, "cannot coerce '1' into Z/5"),
+    (lambda: F5.coerce(Fraction(1, 5)), NonIntegralDenominator,
+     "denominator of 1/5 is divisible by 5"),
+    (lambda: Z25.divide(1, 5), NotAUnit, "5 does not divide 1 mod 25"),
+    (lambda: PrimeField(4), ValueError, "4 is not prime"),
+    (lambda: IntegersModPk(5, 0), ValueError, "exponent must be >= 1"),
+    (lambda: LocalizedAtP(6), ValueError, "6 is not prime"),
+    (lambda: L5.coerce(True), TypeError, "bool is not a scalar"),
+    (lambda: L5.coerce(0.5), TypeError, "cannot coerce 0.5 into Z_(5)"),
+    (lambda: L5.coerce("1/10"), NonIntegralDenominator, "denominator of 1/10 is divisible by 5"),
+    (lambda: L5.inv(Fraction(10, 3)), NotAUnit, "10/3 is not a unit in Z_(5)"),
+    (lambda: DualNumbers(ZZ), ValueError, "dual numbers need a field-kind base ring"),
+    (lambda: D5.inv((0, 1)), NotAUnit, "(0, 1) has nilpotent constant term"),
+    (lambda: D5.divide((1, 0), (0, 2)), NotAUnit, "0 + 2*eps does not divide 1 + 0*eps"),
+    (lambda: Scalar(F5, 1) + 1, TypeError, "expected a Scalar, got 1"),
+    (lambda: Scalar(F5, 1) * Scalar(QQ, Fraction(1)), RingMismatch,
+     "PrimeField(p=5) vs Rationals()"),
+    (lambda: convert_raw(Fraction(1), QQ, ZZ), NoCanonicalMorphism, "Q -> Integers()"),
+    (lambda: convert_raw(Fraction(1), L5, PrimeField(7)), NoCanonicalMorphism,
+     "Z_(5) -> PrimeField(p=7)"),
+    (lambda: convert_raw(3, Z25, Z125), NoCanonicalMorphism, "Z/25 -> IntegersModPk(p=5, k=3)"),
+    (lambda: convert_raw(3, F5, ZZ), NoCanonicalMorphism, "PrimeField(p=5) -> Integers()"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", RING_ERRORS)
+def test_ring_named_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_coercions_from_strings_and_integral_fractions():
+    assert ZZ.coerce(Fraction(6, 3)) == 2
+    assert QQ.coerce("-3/4") == Fraction(-3, 4)
+    assert L5.coerce("2/3") == Fraction(2, 3)
+    assert ZZ.inv(1) == 1 and ZZ.inv(-1) == -1
+
+
+def test_fmt_of_every_ring():
+    assert ZZ.fmt(-3) == "-3" and F5.fmt(4) == "4" and Z25.fmt(17) == "17"
+    assert QQ.fmt(Fraction(-3, 4)) == "-3/4" and QQ.fmt(Fraction(2)) == "2"
+    assert L5.fmt(Fraction(2, 3)) == "2/3"
+    assert D5.fmt((1, 2)) == "1 + 2*eps"
+    assert DualNumbers(QQ).fmt((Fraction(1, 2), Fraction(0))) == "1/2 + 0*eps"
+
+
+def test_dual_number_division():
+    # by a unit: b * a^-1; by a multiple of eps: the eps parts divide
+    assert D5.divide((2, 1), (1, 1)) == D5.mul((2, 1), D5.inv((1, 1)))
+    assert D5.divide((0, 3), (0, 4)) == (2, 0)
+
+
+@pytest.mark.parametrize("ring,value,unit,text", [
+    (F5, 3, True, "3"), (F5, 0, False, "0"), (ZZ, -1, True, "-1"), (ZZ, 2, False, "2"),
+    (QQ, Fraction(-2, 3), True, "-2/3"), (L5, Fraction(5, 3), False, "5/3"),
+    (D5, (2, 1), True, "2 + 1*eps"), (D5, (0, 1), False, "0 + 1*eps"),
+], ids=str)
+def test_scalar_unit_inverse_and_str(ring, value, unit, text):
+    x = Scalar.of(ring, value)
+    assert x == Scalar(ring, ring.coerce(value))
+    assert x.is_unit is unit and str(x) == text
+    if unit:
+        assert (x * x.inverse()).value == ring.one()
+    else:
+        with pytest.raises(NotAUnit):
+            x.inverse()

@@ -476,3 +476,83 @@ def test_transports_keep_the_validators_invariants(monkeypatch):
     assert len(outputs) > 80
     for m in outputs:
         assert weighted_module(m.p, m.lattice, m.weights, m.pieces, m.action) == m
+
+
+def _chain_action(**changes):
+    c = chain_from_highest(1, 5)
+    return weighted_module(5, c.lattice, c.weights, c.pieces, {**c.action, **changes})
+
+
+_C15 = chain_from_highest(1, 5)
+
+# (call, error class, message): the named errors of the sl2 layer that the
+# tests above reach without checking their message, or do not reach
+SL2_ERRORS = [
+    (lambda: weighted_module(5, Matrix.identity(PrimeField(5), 1), (0,), {0: ident(1)}),
+     ValueError, "lattice must be rational"),
+    (lambda: weighted_module(5, ident(1), (0,), {0: Matrix.zeros(QQ, 1, 0)}), ValueError,
+     "piece 0 must be a nonempty rational basis in the ambient space"),
+    (lambda: weighted_module(5, ident(2), (0,), {0: col_basis(2, [0])}), ValueError,
+     "piece ranks sum to 1, ambient dimension is 2"),
+    (lambda: weighted_module(5, _C15.lattice, _C15.weights, _C15.pieces,
+                             {"h": _C15.action["h"], "x": _C15.action["x"]}),
+     ValueError, "action must provide exactly h, x, y"),
+    (lambda: _chain_action(h=ident(3)), ValueError,
+     "action 'h' must be an ambient square matrix"),
+    (lambda: _chain_action(h=_C15.action["h"].scale(2)), ValueError, "[h, x] = 2x fails"),
+    (lambda: _chain_action(y=_C15.action["y"] + _C15.action["x"]), ValueError,
+     "[h, y] = -2y fails"),
+    (lambda: weighted_module(5, _C15.lattice, _C15.weights,
+                             {-1: _C15.pieces[1], 1: _C15.pieces[-1]}, _C15.action),
+     ValueError, "h does not act as -1 on its weight piece"),
+    (lambda: counterexample_module(4), OutOfRange, "4 is not prime"),
+    (lambda: direct_sum(_C15, chain_from_highest(1, 7)), ValueError,
+     "summands live over different primes"),
+    (lambda: conjugate(_C15, Matrix.identity(PrimeField(5), 2)), ValueError,
+     "conjugator must be an ambient rational square matrix"),
+    # weights distinct mod 5, one outside (-5, 5); h_lat has the entry -6/5
+    (lambda: extend_torus(weighted_module(5, Matrix.from_rows(QQ, [[5, 1], [0, 1]]), (0, 6),
+                                          {0: col_basis(2, [0]), 6: col_basis(2, [1])})),
+     lieform.HypothesisNotMet,
+     "weights are distinct mod 5 but the grading operator does not preserve the lattice"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", SL2_ERRORS)
+def test_sl2_named_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def _edited(edit):
+    doc = module_to_json(chain_from_highest(1, 5))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc,path,message", [
+    (_edited(lambda d: d.update(p=4)), "/p", "expected a prime integer"),
+    (_edited(lambda d: d.update(p=True)), "/p", "expected a prime integer"),
+    (_edited(lambda d: d.update(lattice=[])), "/lattice", "expected a non-empty array of rows"),
+    (_edited(lambda d: d.update(lattice="1")), "/lattice", "expected a non-empty array of rows"),
+    (_edited(lambda d: d["lattice"].__setitem__(0, [])), "/lattice/0",
+     "expected a non-empty row"),
+    (_edited(lambda d: d["lattice"][1].append(0)), "/lattice/1", "row length 3, expected 2"),
+    (_edited(lambda d: d["lattice"][0].__setitem__(0, 1.5)), "/lattice/0/0",
+     "expected an integer or an 'a/b' string"),
+    (_edited(lambda d: d.update(weights={"0": 1})), "/weights", "expected an array"),
+    (_edited(lambda d: d.update(pieces=[[1]])), "/pieces", "expected an object keyed by weight"),
+    (_edited(lambda d: d.update(action=[])), "/action", "expected an object with h, x, y"),
+    (_edited(lambda d: d.pop("weights")), "/weights", "missing"),
+])
+def test_json_schema_errors_name_their_node(doc, path, message):
+    with pytest.raises(SchemaError) as exc:
+        module_from_json(doc)
+    assert (exc.value.path, exc.value.message) == (path, message)
+    assert str(exc.value) == "%s: %s" % (path, message)
+
+
+def test_module_ring_is_the_localization():
+    assert _C15.ring == LocalizedAtP(5)
+    assert counterexample_module(3).ring == LocalizedAtP(3)
