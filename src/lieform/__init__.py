@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .rings import (Integers, Rationals, PrimeField, IntegersModPk,
                     LocalizedAtP, DualNumbers, ZZ, QQ, Scalar,
-                    RingError, RingMismatch, UnsupportedRing, NotAUnit,
+                    LieformError, RingError, RingMismatch, UnsupportedRing, NotAUnit,
                     NoCanonicalMorphism, NonIntegralDenominator,
                     convert_raw, is_prime, pvaluation,
                     format_rational, parse_rational)

@@ -32,11 +32,11 @@ from itertools import chain, product
 
 from .liealg import LieAlgebra, _jacobi_defects
 from .matrices import Matrix, _commutator, _summed
-from .rings import Record, RingSpec, Scalar, ZZ
+from .rings import LieformError, Record, RingSpec, Scalar, ZZ
 from .roots import DynkinType, InvalidRank, RootSystem, build_root_system
 
 
-class NotClassical(Exception):
+class NotClassical(LieformError):
     pass
 
 
@@ -321,15 +321,14 @@ def verify_jacobi(pres: ChevalleyPresentation) -> int:
 # ---------------------------------------------------------------------------
 
 def _simple_triples(t: DynkinType):
-    """(x_i, y_i, h_i) dict-matrices for each node, plus the module rank."""
+    """(x_i, y_i, h_i) dict-matrices for each node of the classical type t,
+    plus the module rank."""
     n = t.rank
     s = t.series
     if s == "A":
         trip = [({(i, i + 1): 1}, {(i + 1, i): 1},
                  {(i, i): 1, (i + 1, i + 1): -1}) for i in range(n)]
         return trip, n + 1
-    if s not in ("B", "C", "D"):
-        raise NotClassical("no defining realization for series %s" % s)
     # the nodes e_i -> e_{i+1}: coordinates 1..2n for B, 0..2n-1 for C and D
     lo = 1 if s == "B" else 0
     trip = [({(i, i + 1): 1, (n + i + 1, n + i): -1},

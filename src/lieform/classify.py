@@ -13,14 +13,14 @@ from typing import Optional
 from .chevalley import _build_presentation, chevalley_presentation, matrix_realization
 from .liealg import _ad_entries, _cell_det, _realization_entries, _trace_gram, killing_form
 from .matrices import Matrix, _commutator
-from .rings import PrimeField, Record, ZZ
+from .rings import LieformError, PrimeField, Record, ZZ
 from .roots import DynkinType, InvalidRank
 
 REASONS = ("P_EQ_2", "A_DIV", "B_DIV", "C_DIV", "D_DIV",
            "EXC_P3", "E8_P5", "PERFECT")
 
 
-class NoConstantRatio(Exception):
+class NoConstantRatio(LieformError):
     pass
 
 

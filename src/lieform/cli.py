@@ -17,28 +17,26 @@ import os
 import sys
 
 from . import __version__
-from .chevalley import (NotClassical, chevalley_presentation, torus_automorphism,
-                        triple_flip)
-from .classify import (EXPECTED_RATIO, NoConstantRatio, b_series_kernel_witness,
-                       predict_perfect, ratio_check, verdict_with_oracle)
-from .cohomology import (DimensionTooLarge, NotAutomorphism, ce_complex,
-                         cohomology_dim, lift_automorphism, square_zero_extension)
-from .liealg import (NotPerfect, _casimir, _spans_inner_derivations,
-                     apply_endo_to_casimir, base_change, casimir_operator,
-                     derivation_algebra, is_lie_automorphism, killing_form)
-from .matrices import DimensionMismatch, Matrix, NotASubspace, Singular, _nonzero_product
-from .rings import (IntegersModPk, NonIntegralDenominator, PrimeField,
-                    UnsupportedRing, ZZ, format_rational, is_prime)
-from .roots import DynkinType, InvalidRank
-from .sl2 import (ActionMissing, HypothesisNotMet, NotNilpotentEnough,
-                  OutOfRange, SchemaError, _format_matrix, chain_from_highest,
+from .chevalley import chevalley_presentation, torus_automorphism, triple_flip
+from .classify import (EXPECTED_RATIO, b_series_kernel_witness, predict_perfect,
+                       ratio_check, verdict_with_oracle)
+from .cohomology import (ce_complex, cohomology_dim, lift_automorphism,
+                         square_zero_extension)
+from .liealg import (_casimir, _spans_inner_derivations, apply_endo_to_casimir,
+                     base_change, casimir_operator, derivation_algebra,
+                     is_lie_automorphism, killing_form)
+from .matrices import DimensionMismatch, Matrix, _nonzero_product
+from .rings import (IntegersModPk, LieformError, PrimeField, ZZ, format_rational,
+                    is_prime)
+from .roots import DynkinType
+from .sl2 import (SchemaError, _format_matrix, chain_from_highest,
                   counterexample_module, extend_torus, module_from_json)
 
 DEFAULT_PRIMES = "2,3,5,7,11,13,17,19,23"
 EXIT_OK, EXIT_ERROR, EXIT_MISMATCH, EXIT_DECOMP_FAIL = 0, 1, 2, 3
 
 
-class CliError(Exception):
+class CliError(LieformError):
     pass
 
 
@@ -470,12 +468,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-_KNOWN_ERRORS = (InvalidRank, NotPerfect, NotAutomorphism, SchemaError,
-                 HypothesisNotMet, ActionMissing, OutOfRange,
-                 NotNilpotentEnough, NotClassical, NoConstantRatio,
-                 UnsupportedRing, NonIntegralDenominator, NotASubspace,
-                 Singular, DimensionTooLarge, AssertionError, MemoryError, CliError,
-                 OSError, ValueError)
+_KNOWN_ERRORS = (LieformError, AssertionError, MemoryError, OSError, ValueError)
 
 
 def main(argv=None) -> int:

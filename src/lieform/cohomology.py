@@ -33,15 +33,15 @@ from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _bracket_defect,
 from .matrices import (Matrix, _degree_blocks, _dense, _graded_kernel,
                        _nonzero_product, _solve_by_blocks, _summed, inverse,
                        pivots, rank, solve_linear)
-from .rings import (PrimeField, Record, RingMismatch, RingSpec, UnsupportedRing,
-                    convert_raw)
+from .rings import (LieformError, PrimeField, Record, RingMismatch, RingSpec,
+                    UnsupportedRing, convert_raw)
 
 
-class DimensionTooLarge(Exception):
+class DimensionTooLarge(LieformError):
     pass
 
 
-class NotACocycle(Exception):
+class NotACocycle(LieformError):
     pass
 
 
@@ -196,10 +196,11 @@ def _solve(cx: CochainComplex, sigma: Optional[Matrix], theta: Matrix) -> Option
     if y is None or sigma is None:
         return y
     delta, ker_s = transport(sigma, y), transport(sigma, cx._d1_kernel)
-    free = [ker_s.nrows - 1 - c for c in pivots(Matrix.from_rows(
-        ring, [ker_s.col(t)[::-1] for t in range(ker_s.ncols)]))]
-    x = solve_linear(Matrix.from_rows(ring, [ker_s.row(r) for r in free]),
-                     Matrix.column(ring, [delta.data[r] for r in free]))
+    k = ker_s.ncols
+    free = [ker_s.nrows - 1 - c for c in pivots(Matrix(
+        ring, k, ker_s.nrows, tuple(v for t in range(k) for v in ker_s.col(t)[::-1])))]
+    x = solve_linear(Matrix(ring, len(free), k, tuple(v for r in free for v in ker_s.row(r))),
+                     Matrix(ring, len(free), 1, tuple(delta.data[r] for r in free)))
     if x is None:
         raise AssertionError("the kernel of d1_σ is singular on its non-pivot columns")
     return delta - ker_s @ x
@@ -308,7 +309,7 @@ def lift_automorphism(g: LieAlgebra, ext: SquareZeroExtension,
             theta[a * np_ + q] = ext.j_extract(d)
 
     try:
-        delta = _solve(cx, sigma_bar, Matrix.column(quot, theta))
+        delta = _solve(cx, sigma_bar, Matrix(quot, len(theta), 1, tuple(theta)))
     except NotACocycle:
         raise AssertionError("lift defect failed the cocycle identity") from None
     if delta is None:

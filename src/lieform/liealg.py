@@ -45,16 +45,16 @@ from .matrices import (
     kernel,
     rank,
 )
-from .rings import (Record, RingMismatch, RingSpec, Scalar, UnsupportedRing, ZZ,
-                    convert_raw)
+from .rings import (LieformError, Record, RingMismatch, RingSpec, Scalar, UnsupportedRing,
+                    ZZ, convert_raw)
 from .roots import DynkinType, build_root_system
 
 
-class NotPerfect(Exception):
+class NotPerfect(LieformError):
     pass
 
 
-class NotAutomorphism(Exception):
+class NotAutomorphism(LieformError):
     pass
 
 

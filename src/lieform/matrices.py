@@ -26,6 +26,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .rings import (
+    LieformError,
     PrimeField,
     QQ,
     Record,
@@ -38,15 +39,15 @@ from .rings import (
 )
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(LieformError):
     pass
 
 
-class Singular(Exception):
+class Singular(LieformError):
     pass
 
 
-class NotASubspace(Exception):
+class NotASubspace(LieformError):
     pass
 
 
@@ -508,6 +509,12 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
     saturation.  Raises NotASubspace when the subspace does not sit inside
     the column span of the lattice.
     """
+    return lattice_basis @ _saturation_coords(lattice_basis, subspace_basis, p)
+
+
+def _saturation_coords(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
+    """The basis `saturate` returns, in coordinates of the lattice basis:
+    p-integral columns, since each is scaled to least valuation 0."""
     if lattice_basis.ring != QQ or subspace_basis.ring != QQ:
         raise UnsupportedRing("saturation works on rational matrices")
     if lattice_basis.nrows != subspace_basis.nrows:
@@ -519,7 +526,7 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
     # subspace basis in lattice coordinates, one reduced echelon row each
     rows, pivots, _ = _row_reduce(coords.transpose(), reduce_up=True)
     if not pivots:
-        return Matrix.zeros(QQ, lattice_basis.nrows, 0)
+        return Matrix.zeros(QQ, n, 0)
 
     def normalize(row: list[Fraction]) -> list[Fraction]:
         v = min(pvaluation(x, p) for x in row if x != 0)
@@ -538,5 +545,4 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
         idx = next(i for i, ci in enumerate(c) if ci)
         w = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(n)]
         rows[idx] = normalize([x / p for x in w])
-    basis_cols = Matrix.from_rows(QQ, rows).transpose()
-    return lattice_basis @ basis_cols
+    return Matrix.from_rows(QQ, rows).transpose()

@@ -18,7 +18,12 @@ from fractions import Fraction
 from typing import Any
 
 
-class RingError(Exception):
+class LieformError(Exception):
+    """Base of every named error lieform raises; an internal check that
+    fails raises AssertionError instead."""
+
+
+class RingError(LieformError):
     pass
 
 

@@ -13,10 +13,10 @@ from math import gcd
 from typing import Iterable
 
 from .matrices import Matrix, det
-from .rings import ZZ, Record
+from .rings import LieformError, ZZ, Record
 
 
-class InvalidRank(Exception):
+class InvalidRank(LieformError):
     pass
 
 

@@ -31,15 +31,7 @@ INVARIANT = "internal invariant: a failure here is a defect of lieform (ROADMAP 
 # statement (its lines stripped and joined by spaces; for a compound
 # statement, only its header).  Every unrun `raise AssertionError(...)` is an
 # internal invariant and needs no entry.
-_SHIFT = ("implied by the checks before it: [h, x] = 2x, [h, y] = -2y and h = w on "
-          "piece w put x and y of piece w in the (w +- 2)-eigenspace of h, which is "
-          "that weight's piece or zero")
-REASONS = {
-    ("sl2.py", 'raise ValueError( "action does not shift weight %d by %+d" % (w, shift))'):
-        _SHIFT,
-    ("sl2.py", 'raise ValueError( "action leaves the graded pieces at weight %d" % w)'):
-        _SHIFT,
-}
+REASONS: dict = {}
 
 _TRACER = '''\
 import atexit, json, os, sys, threading

@@ -13,7 +13,7 @@ from lieform import (DualNumbers, DynkinType, IntegersModPk, InvalidRank, Matrix
                      PrimeField, QQ, ZZ, chevalley_involution, chevalley_presentation,
                      is_lie_automorphism, kernel, matrix_realization,
                      torus_automorphism, triple_flip, verify_jacobi)
-from lieform.chevalley import JacobiFailure, _generators, _root_data, _simple_triples
+from lieform.chevalley import JacobiFailure, _generators, _root_data
 from lieform.cli import _table_types
 
 F5 = PrimeField(5)
@@ -589,8 +589,6 @@ CHEVALLEY_ERRORS = [
      "structure constants capped at rank 8, got A9"),
     (lambda: matrix_realization(DynkinType("G", 2)), NotClassical,
      "no defining realization for series G"),
-    (lambda: _simple_triples(DynkinType("E", 6)), NotClassical,
-     "no defining realization for series E"),
     (lambda: torus_automorphism(chevalley_presentation(A2), F5, 10), ValueError,
      "torus parameter must be a unit"),
     (lambda: triple_flip(chevalley_presentation(A2), F5, (2, 0)), ValueError,

@@ -1,15 +1,21 @@
 import ast
+import contextlib
+import importlib
+import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lieform
-from lieform import (chain_from_highest, chevalley_presentation, counterexample_module,
-                     module_to_json)
+from lieform import (DimensionMismatch, LieformError, NoCanonicalMorphism, NotACocycle,
+                     NotAUnit, RingMismatch, chain_from_highest, chevalley_presentation,
+                     counterexample_module, module_to_json)
 from lieform.classify import _integral_discriminant, integral_killing_gram
 from lieform import cli
 from lieform.cli import main
@@ -397,6 +403,36 @@ def test_memory_error_is_an_error_envelope(capsys, monkeypatch):
     assert err == "error: MemoryError\n"
 
 
+def test_every_exception_class_is_a_lieform_error_or_an_invariant():
+    # the CLI turns every LieformError into an ERROR envelope, and an
+    # AssertionError is a failed internal check
+    classes = []
+    for info in pkgutil.iter_modules(lieform.__path__):
+        if info.name != "__main__":
+            mod = importlib.import_module("lieform." + info.name)
+            classes += [c for c in vars(mod).values() if isinstance(c, type)
+                        and issubclass(c, BaseException) and c.__module__ == mod.__name__]
+    assert {"CliError", "JacobiFailure", "RingError", "SchemaError"} <= {
+        c.__name__ for c in classes}
+    assert [c.__name__ for c in classes
+            if not issubclass(c, (LieformError, AssertionError))] == []
+
+
+@pytest.mark.parametrize("error", [RingMismatch, NotAUnit, NoCanonicalMorphism,
+                                   DimensionMismatch, NotACocycle],
+                         ids=lambda c: c.__name__)
+def test_named_errors_of_every_layer_are_error_envelopes(capsys, monkeypatch, error):
+    def failing(t, p):
+        raise error("raised inside the suite")
+
+    monkeypatch.setattr(cli, "_verify_derivations", failing)
+    code, doc, err = run_json(capsys, ["verify", "--suite", "derivations",
+                                       "--type", "A2", "--prime", "7"])
+    assert code == 1 and doc["status"] == "ERROR"
+    assert doc["results"] == {"error": error.__name__, "message": "raised inside the suite"}
+    assert err == "error: raised inside the suite\n"
+
+
 def test_verify_ratios(capsys):
     code, doc, _ = run_json(capsys, ["verify", "--suite", "ratios",
                                      "--type", "A3"])
@@ -663,3 +699,70 @@ def test_sl2_decompose_file_with_rows_dependent_mod_p(tmp_path, child_env):
     out = json.loads(proc.stdout)
     assert out["results"]["success"] is True
     assert out["results"]["pieces"]["0"] == [["2", "0"], ["1", "3"], ["1", "1"]]
+
+
+# argv fuzz: each subcommand's flags with valid values, invalid ones, or left
+# out (None); ranks stay <= 3 so that every run is quick
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+_FILES = [os.path.join(_GOLDEN, name) for name in sorted(os.listdir(_GOLDEN))
+          if name.endswith(".json") and name != "cli.json"]
+
+
+def _choices(valid, invalid, left_out=1):
+    return valid * 3 + invalid + [None] * left_out
+
+
+_TYPE = _choices(["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2", "A", "b"],
+                 ["H3", "A0", "D2", "Ax", " "])
+_RANK = _choices(["1", "2", "3"], ["0", "-1", "x"], left_out=12)
+_PRIME = _choices(["2", "3", "5", "7"], ["0", "1", "4", "9", "-3", "x"])
+_SWITCH = [None, True]
+_FLAGS = {
+    "classify": [("--type", _TYPE), ("--rank", _RANK), ("--prime", _PRIME),
+                 ("--oracle", _SWITCH)],
+    "table": [("--max-rank", _choices(["1", "2", "3"], ["0", "9", "x"], left_out=0)),
+              ("--primes", _choices(["2,3", "5,,3,", "2,3,5,7,11,13"],
+                                    ["2,9", " , ", "x", "-2"])),
+              ("--oracle", _SWITCH), ("--format", _choices(["json", "csv", "md"], ["xml"])),
+              ("--no-dedup", _SWITCH)],
+    "verify": [("--suite", _choices(["casimir", "derivations", "cohomology", "ratios",
+                                     "kernel-b2"], ["bogus"])),
+               ("--type", _TYPE), ("--rank", _RANK), ("--prime", _PRIME)],
+    "sl2-decompose": [("--file", _choices(_FILES, ["missing.json"], left_out=30)),
+                      ("--builtin", _choices(["chain:1", "chain:2", "chain:3",
+                                              "counterexample"],
+                                             ["chain:9", "chain:x", "spiral"], left_out=8)),
+                      ("--prime", _PRIME)],
+    "lift-aut": [("--type", _TYPE), ("--rank", _RANK), ("--prime", _PRIME),
+                 ("--sigma", _choices(_FILES, ["missing.json"]))],
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS) + ["bogus"]))
+    argv = [command]
+    for flag, values in _FLAGS.get(command, []):
+        value = draw(st.sampled_from(values))
+        argv += [] if value is None else [flag] if value is True else [flag, value]
+    return argv + draw(st.sampled_from([[]] * 13 + [["--bogus"], ["stray"], ["--help"]]))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argvs())
+def test_every_argv_ends_in_an_envelope_or_a_usage_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:               # argparse: 0 for --help, 1 for usage
+            assert exc.code in (0, 1)
+            return
+    assert code in (0, 1, 2, 3)
+    if code != 1 and "--format" in argv and argv[argv.index("--format") + 1] != "json":
+        assert out.getvalue() and not out.getvalue().startswith("{")
+        return
+    doc = json.loads(out.getvalue())
+    assert set(doc) == {"command", "inputs", "results", "status", "tool_version"}
+    assert (doc["status"], code) in {("OK", 0), ("OK", 3), ("MISMATCH", 2), ("ERROR", 1)}
