@@ -435,6 +435,8 @@ def torus_automorphism(pres: ChevalleyPresentation, ring: RingSpec, tval,
     if not ring.is_unit(tval):
         raise ValueError("torus parameter must be a unit")
     lam = (1,) * pres.rank if lam is None else lam
+    if len(lam) != pres.rank:
+        raise ValueError("lam has length %d, the rank is %d" % (len(lam), pres.rank))
     tinv = ring.inv(tval)
     es = [sum(l * c for l, c in zip(lam, rho)) for rho in pres.root_system.roots]
     xs = [reduce(ring.mul, [tval if e >= 0 else tinv] * abs(e), ring.one()) for e in es]

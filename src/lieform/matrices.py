@@ -35,6 +35,7 @@ from .rings import (
     Scalar,
     UnsupportedRing,
     convert_raw,
+    is_prime,
     pvaluation,
 )
 
@@ -507,8 +508,10 @@ def saturate(lattice_basis: Matrix, subspace_basis: Matrix, p: int) -> Matrix:
     Both inputs are rational matrices whose columns are the generating
     vectors; the result is a rational matrix whose columns generate the
     saturation.  Raises NotASubspace when the subspace does not sit inside
-    the column span of the lattice.
+    the column span of the lattice, and ValueError unless p is prime.
     """
+    if not is_prime(p):
+        raise ValueError("%d is not prime" % p)
     return lattice_basis @ _saturation_coords(lattice_basis, subspace_basis, p)
 
 

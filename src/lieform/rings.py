@@ -82,7 +82,9 @@ def is_prime(p: int) -> bool:
 
 
 def pvaluation(q: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational; raises on zero."""
+    """p-adic valuation of a nonzero rational; raises on zero and on p < 2."""
+    if p < 2:
+        raise ValueError("valuation needs p >= 2, got %d" % p)
     if q == 0:
         raise ValueError("valuation of zero is undefined")
     v = 0

@@ -8,13 +8,15 @@ itself: it produces the projectors, which are unique, with p-local
 entries decomposing the lattice, or a certified witness vector showing
 no such decomposition exists; its path label names the hypothesis that
 decided the route.  Also here: the graded chain modules generated by a highest
-weight vector, the rank-(p+1) lattice on which the decomposition fails,
-and the degree-truncated exponential of a nilpotent operator.
+weight vector and the rank-(p+1) lattice on which the decomposition fails,
+both built from closed formulas without a second validation, and the
+degree-truncated exponential of a nilpotent operator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial
 from typing import Optional
 
@@ -152,6 +154,9 @@ def _string_module(p: int, lattice: Matrix, top: int, xc, yc) -> WeightedModule:
     """The module on the lattice with ambient basis z_0, ..., z_{n-1}:
 
         h z_i = (top-2i) z_i,  x z_i = xc(i) z_{i-1},  y z_i = yc(i) z_{i+1}.
+
+    The formulas satisfy every invariant that `weighted_module` checks on
+    an invertible lattice, so they are not checked again.
     """
     n = lattice.nrows
     rows = {k: [[0] * n for _ in range(n)] for k in _ACTION_KEYS}
@@ -162,8 +167,8 @@ def _string_module(p: int, lattice: Matrix, top: int, xc, yc) -> WeightedModule:
             rows["y"][i][i - 1] = yc(i - 1)
     pieces = {top - 2 * i: Matrix.from_rows(QQ, [[int(r == i)] for r in range(n)])
               for i in range(n)}
-    return weighted_module(p, lattice, pieces.keys(), pieces,
-                           {k: Matrix.from_rows(QQ, r) for k, r in rows.items()})
+    return WeightedModule(p, lattice, tuple(sorted(pieces)), pieces,
+                          {k: Matrix.from_rows(QQ, r) for k, r in rows.items()})
 
 
 def chain_from_highest(j: int, p: int) -> WeightedModule:
@@ -265,17 +270,6 @@ class DecompositionResult(Record):
     path: str
 
 
-def _on_pieces(m: WeightedModule, ring: RingSpec, value) -> Matrix:
-    """The operator over ring acting on the weight-w piece as value(w):
-    S·diag·S⁻¹ for S the pieces side by side.  value is called once per
-    weight, after the pieces map to ring."""
-    s = Matrix.hstack(*[m.pieces[w] for w in m.weights]).map_to_ring(ring)
-    diag = [v for w in m.weights for v in [value(w)] * m.pieces[w].ncols]
-    n = s.ncols
-    sd = Matrix(ring, n, n, tuple(ring.mul(v, diag[t % n]) for t, v in enumerate(s.data)))
-    return sd @ inverse(s)
-
-
 def _span_check_mod_p(coords: Matrix, p: int) -> Optional[int]:
     """Index of the first standard basis vector outside the mod-p column
     span of coords, or None when coords spans everything: the first pivot
@@ -313,20 +307,25 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
     inside the chain's saturation but outside the direct sum is returned.
     The path label names the hypothesis that decided the route:
     "polynomial-projectors" when the weights are distinct mod p and the
-    grading operator preserves the lattice, so the projectors are
-    polynomials in it with p-integral coefficients and the route needs no
-    action and cannot fail; "saturation" otherwise.
+    lattice decomposes, "saturation" otherwise.  h acts as w on piece w,
+    so this holds exactly when the weights are distinct mod p and h keeps
+    the lattice; the projectors are then polynomials in h with p-integral
+    coefficients, and the route needs no action.
     """
     p = m.p
     report = classify_p_type(set(m.weights), p)
     rp = LocalizedAtP(p)
     n = m.ambient_dim
 
-    h = m.action["h"] if m.action is not None else _on_pieces(m, QQ, Fraction)
-    h_lat = solve_linear(m.lattice, h @ m.lattice)
-    if h_lat is None:
-        raise AssertionError("the grading operator leaves the lattice span")
-    polynomial = report.is_type1 and _p_integral(h_lat, p)
+    # each saturation in lattice coordinates, p-integral by construction
+    sat_coords = {w: _saturation_coords(m.lattice, m.pieces[w], p) for w in m.weights}
+    sats = {w: m.lattice @ c for w, c in sat_coords.items()}
+    coords = Matrix.hstack(*[sat_coords[w] for w in m.weights])
+    # coords is n x n, so it is invertible over Z_(p) exactly when its
+    # columns span the lattice mod p
+    local = coords.map_to_ring(rp)
+    inv = solve_linear(local, Matrix.identity(rp, n))
+    polynomial = report.is_type1 and inv is not None
 
     if m.action is None and not polynomial:
         if report.is_type2 or report.is_type3:
@@ -340,14 +339,6 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
         raise HypothesisNotMet(
             "weight set fails every p-type and no action is given")
 
-    # each saturation in lattice coordinates, p-integral by construction
-    sat_coords = {w: _saturation_coords(m.lattice, m.pieces[w], p) for w in m.weights}
-    sats = {w: m.lattice @ c for w, c in sat_coords.items()}
-    coords = Matrix.hstack(*[sat_coords[w] for w in m.weights])
-    # coords is n x n, so it is invertible over Z_(p) exactly when its
-    # columns span the lattice mod p
-    local = coords.map_to_ring(rp)
-    inv = solve_linear(local, Matrix.identity(rp, n))
     if inv is not None:
         # the projector onto block b is coords[:, b] @ coords^-1[b, :]
         cols, inv_rows = local.transpose().rows(), inv.rows()
@@ -360,10 +351,6 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
         _assert_projector_family(projs, n)
         return DecompositionResult(True, sats, projs, None, report,
                                    "polynomial-projectors" if polynomial else "saturation")
-    if polynomial:
-        # a polynomial projector maps M onto M ∩ M_wK, so nothing is missed
-        raise AssertionError("the saturations miss the lattice mod %d although "
-                             "the projectors are polynomials in h" % p)
 
     # localize the defect along chains of weights congruent mod p
     chains = {}
@@ -412,16 +399,17 @@ def exp_nilpotent(u: Matrix, p: int) -> Matrix:
 
 def weight_scaling(m: WeightedModule, ring: RingSpec, t) -> Matrix:
     """The operator acting on the weight-w piece as t^w, over the given
-    ring; t must be a unit there."""
-
-    def power(w):
-        tval = ring.coerce(t)
-        tinv = ring.inv(tval)            # t must be a unit, whatever the weights
-        acc = ring.one()
-        for _ in range(abs(w)):
-            acc = ring.mul(acc, tval if w >= 0 else tinv)
-        return acc
-    return _on_pieces(m, ring, power)
+    ring: S·diag·S⁻¹ for S the pieces side by side.  t must be a unit
+    there, whatever the weights."""
+    s = Matrix.hstack(*[m.pieces[w] for w in m.weights]).map_to_ring(ring)
+    tval = ring.coerce(t)
+    tinv = ring.inv(tval)
+    powers = {w: reduce(ring.mul, [tval if w >= 0 else tinv] * abs(w), ring.one())
+              for w in m.weights}
+    diag = [powers[w] for w in m.weights for _ in range(m.pieces[w].ncols)]
+    n = s.ncols
+    sd = Matrix(ring, n, n, tuple(ring.mul(v, diag[i % n]) for i, v in enumerate(s.data)))
+    return sd @ inverse(s)
 
 
 # ---------------------------------------------------------------------------

@@ -591,6 +591,8 @@ CHEVALLEY_ERRORS = [
      "no defining realization for series G"),
     (lambda: torus_automorphism(chevalley_presentation(A2), F5, 10), ValueError,
      "torus parameter must be a unit"),
+    (lambda: torus_automorphism(chevalley_presentation(A2), F5, 2, lam=(1,)), ValueError,
+     "lam has length 1, the rank is 2"),
     (lambda: triple_flip(chevalley_presentation(A2), F5, (2, 0)), ValueError,
      "(2, 0) has no odd coordinate, so it is not a root"),
 ]

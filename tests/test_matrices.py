@@ -504,6 +504,8 @@ MATRIX_ERRORS = [
     (lambda: saturate(Q2, M(QQ, [[1]]), 5), DimensionMismatch, "ambient dimensions differ"),
     (lambda: saturate(M(QQ, [[1], [0]]), M(QQ, [[0], [1]]), 5), NotASubspace,
      "subspace is not inside the lattice span"),
+    (lambda: saturate(Q2, M(QQ, [[1], [0]]), 0), ValueError, "0 is not prime"),
+    (lambda: saturate(Q2, Matrix.zeros(QQ, 2, 0), 4), ValueError, "4 is not prime"),
 ]
 
 
@@ -512,6 +514,18 @@ def test_matrix_named_errors(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("p", [1, -1])
+def test_saturate_at_a_unit_is_an_error(p, child_env):
+    # the valuation at p = ±1 once looped forever, so this runs in a child
+    # with a timeout
+    code = ("from lieform import Matrix, QQ, saturate\n"
+            "try:\n    saturate(Matrix.identity(QQ, 2), Matrix.column(QQ, [3, 0]), %d)\n"
+            "except ValueError as exc:\n    print(exc)\n" % p)
+    out = subprocess.run([sys.executable, "-c", code], env=child_env, check=True,
+                         capture_output=True, text=True, timeout=5).stdout
+    assert out.strip() == "%d is not prime" % p
 
 
 def test_from_rows_takes_scalars_of_its_ring():

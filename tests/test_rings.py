@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import isqrt
@@ -207,6 +209,7 @@ def test_ring_repr_equality_and_hash(ring, twin, text, kind):
 # (call, error class, message): every named error of the ring layer
 RING_ERRORS = [
     (lambda: pvaluation(Fraction(0), 5), ValueError, "valuation of zero is undefined"),
+    (lambda: pvaluation(Fraction(3), 0), ValueError, "valuation needs p >= 2, got 0"),
     (lambda: ZZ.coerce(True), TypeError, "bool is not an integer scalar"),
     (lambda: ZZ.coerce(Fraction(1, 2)), TypeError, "cannot coerce Fraction(1, 2) into Integers"),
     (lambda: ZZ.inv(2), NotAUnit, "2 is not a unit in Z"),
@@ -244,6 +247,18 @@ def test_ring_named_errors(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("p", [1, -1])
+def test_pvaluation_at_a_unit_is_an_error(p, child_env):
+    # dividing by p = ±1 once looped forever, so this runs in a child with
+    # a timeout
+    code = ("from fractions import Fraction\nfrom lieform import pvaluation\n"
+            "try:\n    pvaluation(Fraction(3), %d)\n"
+            "except ValueError as exc:\n    print(exc)\n" % p)
+    out = subprocess.run([sys.executable, "-c", code], env=child_env, check=True,
+                         capture_output=True, text=True, timeout=5).stdout
+    assert out.strip() == "valuation needs p >= 2, got %d" % p
 
 
 def test_coercions_from_strings_and_integral_fractions():

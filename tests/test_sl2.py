@@ -11,7 +11,8 @@ from lieform import (LocalizedAtP, Matrix, NotNilpotentEnough, OutOfRange,
                      conjugate, counterexample_module, direct_sum, det,
                      exp_nilpotent, extend_torus, inverse,
                      lattice_closed_under_action, module_from_json,
-                     module_to_json, weight_scaling, weighted_module)
+                     module_to_json, solve_linear, weight_scaling,
+                     weighted_module)
 
 
 def ident(n):
@@ -418,14 +419,21 @@ def test_decompositions_match_pinned_digest():
     assert digest == "362e0dff2e098186db0399e6d08332529faf75d0d3ecc4b21eaf8c4b1e1c232d", digest
 
 
-def _lagrange_projectors(m):
-    """prod_{u != w} (h_lat - u)/(w - u) over QQ for each weight w, with
-    h_lat the grading operator in lattice coordinates."""
+def _grading_operator(m):
+    """h as the action gives it, or S·diag·S⁻¹ for S the pieces side by side."""
+    if m.action is not None:
+        return m.action["h"]
     s = Matrix.hstack(*[m.pieces[w] for w in m.weights])
     ws = [w for w in m.weights for _ in range(m.pieces[w].ncols)]
     diag = Matrix.from_rows(QQ, [[ws[r] if r == c else 0 for c in range(len(ws))]
                                  for r in range(len(ws))])
-    h_lat = inverse(m.lattice) @ s @ diag @ inverse(s) @ m.lattice
+    return s @ diag @ inverse(s)
+
+
+def _lagrange_projectors(m):
+    """prod_{u != w} (h_lat - u)/(w - u) over QQ for each weight w, with
+    h_lat the grading operator in lattice coordinates."""
+    h_lat = inverse(m.lattice) @ _grading_operator(m) @ m.lattice
     one = ident(m.ambient_dim)
     projs = {}
     for w in m.weights:
@@ -478,6 +486,53 @@ def test_transports_keep_the_validators_invariants(monkeypatch):
         assert weighted_module(m.p, m.lattice, m.weights, m.pieces, m.action) == m
 
 
+def _builtins():
+    """Every chain module and counterexample at p <= 13."""
+    return [m for p in (2, 3, 5, 7, 11, 13)
+            for m in [chain_from_highest(j, p) for j in range(1, p)] + [counterexample_module(p)]]
+
+
+def test_builtins_keep_the_validators_invariants():
+    # chain_from_highest and counterexample_module build from closed
+    # formulas and do not re-validate; the validator must accept each
+    # builtin and rebuild an equal module
+    for m in _builtins():
+        assert weighted_module(m.p, m.lattice, m.weights, m.pieces, m.action) == m
+        assert lattice_closed_under_action(m)
+
+
+def _grading_operator_keeps_the_lattice(m):
+    """The hypothesis the path label names, computed from h: the weights
+    are distinct mod p and h is p-integral in lattice coordinates."""
+    if not lieform.classify_p_type(m.weights, m.p).is_type1:
+        return False
+    h_lat = solve_linear(m.lattice, _grading_operator(m) @ m.lattice)
+    return all(v.denominator % m.p for v in h_lat.data)
+
+
+def test_path_label_is_the_grading_operator_criterion(monkeypatch):
+    # extend_torus reads "polynomial-projectors" off type 1 and a decomposed
+    # lattice; on the pinned corpus, every builtin at p <= 13 and the random
+    # type-1 sums, that must be the hypothesis computed from h
+    mods = _sl2_corpus() + _builtins()
+    sums, decompose = [], extend_torus
+    monkeypatch.setattr(sys.modules[__name__], "extend_torus",
+                        lambda m: sums.append(m) or decompose(m))
+    test_random_type1_direct_sums_decompose()
+    assert len(sums) > 3
+    labels = []
+    for m in mods + sums:
+        expected = _grading_operator_keeps_the_lattice(m)
+        if m.action is None and not expected:
+            # without an action only the polynomial route may run
+            with pytest.raises((lieform.ActionMissing, lieform.HypothesisNotMet)):
+                decompose(m)
+            continue
+        labels.append(decompose(m).path == "polynomial-projectors")
+        assert labels[-1] == expected
+    assert labels.count(True) > 40 and labels.count(False) > 40
+
+
 def _chain_action(**changes):
     c = chain_from_highest(1, 5)
     return weighted_module(5, c.lattice, c.weights, c.pieces, {**c.action, **changes})
@@ -510,7 +565,7 @@ SL2_ERRORS = [
      "summands live over different primes"),
     (lambda: conjugate(_C15, Matrix.identity(PrimeField(5), 2)), ValueError,
      "conjugator must be an ambient rational square matrix"),
-    # weights distinct mod 5, one outside (-5, 5); h_lat has the entry -6/5
+    # weights distinct mod 5, one outside (-5, 5); the lattice does not decompose
     (lambda: extend_torus(weighted_module(5, Matrix.from_rows(QQ, [[5, 1], [0, 1]]), (0, 6),
                                           {0: col_basis(2, [0]), 6: col_basis(2, [1])})),
      lieform.HypothesisNotMet,
