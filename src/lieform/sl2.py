@@ -297,6 +297,17 @@ def _assert_projector_family(projs: dict, n: int) -> None:
                     items[i][0], items[jj][0]))
 
 
+def _refuse_without_action(report) -> None:
+    """extend_torus's refusal of a module without an action."""
+    if report.is_type2 or report.is_type3:
+        raise ActionMissing("weights collide mod %d; the saturation route "
+                            "needs the sl2 action" % report.p)
+    if report.is_type1:
+        raise HypothesisNotMet("weights are distinct mod %d but the grading "
+                               "operator does not preserve the lattice" % report.p)
+    raise HypothesisNotMet("weight set fails every p-type and no action is given")
+
+
 def extend_torus(m: WeightedModule) -> DecompositionResult:
     """Decompose the lattice along the weight grading.
 
@@ -310,10 +321,13 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
     lattice decomposes, "saturation" otherwise.  h acts as w on piece w,
     so this holds exactly when the weights are distinct mod p and h keeps
     the lattice; the projectors are then polynomials in h with p-integral
-    coefficients, and the route needs no action.
+    coefficients, and the route needs no action: a module without one is
+    refused before any saturation unless its weights are distinct mod p.
     """
     p = m.p
     report = classify_p_type(set(m.weights), p)
+    if m.action is None and not report.is_type1:
+        _refuse_without_action(report)
     rp = LocalizedAtP(p)
     n = m.ambient_dim
 
@@ -326,18 +340,8 @@ def extend_torus(m: WeightedModule) -> DecompositionResult:
     local = coords.map_to_ring(rp)
     inv = solve_linear(local, Matrix.identity(rp, n))
     polynomial = report.is_type1 and inv is not None
-
     if m.action is None and not polynomial:
-        if report.is_type2 or report.is_type3:
-            raise ActionMissing(
-                "weights collide mod %d; the saturation route needs the "
-                "sl2 action" % p)
-        if report.is_type1:
-            raise HypothesisNotMet(
-                "weights are distinct mod %d but the grading operator "
-                "does not preserve the lattice" % p)
-        raise HypothesisNotMet(
-            "weight set fails every p-type and no action is given")
+        _refuse_without_action(report)
 
     if inv is not None:
         # the projector onto block b is coords[:, b] @ coords^-1[b, :]
