@@ -454,6 +454,8 @@ def triple_flip(pres: ChevalleyPresentation, ring: RingSpec,
     odd = next((i for i, c in enumerate(alpha) if c % 2), None)
     if odd is None:
         raise ValueError("%s has no odd coordinate, so it is not a root" % (alpha,))
+    if tuple(alpha) not in pres.root_system.roots:
+        raise ValueError("%s is not a root of %s" % (tuple(alpha), pres.dynkin))
     mone, one = ring.coerce(-1), ring.one()
     return _monomial(pres, ring, mone, [one if rho[odd] % 2 else mone
                                         for rho in pres.root_system.roots], True)

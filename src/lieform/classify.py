@@ -13,7 +13,7 @@ from typing import Optional
 from .chevalley import _build_presentation, chevalley_presentation, matrix_realization
 from .liealg import _ad_entries, _cell_det, _realization_entries, _trace_gram, killing_form
 from .matrices import Matrix, _commutator
-from .rings import LieformError, PrimeField, Record, ZZ
+from .rings import LieformError, PrimeField, Record, ZZ, is_prime
 from .roots import DynkinType, InvalidRank
 
 REASONS = ("P_EQ_2", "A_DIV", "B_DIV", "C_DIV", "D_DIV",
@@ -38,6 +38,8 @@ class PerfectnessVerdict(Record):
 
 def predict_perfect(t: DynkinType, p: int) -> PerfectnessVerdict:
     """Closed-form verdict; reasons fire in a fixed order."""
+    if not is_prime(p):
+        raise ValueError("%r is not prime" % (p,))
     r = t.rank
     reason = "PERFECT"
     if p == 2:
@@ -83,6 +85,8 @@ def oracle_perfect(t: DynkinType, p: int) -> bool:
     """
     if t.rank > 8:
         raise InvalidRank("oracle capped at rank 8, got %s" % (t,))
+    if not is_prime(p):
+        raise ValueError("%r is not prime" % (p,))
     return _integral_discriminant(t) % p != 0
 
 

@@ -16,7 +16,8 @@ x·m = [σx, m], which is what the obstruction calculus for lifting needs.
 Since ad(σx) = σ ad(x) σ⁻¹, twisting is a conjugation:
 d_σ = (σ⊗I)·d·(σ⁻¹⊗I), where σ⊗I acts on the coefficient index a of a
 cochain index a*m + q.  So every complex is read through the untwisted
-one's degree blocks: `cohomology_dim` sums its block ranks, and one
+one's degree blocks: `cohomology_dim` sums the ranks of its kept blocks
+(`liealg._torus`; the others are acyclic), and one
 solve, `_solve`, serves every σ, also for `lift_automorphism`.
 """
 
@@ -28,7 +29,7 @@ from math import comb
 from typing import Optional, Sequence, Union
 
 from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _bracket_defect,
-                     _cochain_degrees, _differential, _weights, base_change,
+                     _cochain_degrees, _differential, _kept, _torus, _weights, base_change,
                      is_lie_automorphism, is_perfect, killing_form)
 from .matrices import (Matrix, _degree_blocks, _dense, _graded_kernel,
                        _nonzero_product, _solve_by_blocks, _summed, inverse,
@@ -160,13 +161,20 @@ def _untwisted_complex(ring: RingSpec, dim: int, table: tuple, dynkin) -> Cochai
 
 def cohomology_dim(cx: CochainComplex, degree: int) -> int:
     """cochain_dim - rank d_degree - rank d_(degree-1), by the degree
-    blocks of the untwisted complex: conjugation keeps rank."""
+    blocks of the untwisted complex: conjugation keeps rank.  Only the
+    kept blocks of `liealg._torus` are counted, columns less ranks; every
+    other block is acyclic, so its columns and ranks cancel."""
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     plain = cx.untwisted or cx
-    return cx.cochain_dim(degree) - sum(
+    ring, (_, char) = plain.algebra.ring, _torus(plain.algebra)
+
+    def kept(k):
+        return [part for d, part in plain._blocks(k)[1].items() if _kept(ring, char(d))]
+
+    return sum(len(cols) for cols, _, _ in kept(degree)) - sum(
         rank(block) for k in range(max(degree - 1, 0), degree + 1)
-        for _, _, block in plain._blocks(k)[1].values())
+        for _, _, block in kept(k))
 
 
 def _solve(cx: CochainComplex, sigma: Optional[Matrix], theta: Matrix) -> Optional[Matrix]:

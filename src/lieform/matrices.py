@@ -15,7 +15,8 @@ differentials, are the other format: `_summed`, `_nonzero_product` and
 `_commutator` add and multiply them, `_dense` makes a Matrix of one, and
 `_graded_kernel` and `_solve_by_blocks` eliminate one `_degree_blocks`
 block at a time, as one elimination of the whole map would; `kernel` is
-the one-block case.
+the one-block case.  `_span_vectors` gives a span of columns the basis
+that `_kernel_vectors` gives it when it is a kernel.
 """
 
 from __future__ import annotations
@@ -425,15 +426,17 @@ def _dense(ring: RingSpec, ncols: int, entries: dict, rows) -> Matrix:
 
 def _degree_blocks(ring: RingSpec, degrees: list, entries: dict) -> tuple:
     """The diagonal blocks of the sparse map {(row, col): raw} whose column
-    c has degree degrees[c]; every row must lie in one degree.  Returns
+    c has degree degrees[c]; every row must lie in one degree, and a column
+    of degree None lies in no block and must be empty.  Returns
     {row: its degree} for the nonempty rows, and per degree, in order of
     first column, (its columns in increasing order, its nonempty rows in
     increasing order, the block on those rows and columns)."""
     blocks: dict = defaultdict(list)           # degree -> its columns
-    local = []                                 # column -> its place in its block
+    local = {}                                 # column -> its place in its block
     for c, d in enumerate(degrees):
-        local.append(len(blocks[d]))
-        blocks[d].append(c)
+        if d is not None:
+            local[c] = len(blocks[d])
+            blocks[d].append(c)
     row_degree: dict = {}
     parts: dict = defaultdict(dict)            # degree -> {(row, local col): raw}
     for (r, c), v in entries.items():
@@ -448,17 +451,17 @@ def _degree_blocks(ring: RingSpec, degrees: list, entries: dict) -> tuple:
     return row_degree, blocks
 
 
-def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
-    """The kernel of the map {(row, col): raw} with len(degrees) columns,
-    taken one `_degree_blocks` block at a time.
+def _kernel_vectors(ring: RingSpec, degrees: list, entries: dict) -> list:
+    """The reduced-echelon kernel basis of the map {(row, col): raw}, taken
+    one `_degree_blocks` block at a time, as (f, {col: raw}).
 
     A column is a pivot of the whole map iff it is one of its block, and
     the reduced-echelon kernel basis is unique, so the free column f gives
     the vector of one whole elimination: 1 at f, minus the reduced row
-    entries at the block's pivot columns.  Columns are sorted by f.
+    entries at the block's pivot columns.  f is its last nonzero slot.
     """
     one, neg = ring.one(), ring.neg
-    vectors = []                               # (free column, {col: raw})
+    vectors = []
     for cols, _, block in _degree_blocks(ring, degrees, entries)[1].values():
         pivots, free, rest = _echelon(block, reduce_up=True)
         for t, f in enumerate(free):
@@ -466,13 +469,42 @@ def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
             for pc, row in zip(pivots, rest):
                 vec[cols[pc]] = neg(row[t])
             vectors.append((cols[f], vec))
-    vectors.sort(key=lambda fv: fv[0])
+    return vectors
+
+
+def _span_vectors(ring: RingSpec, columns: dict) -> list:
+    """The reduced basis of the span of the columns {col: {row: raw}}, as
+    (f, {row: raw}): f is the last nonzero slot of its vector, and every
+    other vector is zero there.  It is the reduced echelon form of the
+    columns taken as rows, with the slot order reversed, so it depends only
+    on the span: when the span is a kernel, it is `_kernel_vectors`' basis
+    of it."""
+    rows = sorted({r for col in columns.values() for r in col}, reverse=True)
+    at = {r: t for t, r in enumerate(rows)}
+    m = _dense(ring, len(rows), {(i, at[r]): v for i, col in enumerate(columns.values())
+                                 for r, v in col.items()}, range(len(columns)))
+    pivots, free, rest = _echelon(m, reduce_up=True)
+    one = ring.one()
+    return [(rows[pc], {rows[pc]: one, **{rows[f]: v for f, v in zip(free, row)}})
+            for pc, row in zip(pivots, rest)]
+
+
+def _columns(ring: RingSpec, nrows: int, vectors: list) -> Matrix:
+    """The vectors (f, {row: raw}) as the columns of a Matrix with nrows
+    rows, sorted by f."""
+    vectors = sorted(vectors, key=lambda fv: fv[0])
     k = len(vectors)
-    flat = [ring.zero()] * (len(degrees) * k)
+    flat = [ring.zero()] * (nrows * k)
     for j, (_, vec) in enumerate(vectors):
         for c, v in vec.items():
             flat[c * k + j] = v
-    return Matrix(ring, len(degrees), k, tuple(flat))
+    return Matrix(ring, nrows, k, tuple(flat))
+
+
+def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
+    """The kernel of the map {(row, col): raw} with len(degrees) columns,
+    as one elimination of the whole map gives it: `_kernel_vectors`."""
+    return _columns(ring, len(degrees), _kernel_vectors(ring, degrees, entries))
 
 
 def _solve_by_blocks(ring: RingSpec, row_degree: dict, blocks: dict, ncols: int,

@@ -106,11 +106,13 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        a, b = s.split("/")
-        return Fraction(int(a), int(b))
-    return Fraction(int(s))
+    """The rational "a/b" or "a"; a ValueError naming s for any other
+    string, or a zero denominator."""
+    a, slash, b = s.partition("/")
+    try:
+        return Fraction(int(a), int(b) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("malformed rational %r" % (s,)) from None
 
 
 def _key_getter(names: tuple):

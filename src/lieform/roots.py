@@ -13,7 +13,7 @@ from math import gcd
 from typing import Iterable
 
 from .matrices import Matrix, det
-from .rings import LieformError, ZZ, Record
+from .rings import LieformError, ZZ, Record, is_prime
 
 
 class InvalidRank(LieformError):
@@ -276,6 +276,8 @@ def classify_p_type(s: Iterable[int], p: int) -> PTypeReport:
     [-p+1, p-1]; type 3: the doubled set inside [-p+1, p-1].  The types
     are independent; a set may satisfy several.
     """
+    if not is_prime(p):
+        raise ValueError("%r is not prime" % (p,))
     vals = tuple(sorted(set(int(v) for v in s)))
     t1 = len(set(v % p for v in vals)) == len(vals)
     t2 = all(-p < v < p for v in vals)

@@ -299,12 +299,12 @@ def _assert_projector_family(projs: dict, n: int) -> None:
 
 def _refuse_without_action(report) -> None:
     """extend_torus's refusal of a module without an action."""
-    if report.is_type2 or report.is_type3:
-        raise ActionMissing("weights collide mod %d; the saturation route "
-                            "needs the sl2 action" % report.p)
     if report.is_type1:
         raise HypothesisNotMet("weights are distinct mod %d but the grading "
                                "operator does not preserve the lattice" % report.p)
+    if report.is_type2 or report.is_type3:
+        raise ActionMissing("weights collide mod %d; the saturation route "
+                            "needs the sl2 action" % report.p)
     raise HypothesisNotMet("weight set fails every p-type and no action is given")
 
 
@@ -444,7 +444,7 @@ def _parse_entry(v, path: str) -> Fraction:
     if isinstance(v, str):
         try:
             return parse_rational(v)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise SchemaError(path, "malformed rational %r" % v)
     raise SchemaError(path, "expected an integer or an 'a/b' string")
 

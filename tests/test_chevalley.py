@@ -595,6 +595,10 @@ CHEVALLEY_ERRORS = [
      "lam has length 1, the rank is 2"),
     (lambda: triple_flip(chevalley_presentation(A2), F5, (2, 0)), ValueError,
      "(2, 0) has no odd coordinate, so it is not a root"),
+    (lambda: triple_flip(chevalley_presentation(A2), F5, (3, 0)), ValueError,
+     "(3, 0) is not a root of A2"),
+    (lambda: triple_flip(chevalley_presentation(A2), F5, (9,)), ValueError,
+     "(9,) is not a root of A2"),
 ]
 
 

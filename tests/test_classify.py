@@ -211,6 +211,10 @@ CLASSIFY_ERRORS = [
     (lambda: b_series_kernel_witness(9), InvalidRank, "witness computed for 1 <= n <= 8, got 9"),
     (lambda: b_series_kernel_witness(2, p=3), ValueError,
      "the witness ideal exists only in characteristic 2"),
+    (lambda: oracle_perfect(DynkinType("A", 2), 0), ValueError, "0 is not prime"),
+    (lambda: oracle_perfect(DynkinType("A", 2), 1), ValueError, "1 is not prime"),
+    (lambda: predict_perfect(DynkinType("A", 2), 4), ValueError, "4 is not prime"),
+    (lambda: predict_perfect(DynkinType("B", 3), -3), ValueError, "-3 is not prime"),
 ]
 
 

@@ -255,6 +255,24 @@ def test_verify_derivations_f4_within_two_gigabytes(child_env):
     assert doc["results"]["dim"] == 52
 
 
+def test_verify_derivations_e8_within_two_gigabytes(child_env):
+    # E8/F_7 keeps one degree block of d1, degree 0 with 304 unknowns; the
+    # other blocks are acyclic and read off d0.  Eliminating every block ran
+    # out of a 2 GB address space
+    code = ("import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "sys.argv = ['lieform', 'verify', '--suite', 'derivations',\n"
+            "            '--type', 'E8', '--prime', '7']\n"
+            "runpy.run_module('lieform', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "OK"
+    assert doc["results"]["dim"] == 248
+    assert doc["results"]["checks"][0]["derivation_dim"] == 248
+
+
 def test_verify_casimir_near_int64_limit(capsys):
     code, doc, _ = run_json(capsys, ["verify", "--suite", "casimir",
                                      "--type", "A3", "--prime", "2097143"])

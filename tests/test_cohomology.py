@@ -6,9 +6,10 @@ import sys
 import pytest
 
 import lieform.cohomology as cohomology
+import lieform.liealg as liealg
 from lieform import (DimensionTooLarge, DualNumbers, DynkinType,
                      IntegersModPk, LieAlgebra, Matrix, NotACocycle,
-                     NotAutomorphism, NotPerfect, PrimeField, RingMismatch,
+                     NotAutomorphism, NotPerfect, PrimeField, QQ, RingMismatch,
                      UnsupportedRing, ZZ, base_change, ce_complex, center_basis,
                      chevalley_involution, chevalley_presentation, cohomology_dim,
                      derivation_algebra, inverse, is_lie_automorphism,
@@ -470,16 +471,34 @@ def test_block_readers_leave_the_dense_views_unbuilt():
         assert cx.d1.nrows == cx.cochain_dim(2) and "d1" in vars(cx)
 
 
+@pytest.mark.parametrize("ring", [PrimeField(2), F3, F5, F7, PrimeField(2097169), QQ],
+                         ids=repr)
+@pytest.mark.parametrize("tname", ["A1", "A2", "A3", "B2", "C2", "G2"])
+def test_kept_blocks_give_the_cohomology_of_all_blocks(tname, ring):
+    # cohomology_dim counts the kept blocks only; the reference ranks every
+    # block of d0, d1 and d2 (B3, C3 and D4 are above the complex's bound)
+    g = chevalley_presentation(DynkinType(tname[0], int(tname[1:]))).to_lie_algebra(ring)
+    cx = ce_complex(g)
+    want = [cx.cochain_dim(degree) - sum(rank(block)
+                                         for k in range(max(degree - 1, 0), degree + 1)
+                                         for _, _, block in cx._blocks(k)[1].values())
+            for degree in (0, 1, 2)]
+    assert [cohomology_dim(cx, degree) for degree in (0, 1, 2)] == want
+
+
 def test_twisted_ranks_are_the_untwisted_blocks(monkeypatch):
     # d_σ = (σ⊗I)·d·(σ⁻¹⊗I) has the rank of d, so cohomology_dim of a
     # twisted complex ranks the degree blocks of the untwisted complex,
-    # not one block of the whole d_σ
+    # not one block of the whole d_σ; of those, only the kept ones, whose
+    # torus character is zero, as every other block is acyclic
     pres = chevalley_presentation(DynkinType("A", 3))
     g = pres.to_lie_algebra(F5)
     blocks = ce_complex(g)._blocks
+    _, char = liealg._torus(g)
     want = [(block.nrows, block.ncols) for degree in (0, 1, 2)
             for k in range(max(degree - 1, 0), degree + 1)
-            for _, _, block in blocks(k)[1].values()]
+            for d, (_, _, block) in blocks(k)[1].items() if liealg._kept(F5, char(d))]
+    assert 0 < len(want) < sum(len(blocks(k)[1]) for k in (0, 0, 1, 1, 2))
     real, seen = cohomology.rank, []
 
     def spy(m):

@@ -658,6 +658,92 @@ def test_permuted_chevalley_table_keeps_one_block(tname):
     assert derivation_algebra(labelled).ncols == g.dim
 
 
+# -- kept blocks: on a Chevalley table H_i acts on a cochain of degree d by
+# d(H_i), so every block with some d(H_i) a unit is acyclic
+
+def _contraction(ring, n, k, i):
+    """ι_{b_i} : C^k -> C^(k-1), (ι f)(ys) = f(b_i, ys), as a sparse map:
+    f(b_i, ys) is (-1)^at f at the sorted tuple, at the place of i in it."""
+    src = {q: c for c, q in enumerate(combinations(range(n), k))}
+    m_src, m_dst = len(src), len(list(combinations(range(n), k - 1)))
+    out = {}
+    for r, ys in enumerate(combinations(range(n), k - 1)):
+        if i not in ys:
+            at = sum(y < i for y in ys)
+            col = src[ys[:at] + (i,) + ys[at:]]
+            for a in range(n):
+                out[(a * m_dst + r, a * m_src + col)] = ring.coerce((-1) ** at)
+    return out
+
+
+@pytest.mark.parametrize("rname", ["F7", "QQ"])
+@pytest.mark.parametrize("tname", ["A2", "B2", "G2"])
+def test_cartan_formula_makes_the_other_blocks_acyclic(tname, rname):
+    # d∘ι_h + ι_h∘d = d(h)·I on C^k for h = H_i, with d(H_i) the torus
+    # character that `_torus` reads off the table; each k has a block
+    # where some d(H_i) is a unit, and there ι_h/d(H_i) contracts it
+    from lieform.matrices import _nonzero_product, _summed
+    g = _pinned_algebra(tname, rname)
+    ring, n = g.ring, g.dim
+    wt, char = lieform.liealg._torus(g)
+    ds = [lieform.liealg._differential(g, k) for k in range(3)]
+    for k in range(3):
+        degrees = lieform.liealg._cochain_degrees(wt, k)
+        assert not all(lieform.liealg._kept(ring, char(d)) for d in degrees)
+        for i in range(g.dynkin.rank):
+            parts = [_nonzero_product(ring, _contraction(ring, n, k + 1, i).items(), ds[k])]
+            if k:
+                parts.append(_nonzero_product(ring, ds[k - 1].items(),
+                                              _contraction(ring, n, k, i)))
+            lie = _summed(ring, (kv for part in parts for kv in part.items()))
+            assert lie == {(c, c): char(d)[i] for c, d in enumerate(degrees)
+                           if not ring.is_zero(char(d)[i])}
+
+
+KEPT_RINGS = {"F2": PrimeField(2), "F3": F3, "F5": F5, "F7": F7,
+              "F2097169": PrimeField(2097169), "QQ": QQ}
+
+
+@pytest.mark.parametrize("rname", KEPT_RINGS)
+@pytest.mark.parametrize("tname", ["A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4"])
+def test_kept_blocks_match_all_blocks(tname, rname):
+    # the centre and the derivations eliminate the kept blocks and read the
+    # acyclic ones off d0; the reference eliminates every block of d0, d1
+    from lieform.matrices import _graded_kernel
+    t = DynkinType(tname[0], int(tname[1:]))
+    g = chevalley_presentation(t).to_lie_algebra(KEPT_RINGS[rname])
+    wt, char = lieform.liealg._torus(g)
+    assert len(char(wt[-1])) == t.rank
+    for k, got in ((0, center_basis(g)), (1, derivation_algebra(g))):
+        assert got == _graded_kernel(g.ring, lieform.liealg._cochain_degrees(wt, k),
+                                     lieform.liealg._differential(g, k))
+
+
+def _solvable_a1(ring):
+    # [H, X] = X and [H, Y] = Y: graded as A1 is, but λ(Y) = 1, not -1
+    one = ring.one()
+    return LieAlgebra(ring, 3, {(0, 1): ((1, one),), (0, 2): ((2, one),)},
+                      dynkin=DynkinType("A", 1))
+
+
+def _torus_not_abelian(ring):
+    # [H_1, H_2] = H_1 and the root vectors central: graded as A2 is
+    return LieAlgebra(ring, 8, {(0, 1): ((0, ring.one()),)}, dynkin=DynkinType("A", 2))
+
+
+@pytest.mark.parametrize("ring", [F3, F7, QQ], ids=repr)
+@pytest.mark.parametrize("build", [_solvable_a1, _torus_not_abelian])
+def test_table_without_a_checked_torus_keeps_every_block(build, ring):
+    # the grading holds, so the blocks are split by degree, but the torus
+    # check fails, so every degree is kept: the one-block answer
+    g = build(ring)
+    wt, char = lieform.liealg._torus(g)
+    assert len(set(wt)) > 1 and {char(w) for w in wt} == {()}
+    one_block = LieAlgebra(ring, g.dim, g.table)
+    assert derivation_algebra(g) == derivation_algebra(one_block)
+    assert center_basis(g) == center_basis(one_block)
+
+
 def _dense_spans_inner(g, ders):
     """The dense check: inner is the dim^2 x dim matrix of the ad(b_i)."""
     ads = [g.ad_matrix(g.basis_vector(i)).data for i in range(g.dim)]

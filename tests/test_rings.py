@@ -215,6 +215,8 @@ RING_ERRORS = [
     (lambda: ZZ.inv(2), NotAUnit, "2 is not a unit in Z"),
     (lambda: QQ.coerce(False), TypeError, "bool is not a rational scalar"),
     (lambda: QQ.coerce(0.5), TypeError, "cannot coerce 0.5 into Q"),
+    (lambda: parse_rational("1/0"), ValueError, "malformed rational '1/0'"),
+    (lambda: QQ.coerce("1/2/3"), ValueError, "malformed rational '1/2/3'"),
     (lambda: QQ.inv(Fraction(0)), NotAUnit, "0 is not invertible"),
     (lambda: F5.coerce(True), TypeError, "bool is not a scalar"),
     (lambda: F5.coerce("1"), TypeError, "cannot coerce '1' into Z/5"),

@@ -170,3 +170,19 @@ def test_sum_index_matches_tuple_arithmetic_beyond_int64_keys():
     # plain Python have no such limit
     for rank in (27, 28):
         _check_index_tables(build_root_system(DynkinType("A", rank)))
+
+
+# (call, error class, message): named errors of the root layer that the
+# tests above do not reach
+ROOTS_ERRORS = [
+    (lambda: classify_p_type({0, 1}, 1), ValueError, "1 is not prime"),
+    (lambda: classify_p_type({0, 1}, 4), ValueError, "4 is not prime"),
+    (lambda: classify_p_type({0, 1}, 0), ValueError, "0 is not prime"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", ROOTS_ERRORS)
+def test_roots_named_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

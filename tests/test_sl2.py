@@ -415,8 +415,11 @@ def test_decompositions_match_pinned_digest():
     for kind in ("ActionMissing", "HypothesisNotMet", ("saturation", True),
                  ("saturation", False), ("polynomial-projectors", True)):
         assert kind in outcomes
+    # nine modules without an action, with weights distinct mod p and a
+    # lattice that does not decompose, are refused as HypothesisNotMet: their
+    # weights do not collide, so ActionMissing was the wrong cause
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
-    assert digest == "362e0dff2e098186db0399e6d08332529faf75d0d3ecc4b21eaf8c4b1e1c232d", digest
+    assert digest == "86138b8a49953e2ba24e6f446171be70c950a06bc5e694755bfd7dcf7385a576", digest
 
 
 def _grading_operator(m):
@@ -568,6 +571,12 @@ SL2_ERRORS = [
     # weights distinct mod 5, one outside (-5, 5); the lattice does not decompose
     (lambda: extend_torus(weighted_module(5, Matrix.from_rows(QQ, [[5, 1], [0, 1]]), (0, 6),
                                           {0: col_basis(2, [0]), 6: col_basis(2, [1])})),
+     lieform.HypothesisNotMet,
+     "weights are distinct mod 5 but the grading operator does not preserve the lattice"),
+    # the same lattice with weights distinct mod 5 and both inside (-5, 5):
+    # type 1 and type 2, and no weight collides
+    (lambda: extend_torus(weighted_module(5, Matrix.from_rows(QQ, [[5, 1], [0, 1]]), (0, 1),
+                                          {0: col_basis(2, [0]), 1: col_basis(2, [1])})),
      lieform.HypothesisNotMet,
      "weights are distinct mod 5 but the grading operator does not preserve the lattice"),
 ]
