@@ -9,15 +9,15 @@ d0, d1 and d2 come from `liealg._differential`, the one builder that also
 gives the centre and the derivations; only the complex is capped, at
 dim <= 20.  Untwisted, a Chevalley algebra's complex is block diagonal by
 root-lattice degree, split and solved by the sparse-map helpers of
-`matrices`.
+`matrices`; its kernel of d1 is `liealg.derivation_algebra`.
 
 The action on coefficients may be twisted through an automorphism σ,
 x·m = [σx, m], which is what the obstruction calculus for lifting needs.
 Since ad(σx) = σ ad(x) σ⁻¹, twisting is a conjugation:
 d_σ = (σ⊗I)·d·(σ⁻¹⊗I), where σ⊗I acts on the coefficient index a of a
 cochain index a*m + q.  So every complex is read through the untwisted
-one's degree blocks: `cohomology_dim` sums the ranks of its kept blocks
-(`liealg._torus`; the others are acyclic), and one
+one's degree blocks: `cohomology_dim` sums the ranks of the kept blocks
+that `liealg._kept_blocks` builds (the others are acyclic), and one
 solve, `_solve`, serves every σ, also for `lift_automorphism`.
 """
 
@@ -29,11 +29,10 @@ from math import comb
 from typing import Optional, Sequence, Union
 
 from .liealg import (LieAlgebra, NotAutomorphism, NotPerfect, _bracket_defect,
-                     _cochain_degrees, _differential, _kept, _torus, _weights, base_change,
-                     is_lie_automorphism, is_perfect, killing_form)
-from .matrices import (Matrix, _degree_blocks, _dense, _graded_kernel,
-                       _nonzero_product, _solve_by_blocks, _summed, inverse,
-                       pivots, rank, solve_linear)
+                     _cochain_degrees, _differential, _kept_blocks, _weights, base_change,
+                     derivation_algebra, is_lie_automorphism, is_perfect, killing_form)
+from .matrices import (Matrix, _degree_blocks, _dense, _nonzero_product, _solve_by_blocks,
+                       _summed, inverse, pivots, rank, solve_linear)
 from .rings import (LieformError, PrimeField, Record, RingMismatch, RingSpec,
                     UnsupportedRing, convert_raw)
 
@@ -50,7 +49,8 @@ class CochainComplex(Record):
     """d0, d1, d2 as sparse `maps` {(row, col): raw} without zeros, with
     the `degrees` of the untwisted columns; a twisted complex keeps the
     `untwisted` one that it conjugates.  The dense views d0, d1, d2, the
-    degree blocks, d2 by column and kernel(d1) are built on first use."""
+    degree blocks, d2 by column and kernel(d1), which is the derivation
+    algebra, are built on first use."""
 
     algebra: LieAlgebra
     twist: Optional[Matrix]
@@ -89,7 +89,7 @@ class CochainComplex(Record):
 
     @cached_property
     def _d1_kernel(self) -> Matrix:
-        return _graded_kernel(self.algebra.ring, self.degrees[1], self.maps[1])
+        return derivation_algebra(self.algebra)
 
 
 def _automorphism_inverse(g: LieAlgebra, sigma: Matrix) -> Matrix:
@@ -160,21 +160,16 @@ def _untwisted_complex(ring: RingSpec, dim: int, table: tuple, dynkin) -> Cochai
 
 
 def cohomology_dim(cx: CochainComplex, degree: int) -> int:
-    """cochain_dim - rank d_degree - rank d_(degree-1), by the degree
-    blocks of the untwisted complex: conjugation keeps rank.  Only the
-    kept blocks of `liealg._torus` are counted, columns less ranks; every
-    other block is acyclic, so its columns and ranks cancel."""
+    """cochain_dim - rank d_degree - rank d_(degree-1), by the untwisted
+    differentials of cx's algebra, as conjugation keeps rank.  Only their
+    `liealg._kept_blocks` are counted, columns less ranks; every other
+    block is acyclic, so its columns and ranks cancel."""
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
-    plain = cx.untwisted or cx
-    ring, (_, char) = plain.algebra.ring, _torus(plain.algebra)
-
-    def kept(k):
-        return [part for d, part in plain._blocks(k)[1].items() if _kept(ring, char(d))]
-
-    return sum(len(cols) for cols, _, _ in kept(degree)) - sum(
-        rank(block) for k in range(max(degree - 1, 0), degree + 1)
-        for _, _, block in kept(k))
+    kept = {k: _kept_blocks(cx.algebra, k).values()
+            for k in range(max(degree - 1, 0), degree + 1)}
+    return sum(len(cols) for cols, _, _ in kept[degree]) - sum(
+        rank(block) for blocks in kept.values() for _, _, block in blocks)
 
 
 def _solve(cx: CochainComplex, sigma: Optional[Matrix], theta: Matrix) -> Optional[Matrix]:

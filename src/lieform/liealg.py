@@ -12,15 +12,17 @@ constructor and of `chevalley.verify_jacobi`, is `_jacobi_defects`.
 A Chevalley algebra (one carrying its
 `dynkin` label) is graded by the root lattice: H_i has weight 0 and X_alpha
 weight alpha, so every d_k is block diagonal by the degrees of
-`_cochain_degrees` and the kernels are taken one degree block at a time.
-H_i acts on a cochain of degree d by the scalar d(H_i) of `_torus`, so
-a block with some d(H_i) nonzero is acyclic: only the kept blocks, of
-d(H_i) = 0 for every i, are built and eliminated.  The centre is zero on
-the others, and `derivation_algebra` reads them off d0, as ker d1 = im d0
-there; E8's derivations thus keep one block of 304 unknowns over F_7.
-The grading and the torus are checked against the bracket table; a table
-the grading fails is one block of degree 0, and one whose torus fails
-keeps every block.  The Killing
+`_cochain_degrees`.  H_i acts on a cochain of degree d by the scalar
+d(H_i) of `_torus`, so a block with some d(H_i) nonzero is acyclic.
+`_kept_blocks` builds only the others, of d(H_i) = 0 for every i, and
+every reader of the complex goes through it: `center_basis`,
+`derivation_algebra` and `cohomology.cohomology_dim` eliminate them.  The
+centre is zero on the acyclic blocks, and `derivation_algebra` reads them
+off d0, as ker d1 = im d0 there; E8's derivations thus keep one block of
+304 unknowns over F_7.  `_spans_inner_derivations` compares a basis with
+the reduced basis of im d0.  The grading and the torus are checked
+against the bracket table; a table the grading fails is one block of
+degree 0, and one whose torus fails keeps every block.  The Killing
 Gram is graded too: `is_perfect` and the integral oracle of `classify`
 read its determinant one degree cell at a time (`_cell_det`), over every
 ring.  `ad_matrix` and `casimir_operator` read the same sparse ad entries.  `_bracket_defect` is the one bracket
@@ -44,8 +46,6 @@ from .matrices import (
     _columns,
     _degree_blocks,
     _dense,
-    _echelon,
-    _graded_kernel,
     _kernel_vectors,
     _nonzero_product,
     _span_vectors,
@@ -53,7 +53,6 @@ from .matrices import (
     det,
     inverse,
     kernel,
-    rank,
 )
 from .rings import (LieformError, Record, RingMismatch, RingSpec, Scalar, UnsupportedRing,
                     ZZ, convert_raw)
@@ -217,7 +216,7 @@ def _differential(g: LieAlgebra, k: int, partners=None) -> dict:
     A k-cochain f sits at a*C(dim, k) + q for the coefficient of b_a in
     f(b_q), q indexing the sorted k-tuples in `combinations` order.
 
-    With the row filter `partners` of `_kept_rows`, only the rows
+    With the row filter `partners` of `_kept_blocks`, only the rows
     a*C(dim, k+1) + r, r indexing the (k+1)-tuple xs, with a in
     partners(xs) are built; d_k is block diagonal by degree, so these are
     the rows of the kept blocks, whole."""
@@ -384,17 +383,11 @@ def _torus(g: LieAlgebra) -> tuple:
     return wt, lambda d: ()
 
 
-def _kept(ring: RingSpec, character: tuple) -> bool:
-    """Whether a degree of this `_torus` character is kept: every d(H_i) is
-    zero, so over a field no d(H_i) is a unit."""
-    return all(map(ring.is_zero, character))
-
-
 def _cochain_degrees(wt: list, k: int, partners=None) -> list:
     """The degree wt(b) - wt(i_1) - .. - wt(i_k) of each k-cochain column
     b*C(dim, k) + q, q = (i_1..i_k), for the weights wt of `_weights`; with
-    the row filter of `_kept_rows`, only on the columns of kept degree, and
-    None on the others."""
+    the row filter of `_kept_blocks`, only on the columns of kept degree,
+    and None on the others."""
     n, m = len(wt), comb(len(wt), k)
     out = [None] * (n * m)
     for c, q in enumerate(combinations(range(n), k)):
@@ -403,11 +396,14 @@ def _cochain_degrees(wt: list, k: int, partners=None) -> list:
     return out
 
 
-def _kept_rows(g: LieAlgebra) -> tuple:
-    """The weights, the `_torus` character chars[b] of each basis vector,
-    and the row filter of the kept degrees: the function from a tuple xs
-    of basis indices to the a, in increasing order, whose cochain (a, xs)
-    has kept degree, chars[a] the sum of chars over xs."""
+def _kept_blocks(g: LieAlgebra, k: int) -> dict:
+    """The kept degree blocks of d_k, as `_degree_blocks` gives them,
+    {degree: (cols, rows, block)}: those of the degrees whose `_torus`
+    character is zero, the only ones that can carry cohomology over a
+    field.  Only they are built, each whole, through the row filter
+    partners: the function from a tuple xs of basis indices to the a, in
+    increasing order, whose cochain (a, xs) has kept degree, chars[a] the
+    sum of chars over xs."""
     ring, (wt, char) = g.ring, _torus(g)
     chars = [char(w) for w in wt]
     by_char = defaultdict(list)
@@ -415,8 +411,25 @@ def _kept_rows(g: LieAlgebra) -> tuple:
         by_char[x].append(a)
     zero = tuple(ring.zero() for _ in chars[0]) if chars else ()
     add = ring.add
-    return wt, chars, lambda xs: by_char.get(
-        tuple(reduce(add, col) for col in zip(zero, *(chars[x] for x in xs))), ())
+
+    def partners(xs):
+        sums = tuple(reduce(add, col) for col in zip(zero, *(chars[x] for x in xs)))
+        return by_char.get(sums, ())
+
+    return _degree_blocks(ring, _cochain_degrees(wt, k, partners),
+                          _differential(g, k, partners))[1]
+
+
+def _inner_vectors(g: LieAlgebra, skip=()) -> list:
+    """The reduced `_span_vectors` basis of the inner derivations, im d0,
+    one degree at a time, over the degrees not in skip: column b of d0,
+    -ad b_b, has degree wt(b)."""
+    wt = _weights(g)
+    inner: dict = defaultdict(lambda: defaultdict(dict))  # degree -> column b of d0
+    for (s, b), v in _differential(g, 0).items():
+        if wt[b] not in skip:
+            inner[wt[b]][b][s] = v
+    return [fv for columns in inner.values() for fv in _span_vectors(g.ring, columns)]
 
 
 def center_basis(g: LieAlgebra) -> Matrix:
@@ -425,9 +438,7 @@ def center_basis(g: LieAlgebra) -> Matrix:
     other block of H^0 is zero."""
     if not g.ring.is_field:
         raise UnsupportedRing("center computation needs a field-kind ring")
-    wt, _, partners = _kept_rows(g)
-    return _graded_kernel(g.ring, _cochain_degrees(wt, 0, partners),
-                          _differential(g, 0, partners))
+    return _columns(g.ring, g.dim, _kernel_vectors(g.ring, _kept_blocks(g, 0).values()))
 
 
 def derivation_algebra(g: LieAlgebra) -> Matrix:
@@ -438,49 +449,34 @@ def derivation_algebra(g: LieAlgebra) -> Matrix:
     The kept blocks of d1 are eliminated.  Every other block is acyclic, so
     there ker d1 = im d0, whose reduced basis is read off the columns
     of d0 of that degree (for a root alpha, ad X_alpha alone); it is the
-    basis one elimination of the block would give."""
-    ring, n = g.ring, g.dim
+    basis one elimination of the block would give.  The kept degrees of d1
+    name those of d0: wt(b) is the degree of the cochain (b, b_0), and
+    wt(b_0) = 0."""
+    ring = g.ring
     if not ring.is_field:
         raise UnsupportedRing("derivations need a field-kind ring")
-    wt, chars, partners = _kept_rows(g)
-    vectors = _kernel_vectors(ring, _cochain_degrees(wt, 1, partners),
-                              _differential(g, 1, partners))
-    inner: dict = defaultdict(lambda: defaultdict(dict))  # degree -> column b of d0
-    for (s, b), v in _differential(g, 0).items():
-        if not _kept(ring, chars[b]):
-            inner[wt[b]][b][s] = v
-    for columns in inner.values():
-        vectors += _span_vectors(ring, columns)
-    return _columns(ring, n * n, vectors)
+    kept = _kept_blocks(g, 1)
+    vectors = _kernel_vectors(ring, kept.values()) + _inner_vectors(g, skip=kept)
+    del kept    # free the dense blocks before the dim^2 x k answer is laid out
+    return _columns(ring, g.dim ** 2, vectors)
 
 
 def _spans_inner_derivations(g: LieAlgebra, ders: Matrix) -> bool:
-    """Whether the columns of ders are a basis of the inner derivations:
-    for inner = d0, the dim^2 x dim matrix whose column i is -ad(b_i),
-    the pivot columns of (ders | inner) are those of ders, so the columns
-    of ders are independent and span inner, and rank(inner) == ders.ncols,
-    so inner spans them.  Outer derivations, as for G2 over F_2 (21 of
-    them against dim 14), fail the rank test.
-
-    Both eliminations run one `_degree_blocks` block at a time: column i
-    of d0 has degree wt(i), and each column that `derivation_algebra`
-    returns lies in one degree, that of its slots.
-    """
-    ring, k = g.ring, ders.ncols
-    wt = _weights(g)
-    degrees = _cochain_degrees(wt, 1)
-    inner = _differential(g, 0)
-    both = {(s, k + i): v for (s, i), v in inner.items()}
-    col_degrees = []
-    for j in range(k):
-        col = [(s, v) for s, v in enumerate(ders.col(j)) if not ring.is_zero(v)]
-        both.update(((s, j), v) for s, v in col)
-        col_degrees.append(degrees[col[0][0]])
-    pivots = sorted(cols[c] for cols, _, block
-                    in _degree_blocks(ring, col_degrees + wt, both)[1].values()
-                    for c in _echelon(block, reduce_up=False)[0])
-    return (pivots == list(range(k)) and k == sum(
-        rank(block) for _, _, block in _degree_blocks(ring, wt, inner)[1].values()))
+    """Whether the columns of ders are the reduced basis of the inner
+    derivations, `_inner_vectors` over every degree sorted by last nonzero
+    slot.  For ders = `derivation_algebra(g)`, the reduced basis of
+    Z^1 ⊇ B^1, that holds exactly when every derivation is inner; outer
+    derivations, as for G2 over F_2 (21 of them against dim 14), fail.  So
+    does every other basis of the inner derivations.  ders is compared by
+    its nonzero entries only: their number, and its values at the slots
+    of the basis."""
+    zero, want = g.ring.zero(), sorted(_inner_vectors(g), key=lambda fv: fv[0])
+    k, data = ders.ncols, ders.data
+    slots = [(s * k + j, v) for j, (_, vec) in enumerate(want)
+             for s, v in vec.items() if v != zero]
+    return ((ders.nrows, k) == (g.dim ** 2, len(want))
+            and len(data) - data.count(zero) == len(slots)
+            and all(data[t] == v for t, v in slots))
 
 
 def _casimir(kf: BilinearForm, message: str) -> CasimirTensor:

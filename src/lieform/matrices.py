@@ -451,18 +451,17 @@ def _degree_blocks(ring: RingSpec, degrees: list, entries: dict) -> tuple:
     return row_degree, blocks
 
 
-def _kernel_vectors(ring: RingSpec, degrees: list, entries: dict) -> list:
-    """The reduced-echelon kernel basis of the map {(row, col): raw}, taken
-    one `_degree_blocks` block at a time, as (f, {col: raw}).
+def _kernel_vectors(ring: RingSpec, blocks) -> list:
+    """The reduced-echelon kernel basis of a map, taken one of its
+    `_degree_blocks` blocks (cols, rows, block) at a time, as (f, {col: raw}).
 
     A column is a pivot of the whole map iff it is one of its block, and
     the reduced-echelon kernel basis is unique, so the free column f gives
     the vector of one whole elimination: 1 at f, minus the reduced row
-    entries at the block's pivot columns.  f is its last nonzero slot.
-    """
+    entries at the block's pivot columns.  f is its last nonzero slot."""
     one, neg = ring.one(), ring.neg
     vectors = []
-    for cols, _, block in _degree_blocks(ring, degrees, entries)[1].values():
+    for cols, _, block in blocks:
         pivots, free, rest = _echelon(block, reduce_up=True)
         for t, f in enumerate(free):
             vec = {cols[f]: one}
@@ -504,7 +503,8 @@ def _columns(ring: RingSpec, nrows: int, vectors: list) -> Matrix:
 def _graded_kernel(ring: RingSpec, degrees: list, entries: dict) -> Matrix:
     """The kernel of the map {(row, col): raw} with len(degrees) columns,
     as one elimination of the whole map gives it: `_kernel_vectors`."""
-    return _columns(ring, len(degrees), _kernel_vectors(ring, degrees, entries))
+    blocks = _degree_blocks(ring, degrees, entries)[1].values()
+    return _columns(ring, len(degrees), _kernel_vectors(ring, blocks))
 
 
 def _solve_by_blocks(ring: RingSpec, row_degree: dict, blocks: dict, ncols: int,
