@@ -17,8 +17,9 @@ Since ad(σx) = σ ad(x) σ⁻¹, twisting is a conjugation:
 d_σ = (σ⊗I)·d·(σ⁻¹⊗I), where σ⊗I acts on the coefficient index a of a
 cochain index a*m + q.  So every complex is read through the untwisted
 one's degree blocks: `cohomology_dim` sums the ranks of the kept blocks
-that `liealg._kept_blocks` builds (the others are acyclic), and one
-solve, `_solve`, serves every σ, also for `lift_automorphism`.
+that `liealg._kept_blocks` builds (the others are acyclic), each map's
+once per complex, and one solve, `_solve`, serves every σ, also for
+`lift_automorphism`.
 """
 
 from __future__ import annotations
@@ -46,24 +47,22 @@ class NotACocycle(LieformError):
 
 
 class CochainComplex(Record):
-    """d0, d1, d2 as sparse `maps` {(row, col): raw} without zeros, with
-    the `degrees` of the untwisted columns; a twisted complex keeps the
-    `untwisted` one that it conjugates.  The dense views d0, d1, d2, the
-    degree blocks, d2 by column and kernel(d1), which is the derivation
-    algebra, are built on first use."""
+    """d0, d1, d2 as sparse `maps` {(row, col): raw} without zeros; a
+    twisted complex keeps the `untwisted` one that it conjugates.  Built on
+    first use: the dense views d0, d1, d2; for `_solve`, d2 by column, the
+    degree blocks of d1 and kernel(d1), which is the derivation algebra;
+    for `cohomology_dim`, the columns and rank of each d_k's kept blocks."""
 
     algebra: LieAlgebra
     twist: Optional[Matrix]
     pairs: tuple
-    triples: tuple
     maps: tuple
-    degrees: tuple
     untwisted: Optional[CochainComplex] = None
-    _hidden = ("maps", "degrees", "untwisted")
+    _hidden = ("maps", "untwisted")
 
     def cochain_dim(self, degree: int) -> int:
         n = self.algebra.dim
-        return (n, n * n, n * len(self.pairs), n * len(self.triples))[degree]
+        return n * comb(n, degree)
 
     def _dense_view(self, k: int) -> Matrix:
         return _dense(self.algebra.ring, self.cochain_dim(k), self.maps[k],
@@ -80,16 +79,23 @@ class CochainComplex(Record):
             out.setdefault(c, []).append((r, v))
         return out
 
-    def _blocks(self, k: int) -> tuple:
-        """`matrices._degree_blocks` of d_k: ({row: degree}, {degree: block})."""
-        split = self.__dict__.setdefault("_split", {})
-        if k not in split:
-            split[k] = _degree_blocks(self.algebra.ring, self.degrees[k], self.maps[k])
-        return split[k]
+    @cached_property
+    def _d1_blocks(self) -> tuple:
+        """`matrices._degree_blocks` of d1 by the untwisted column degrees."""
+        return _degree_blocks(self.algebra.ring, _cochain_degrees(_weights(self.algebra), 1),
+                              self.maps[1])
 
     @cached_property
     def _d1_kernel(self) -> Matrix:
         return derivation_algebra(self.algebra)
+
+    def _kept_counts(self, k: int) -> tuple:
+        """(columns, rank) of the `liealg._kept_blocks` of d_k, summed."""
+        counts = self.__dict__.setdefault("_kept", {})
+        if k not in counts:
+            blocks = _kept_blocks(self.algebra, k).values()
+            counts[k] = sum(len(c) for c, _, _ in blocks), sum(rank(b) for _, _, b in blocks)
+        return counts[k]
 
 
 def _automorphism_inverse(g: LieAlgebra, sigma: Matrix) -> Matrix:
@@ -120,8 +126,7 @@ def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
     x being bracketing with twist(x), an automorphism over g's ring checked
     before anything is built.  Exact over the base field; d2∘d1 = 0 is
     checked on construction, and d1∘d0 = 0 is the Jacobi identity of g's
-    table.  d0, d1, d2 come from `liealg._differential` and the untwisted
-    column degrees from `liealg._cochain_degrees`; a twisted complex
+    table.  d0, d1, d2 come from `liealg._differential`; a twisted complex
     conjugates the cached `_untwisted_complex` of g's table."""
     ring = g.ring
     if not ring.is_field:
@@ -134,10 +139,7 @@ def ce_complex(g: LieAlgebra, twist: Optional[Matrix] = None) -> CochainComplex:
         bad = _nonzero_product(ring, d2.items(), d1)
         if bad:
             raise AssertionError("d2∘d1 is nonzero at %s" % (min(bad),))
-        wt = _weights(g)
-        pairs, triples = (tuple(combinations(range(n), k)) for k in (2, 3))
-        return CochainComplex(g, None, pairs, triples, (d0, d1, d2),
-                              tuple(_cochain_degrees(wt, k) for k in range(3)))
+        return CochainComplex(g, None, tuple(combinations(range(n), 2)), (d0, d1, d2))
     s_inv = _automorphism_inverse(g, twist)
     plain = _untwisted_complex(ring, n, tuple(sorted(g.table.items())), g.dynkin)
 
@@ -162,14 +164,13 @@ def _untwisted_complex(ring: RingSpec, dim: int, table: tuple, dynkin) -> Cochai
 def cohomology_dim(cx: CochainComplex, degree: int) -> int:
     """cochain_dim - rank d_degree - rank d_(degree-1), by the untwisted
     differentials of cx's algebra, as conjugation keeps rank.  Only their
-    `liealg._kept_blocks` are counted, columns less ranks; every other
-    block is acyclic, so its columns and ranks cancel."""
+    `liealg._kept_blocks` are counted, columns less ranks, each map's once
+    per untwisted complex; the other blocks are acyclic."""
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
-    kept = {k: _kept_blocks(cx.algebra, k).values()
-            for k in range(max(degree - 1, 0), degree + 1)}
-    return sum(len(cols) for cols, _, _ in kept[degree]) - sum(
-        rank(block) for blocks in kept.values() for _, _, block in blocks)
+    plain = cx.untwisted or cx
+    cols, kept_rank = plain._kept_counts(degree)
+    return cols - kept_rank - (plain._kept_counts(degree - 1)[1] if degree else 0)
 
 
 def _solve(cx: CochainComplex, sigma: Optional[Matrix], theta: Matrix) -> Optional[Matrix]:
@@ -194,7 +195,7 @@ def _solve(cx: CochainComplex, sigma: Optional[Matrix], theta: Matrix) -> Option
     if _summed(ring, ((r, mul(v, t)) for c, t in rhs.items()
                       for r, v in columns.get(c, ()))):
         raise NotACocycle("d2 of the given 2-cochain is nonzero")
-    row_degree, blocks = cx._blocks(1)
+    row_degree, blocks = cx._d1_blocks
     y = _solve_by_blocks(ring, row_degree, blocks, cx.cochain_dim(1), rhs)
     if y is None or sigma is None:
         return y

@@ -54,7 +54,8 @@ class NotASubspace(LieformError):
 
 
 class Matrix(Record):
-    """Immutable row-major matrix of raw ring values."""
+    """Immutable row-major matrix of raw ring values, nrows * ncols of them
+    (DimensionMismatch otherwise)."""
 
     ring: RingSpec
     nrows: int
@@ -62,6 +63,9 @@ class Matrix(Record):
     data: tuple
 
     def __init__(self, ring: RingSpec, nrows: int, ncols: int, data: tuple):
+        if len(data) != nrows * ncols:
+            raise DimensionMismatch("a %dx%d matrix takes %d entries, not %d"
+                                    % (nrows, ncols, nrows * ncols, len(data)))
         put = object.__setattr__
         put(self, "ring", ring)
         put(self, "nrows", nrows)

@@ -367,6 +367,21 @@ def test_verify_cohomology(capsys):
     assert by_name["differentials-compose-to-zero"]["pass"] is True
 
 
+def test_verify_cohomology_multiplies_only_d1_d0(capsys, monkeypatch):
+    # ce_complex has checked d2∘d1 = 0, so the suite's own check multiplies d1∘d0 alone
+    real, calls = cli._nonzero_product, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_nonzero_product", spy)
+    code, doc, _ = run_json(capsys, ["verify", "--suite", "cohomology",
+                                     "--type", "A2", "--prime", "5"])
+    assert code == 0 and doc["status"] == "OK"
+    assert len(calls) == 1
+
+
 def test_verify_cohomology_above_the_dimension_bound_is_error(capsys):
     code, doc, err = run_json(capsys, ["verify", "--suite", "cohomology",
                                        "--type", "A4", "--prime", "5"])
@@ -625,6 +640,10 @@ CLI_ERRORS = [
      {"builtin": "chain:x", "p": 5}, "malformed --builtin 'chain:x'"),
     (["sl2-decompose", "--builtin", "spiral", "--prime", "5"], None,
      {"builtin": "spiral", "p": 5}, "unknown --builtin 'spiral' (chain:j or counterexample)"),
+    # the counterexample's cost grows about as p³; 101 is the first prime above the bound
+    (["sl2-decompose", "--builtin", "counterexample", "--prime", "101"], None,
+     {"builtin": "counterexample", "p": 101},
+     "--builtin counterexample takes a prime up to 100, not 101"),
     (["lift-aut", "--type", "A1", "--prime", "5"], {"rows": [[1]]},
      {"type": "A1", "prime": 5, "sigma": "sigma.json"},
      "--sigma file must hold a JSON array of integer rows"),

@@ -16,6 +16,7 @@ from lieform import (DimensionTooLarge, DualNumbers, DynkinType,
                      lift_automorphism, rank, solve_coboundary, solve_linear,
                      SquareZeroExtension, square_zero_extension, torus_automorphism,
                      triple_flip)
+from lieform.matrices import _degree_blocks
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -465,12 +466,18 @@ def test_block_readers_leave_the_dense_views_unbuilt():
     for cx in (ce_complex(g), ce_complex(g, twist=chevalley_involution(SL3, F5))):
         assert [cohomology_dim(cx, k) for k in (0, 1, 2)] == [0, 0, 0]
         # only `_solve` splits d1 into all its degree blocks
-        assert "_split" not in vars(cx.untwisted or cx)
+        assert "_d1_blocks" not in vars(cx.untwisted or cx)
         assert solve_coboundary(cx, [0] * cx.cochain_dim(2)).is_zero()
         assert not {"d0", "d1", "d2"} & set(vars(cx))
         # a twisted complex reads the blocks of the untwisted one it keeps
         assert not {"d0", "d1", "d2"} & set(vars(cx.untwisted or cx))
         assert cx.d1.nrows == cx.cochain_dim(2) and "d1" in vars(cx)
+
+
+def all_blocks(cx, k):
+    """Every degree block of the untwisted d_k, {degree: (cols, rows, block)}."""
+    g = cx.algebra
+    return _degree_blocks(g.ring, liealg._cochain_degrees(liealg._weights(g), k), cx.maps[k])[1]
 
 
 @pytest.mark.parametrize("ring", [PrimeField(2), F3, F5, F7, PrimeField(2097169), QQ],
@@ -481,11 +488,24 @@ def test_kept_blocks_give_the_cohomology_of_all_blocks(tname, ring):
     # block of d0, d1 and d2 (B3, C3 and D4 are above the complex's bound)
     g = chevalley_presentation(DynkinType(tname[0], int(tname[1:]))).to_lie_algebra(ring)
     cx = ce_complex(g)
-    want = [cx.cochain_dim(degree) - sum(rank(block)
-                                         for k in range(max(degree - 1, 0), degree + 1)
-                                         for _, _, block in cx._blocks(k)[1].values())
-            for degree in (0, 1, 2)]
+    ranks = [sum(rank(block) for _, _, block in all_blocks(cx, k).values()) for k in (0, 1, 2)]
+    want = [cx.cochain_dim(k) - ranks[k] - (ranks[k - 1] if k else 0) for k in (0, 1, 2)]
     assert [cohomology_dim(cx, degree) for degree in (0, 1, 2)] == want
+
+
+def test_cohomology_dim_builds_each_kept_block_once(monkeypatch):
+    # degrees 0, 1 and 2 read d0, d1 and d2's kept blocks; each is built once
+    real, built = cohomology._kept_blocks, []
+
+    def spy(g, k):
+        built.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(cohomology, "_kept_blocks", spy)
+    cx = ce_complex(SL3.to_lie_algebra(F5))
+    assert [cohomology_dim(cx, k) for k in (0, 1, 2)] == [0, 0, 0]
+    assert [cohomology_dim(cx, k) for k in (2, 1, 0)] == [0, 0, 0]
+    assert built == [0, 1, 2]
 
 
 def test_twisted_ranks_are_the_untwisted_blocks(monkeypatch):
@@ -495,12 +515,11 @@ def test_twisted_ranks_are_the_untwisted_blocks(monkeypatch):
     # torus character is zero, as every other block is acyclic
     pres = chevalley_presentation(DynkinType("A", 3))
     g = pres.to_lie_algebra(F5)
-    blocks = ce_complex(g)._blocks
+    plain = ce_complex(g)
     _, char = liealg._torus(g)
-    want = [(block.nrows, block.ncols) for degree in (0, 1, 2)
-            for k in range(max(degree - 1, 0), degree + 1)
-            for d, (_, _, block) in blocks(k)[1].items() if all(map(F5.is_zero, char(d)))]
-    assert 0 < len(want) < sum(len(blocks(k)[1]) for k in (0, 0, 1, 1, 2))
+    want = [(block.nrows, block.ncols) for k in (0, 1, 2)
+            for d, (_, _, block) in all_blocks(plain, k).items() if all(map(F5.is_zero, char(d)))]
+    assert 0 < len(want) < sum(len(all_blocks(plain, k)) for k in (0, 1, 2))
     real, seen = cohomology.rank, []
 
     def spy(m):
@@ -508,12 +527,14 @@ def test_twisted_ranks_are_the_untwisted_blocks(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(cohomology, "rank", spy)
-    for s in (chevalley_involution(pres, F5),
-              _seeded_automorphism(pres, F5, random.Random(5))):
+    cohomology._untwisted_complex.cache_clear()
+    # the second twist reads the counts of the untwisted complex the first built
+    for s, ranked in ((chevalley_involution(pres, F5), want),
+                      (_seeded_automorphism(pres, F5, random.Random(5)), [])):
         cx = ce_complex(g, twist=s)
         seen.clear()
         assert [cohomology_dim(cx, k) for k in (0, 1, 2)] == [0, 0, 0]
-        assert seen == want
+        assert seen == ranked
 
 
 def test_non_automorphism_twist_is_refused():

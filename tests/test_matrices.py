@@ -485,6 +485,8 @@ Z25 = IntegersModPk(5, 2)
 # (call, error class, message): every named error of the matrix layer
 MATRIX_ERRORS = [
     (lambda: M(F5, [[1, 2], [3]]), DimensionMismatch, "ragged rows"),
+    (lambda: Matrix(QQ, 2, 2, (1, 2, 3)), DimensionMismatch,
+     "a 2x2 matrix takes 4 entries, not 3"),
     (lambda: M(F5, [[Scalar(QQ, Fraction(1))]]), RingMismatch,
      "entry from Rationals() in PrimeField(p=5) matrix"),
     (lambda: M(F5, [[1]]) + M(QQ, [[1]]), RingMismatch, "PrimeField(p=5) vs Rationals()"),
